@@ -1,73 +1,23 @@
 """predopt: joint prediction-and-optimization training for action-conditioned
 decision problems, with a two-stage predict-then-optimize baseline, synthetic
-worlds with known oracles, and a regret-based comparison harness."""
+worlds with known oracles, and a regret-based comparison harness.
 
-from .core import (
-    ActionGrid,
-    Dataset,
-    LabeledSample,
-    Problem,
-    ValidationError,
-    WeightConfig,
-    load_dataset_csv,
-    make_grid,
-    save_dataset_csv,
-    split_dataset,
-)
-from .evaluation import (
-    DecisionReport,
-    compare_methods,
-    derive_seeds,
-    evaluate_decision,
-    write_results_csv,
-)
-from .objective import (
-    AnchorActions,
-    CostProfile,
-    JointObjectiveValue,
-    WeightPair,
-    action_distribution,
-    argmin_profile,
-    empirical_profile,
-    gamma_weight,
-    joint_objective,
-    model_profile,
-    omega_weight,
-)
-from .predictor import (
-    Architecture,
-    PredictorParams,
-    init_params,
-    load_checkpoint,
-    loss_and_grad,
-    predict,
-    predict_batch,
-    predict_on_grid,
-    save_checkpoint,
-    task_grad,
-)
+The package namespace holds the names the demos use; everything else is
+imported from its module (predopt.core, predopt.predictor, ...).
+"""
+
+from .core import WeightConfig, make_grid, split_dataset
+from .evaluation import compare_methods, derive_seeds, evaluate_decision, write_results_csv
+from .objective import action_distribution, argmin_profile, empirical_profile
+from .predictor import Architecture
 from .problems import (
     TrueModel,
     gen_dataset,
-    model_from_json,
-    model_to_json,
-    newsvendor_cost,
     newsvendor_problem,
     oracle_action,
     oracle_expected_cost,
-    pricing_cost,
-    pricing_problem,
     problem_from_model,
 )
-from .training import (
-    TrainConfig,
-    TrainingError,
-    TrainResult,
-    check_termination,
-    save_history_csv,
-    sgd_step,
-    simpo_fit,
-    two_stage_fit,
-)
+from .training import TrainConfig, simpo_fit, two_stage_fit
 
 __version__ = "0.1.0"

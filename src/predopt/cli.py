@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -47,7 +48,6 @@ class ExperimentConfig:
     train: TrainConfig
     n_mc: int
     n_seeds: int
-    out_dir: str
     seed: int
 
 
@@ -127,12 +127,8 @@ _SCHEMA = {
             "n_seeds": (True, int),
         },
     ),
-    "io": (
-        True,
-        {
-            "out_dir": (False, str),
-        },
-    ),
+    # Optional and empty; kept so configs that carry "io": {} still load.
+    "io": (False, {}),
 }
 
 
@@ -161,6 +157,12 @@ def _check_keys(blob: dict, schema: dict, raw_text: str, path: str = "") -> None
                 raise ConfigError(f"config key '{where}' must be an integer")
             if not isinstance(value, expected):
                 raise ConfigError(f"config key '{where}' has the wrong type")
+            if expected in (_NUMBER, list):
+                numbers = value if isinstance(value, list) else [value]
+                if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in numbers):
+                    raise ConfigError(f"config key '{where}' must be numeric")
+                if not all(math.isfinite(v) for v in numbers):
+                    raise ConfigError(f"config key '{where}' must be finite")
     for key, (required, _expected) in schema.items():
         if required and key not in blob:
             raise ConfigError(f"missing config key '{path}{key}'")
@@ -179,6 +181,8 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _check_keys(blob, _SCHEMA, raw_text)
+    if blob["eval"]["n_mc"] < 1:
+        raise ConfigError(f"config key 'eval.n_mc' must be >= 1, got {blob['eval']['n_mc']}")
 
     p = blob["problem"]
     try:
@@ -227,7 +231,6 @@ def load_config(path) -> ExperimentConfig:
         train=train,
         n_mc=int(blob["eval"]["n_mc"]),
         n_seeds=int(blob["eval"]["n_seeds"]),
-        out_dir=blob["io"].get("out_dir", "."),
         seed=int(blob["seed"]),
     )
 
@@ -280,15 +283,15 @@ def _fit_once(config: ExperimentConfig, method: str):
     return fit(problem, train, val, config.arch, cfg), val, problem
 
 
-def cmd_train(config: ExperimentConfig, method: str, out_dir: str) -> int:
+def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
     result, _val, _problem = _fit_once(config, method)
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(run_dir, exist_ok=True)
     _atomic_via_tmp(
-        os.path.join(out_dir, "checkpoint.json"),
+        os.path.join(run_dir, "checkpoint.json"),
         lambda tmp: save_checkpoint(result.params_star, tmp),
     )
     _atomic_via_tmp(
-        os.path.join(out_dir, "training_log.csv"),
+        os.path.join(run_dir, "training_log.csv"),
         lambda tmp: save_history_csv(result.history, tmp),
     )
     summary = {
@@ -299,7 +302,7 @@ def cmd_train(config: ExperimentConfig, method: str, out_dir: str) -> int:
         "iters_run": result.iters_run,
     }
     _atomic_write_text(
-        os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2) + "\n"
+        os.path.join(run_dir, "summary.json"), json.dumps(summary, indent=2) + "\n"
     )
     print(
         f"{method}: z_star={result.z_star:g} g_star={result.g_star:g} "

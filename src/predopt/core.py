@@ -14,14 +14,11 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "ActionGrid",
-    "LabeledSample",
     "Dataset",
     "Problem",
     "WeightConfig",
     "make_grid",
     "split_dataset",
-    "squared_error",
-    "squared_error_grad",
     "save_dataset_csv",
     "load_dataset_csv",
 ]
@@ -83,17 +80,8 @@ def make_grid(z_min: float, z_max: float, n_points: int) -> ActionGrid:
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One observation: features x, the historically logged action, the outcome."""
-
-    x: np.ndarray
-    z_obs: float
-    y: float
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Column-oriented sample store; `samples` gives the per-row view.
+    """Column-oriented sample store.
 
     X has shape (n, d), z_obs and y shape (n,). Non-empty, one shared
     feature dimension.
@@ -124,59 +112,25 @@ class Dataset:
     def feature_dim(self) -> int:
         return self.X.shape[1]
 
-    @property
-    def samples(self) -> list[LabeledSample]:
-        return [
-            LabeledSample(self.X[i], float(self.z_obs[i]), float(self.y[i]))
-            for i in range(len(self))
-        ]
-
-    @classmethod
-    def from_samples(cls, samples: list[LabeledSample]) -> "Dataset":
-        if not samples:
-            raise ValidationError("dataset must be non-empty")
-        d = len(samples[0].x)
-        if any(len(s.x) != d for s in samples):
-            raise ValidationError("all samples must share one feature dimension")
-        return cls(
-            X=np.array([s.x for s in samples], dtype=float),
-            z_obs=np.array([s.z_obs for s in samples], dtype=float),
-            y=np.array([s.y for s in samples], dtype=float),
-        )
-
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.X[indices], self.z_obs[indices], self.y[indices])
 
 
-def squared_error(y_true, y_pred):
-    """Default predictive loss, elementwise (y_pred - y_true)^2."""
-    diff = np.asarray(y_pred) - np.asarray(y_true)
-    return diff * diff
-
-
-def squared_error_grad(y_true, y_pred):
-    """d/d(y_pred) of squared_error."""
-    return 2.0 * (np.asarray(y_pred) - np.asarray(y_true))
-
-
 @dataclass(frozen=True)
 class Problem:
-    """One decision task: an action grid plus its cost and loss functions.
+    """One decision task: an action grid plus its cost function.
 
-    task_cost(z, y) is the cost of taking action z when the outcome is y;
-    predictive_loss(y_true, y_pred) is the per-sample fitting loss. Both must
-    be numpy-vectorized (broadcast over array arguments). The *_grad_y /
-    *_grad companions are the derivatives with respect to the outcome /
-    prediction argument, with the value-0 convention exactly at kinks; they
-    exist so trainers can form exact analytic gradients.
+    task_cost(z, y) is the cost of taking action z when the outcome is y; it
+    must be numpy-vectorized (broadcast over array arguments).
+    task_cost_grad_y is its derivative with respect to the outcome, with the
+    value-0 convention exactly at kinks, so trainers can form exact analytic
+    gradients. The predictive loss is squared error for every problem.
     """
 
     grid: ActionGrid
     task_cost: Callable
-    predictive_loss: Callable = squared_error
     name: str = "problem"
     task_cost_grad_y: Callable = None
-    predictive_loss_grad: Callable = squared_error_grad
 
     def __post_init__(self):
         if self.task_cost_grad_y is None:

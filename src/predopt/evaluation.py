@@ -18,9 +18,10 @@ from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
     cost_draws,
-    world_draws,
     gen_dataset,
+    oracle_profile,
     problem_from_model,
+    world_draws,
 )
 from .training import TrainConfig, TrainingError, simpo_fit, two_stage_fit
 
@@ -80,17 +81,20 @@ def evaluate_decision(
     0 and every other grid action gets regret >= 0. Regret within three MC
     standard errors of 0 is clamped to 0.
     """
+    base, eps = world_draws(model, n_mc, seed)
+    return _score(model, action, grid, base, eps, oracle_profile(model, grid, base, eps))
+
+
+def _score(model, action, grid, base, eps, values) -> tuple[float, float]:
+    """evaluate_decision's cost and regret, given the draws and their oracle profile."""
     points = grid.points
     if not np.any(np.isclose(points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
         raise ValidationError(f"action {action} is not a grid point")
-    base, eps = world_draws(model, n_mc, seed)
     costs_at_action = cost_draws(model, float(action), base, eps)
-    values = np.empty(grid.n_points)
-    for k, z in enumerate(points):
-        values[k] = cost_draws(model, float(z), base, eps).mean()
     k_best = int(np.argmin(values))
     diffs = costs_at_action - cost_draws(model, float(points[k_best]), base, eps)
     regret = float(diffs.mean())
+    n_mc = len(eps)
     se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     if abs(regret) <= 3.0 * se:
         regret = 0.0
@@ -108,7 +112,9 @@ def _failed_report(method: str, seed: int, problem_name: str, iters: int, wall_m
 
 
 def _run_seed(args) -> list[DecisionReport]:
-    """One seed's worth of work: generate, split, fit both methods, evaluate.
+    """One seed's worth of work: generate, split, fit both methods, then score
+    both decisions and the oracle row from one set of world draws and one
+    oracle profile scan.
 
     Takes a plain-data tuple so it can cross a process boundary.
     """
@@ -119,17 +125,27 @@ def _run_seed(args) -> list[DecisionReport]:
     train, val, test = split_dataset(data, train_frac, val_frac, split_seed)
     cfg = replace(config, seed=train_seed)
 
-    reports = []
+    fits = []
     for method, fit in (("simpo", simpo_fit), ("two_stage", two_stage_fit)):
         t0 = time.perf_counter()
         try:
             result = fit(problem, train, val, arch, cfg)
         except TrainingError as err:
-            wall = (time.perf_counter() - t0) * 1e3
-            reports.append(_failed_report(method, run_seed, problem.name, err.iteration, wall))
+            result = err
+        fits.append((method, result, (time.perf_counter() - t0) * 1e3))
+
+    t0 = time.perf_counter()
+    base, eps = world_draws(model, n_mc, mc_seed)
+    values = oracle_profile(model, grid, base, eps)
+    k_best = int(np.argmin(values))
+    oracle_wall = (time.perf_counter() - t0) * 1e3
+
+    reports = []
+    for method, result, wall in fits:
+        if isinstance(result, TrainingError):
+            reports.append(_failed_report(method, run_seed, problem.name, result.iteration, wall))
             continue
-        wall = (time.perf_counter() - t0) * 1e3
-        cost, regret = evaluate_decision(model, result.z_star, grid, n_mc, mc_seed)
+        cost, regret = _score(model, result.z_star, grid, base, eps, values)
         reports.append(
             DecisionReport(
                 method=method,
@@ -143,14 +159,6 @@ def _run_seed(args) -> list[DecisionReport]:
                 wall_ms=wall,
             )
         )
-
-    t0 = time.perf_counter()
-    base, eps = world_draws(model, n_mc, mc_seed)
-    values = np.empty(grid.n_points)
-    for k, z in enumerate(grid.points):
-        values[k] = cost_draws(model, float(z), base, eps).mean()
-    k_best = int(np.argmin(values))
-    wall = (time.perf_counter() - t0) * 1e3
     reports.append(
         DecisionReport(
             method="oracle",
@@ -161,7 +169,7 @@ def _run_seed(args) -> list[DecisionReport]:
             regret=0.0,
             pred_mse=float("nan"),
             iters_run=0,
-            wall_ms=wall,
+            wall_ms=oracle_wall,
         )
     )
     return reports

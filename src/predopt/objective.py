@@ -1,7 +1,7 @@
-"""Joint-objective machinery: cost profiles over the action grid, anchor
-actions, soft-min action probabilities, and the omega/gamma weight functions.
+"""Joint-objective machinery: cost profiles over the action grid, soft-min
+action probabilities, and the omega/gamma weight functions.
 
-The objective combines a predictive-loss term and a task-cost term,
+The trainer combines a predictive-loss term and a task-cost term,
 
     F = pred_loss * omega + task_loss * gamma,
 
@@ -21,16 +21,12 @@ from .predictor import PredictorParams, predict_on_grid
 
 __all__ = [
     "CostProfile",
-    "AnchorActions",
-    "WeightPair",
-    "JointObjectiveValue",
     "empirical_profile",
     "model_profile",
     "argmin_profile",
     "action_distribution",
     "omega_weight",
     "gamma_weight",
-    "joint_objective",
 ]
 
 
@@ -56,32 +52,6 @@ class CostProfile:
             raise ValidationError(f"unknown profile source {self.source!r}")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class AnchorActions:
-    z_star_train: float
-    z_star_test: float
-
-
-@dataclass(frozen=True)
-class WeightPair:
-    omega: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.omega < 1.0:
-            raise ValidationError(f"omega must be >= 1, got {self.omega}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError(f"gamma must be in (0, 1], got {self.gamma}")
-
-
-@dataclass(frozen=True)
-class JointObjectiveValue:
-    total: float
-    pred_term: float
-    task_term: float
-    weights: WeightPair
 
 
 def empirical_profile(train_labels, problem: Problem) -> CostProfile:
@@ -143,22 +113,8 @@ def omega_weight(
 def gamma_weight(
     z_star_train: float, z_star_test: float, beta: float, grid: ActionGrid
 ) -> float:
-    """Task-cost weight: exp(-beta * normalized anchor distance), in (0, 1]."""
+    """Task-cost weight: exp(-beta * normalized anchor distance), in (0, 1]
+    (0.0 only where the exponential underflows at very large beta)."""
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
     return float(np.exp(-beta * abs(z_star_train - z_star_test) / grid.width))
-
-
-def joint_objective(
-    pred_loss: float, task_loss: float, weights: WeightPair, task_enabled: bool
-) -> JointObjectiveValue:
-    """Assemble F = pred_loss * omega + task_loss * gamma.
-
-    With the task term disabled the task component is recorded as 0 so the
-    composition total == pred*omega + task*gamma stays exact.
-    """
-    if not np.isfinite(pred_loss) or not np.isfinite(task_loss):
-        raise ValidationError("objective terms must be finite")
-    task_term = float(task_loss) if task_enabled else 0.0
-    total = float(pred_loss) * weights.omega + task_term * weights.gamma
-    return JointObjectiveValue(total, float(pred_loss), task_term, weights)

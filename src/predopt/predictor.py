@@ -163,10 +163,11 @@ def loss_and_grad(
     weights: np.ndarray,
     problem: Problem,
 ) -> tuple[float, np.ndarray]:
-    """Weighted predictive loss and its exact gradient.
+    """Weighted squared-error loss and its exact gradient.
 
-    loss = (1/n) sum_i weights_i * l(y_i, h(x_i, z_i)); grad is d(loss)/d(theta)
-    over the flat weight vector.
+    loss = (1/n) sum_i weights_i * (h(x_i, z_i) - y_i)^2; grad is
+    d(loss)/d(theta) over the flat weight vector. The loss is the same for
+    every problem; `problem` is accepted so this call mirrors task_grad.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float).ravel()
@@ -178,10 +179,10 @@ def loss_and_grad(
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValidationError("sample weights must be finite and nonnegative")
 
-    preds = predict_batch(params, X, Z)
-    loss = float(np.mean(weights * problem.predictive_loss(Y, preds)))
+    diff = predict_batch(params, X, Z) - Y
+    loss = float(np.mean(weights * (diff * diff)))
     # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
-    c = weights * problem.predictive_loss_grad(Y, preds) / n
+    c = weights * (2.0 * diff) / n
 
     grad = np.empty_like(params.weights)
     if params.architecture.kind == "linear":

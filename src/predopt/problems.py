@@ -36,6 +36,7 @@ __all__ = [
     "world_draws",
     "cost_draws",
     "oracle_expected_cost",
+    "oracle_profile",
     "oracle_action",
     "model_to_json",
     "model_from_json",
@@ -184,6 +185,8 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
 
 def world_draws(model: TrueModel, n_mc: int, seed: int):
     """Fresh (feature part, noise) draws for counterfactual evaluation."""
+    if n_mc < 1:
+        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
     rng = np.random.default_rng(seed)
     X = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
     eps = rng.normal(0.0, model.noise_sd, size=n_mc)
@@ -210,28 +213,33 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     Counterfactual: outcomes are generated under the queried z, not under any
     logged action. Deterministic in seed.
     """
-    if n_mc < 1:
-        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
     base, eps = world_draws(model, n_mc, seed)
     return float(cost_draws(model, z, base, eps).mean())
+
+
+def oracle_profile(
+    model: TrueModel, grid: ActionGrid, base: np.ndarray, eps: np.ndarray
+) -> np.ndarray:
+    """Mean cost of every grid action under the shared world draws (base, eps).
+
+    Common random numbers: each action sees the same draws, so per-action
+    values match oracle_expected_cost at the seed the draws came from.
+    """
+    values = np.empty(grid.n_points)
+    for k, z in enumerate(grid.points):
+        values[k] = cost_draws(model, float(z), base, eps).mean()
+    return values
 
 
 def oracle_action(
     model: TrueModel, grid: ActionGrid, n_mc: int, seed: int
 ) -> tuple[float, float]:
-    """Grid scan of oracle_expected_cost with common random numbers.
+    """Grid action with the smallest oracle_profile value, and that value.
 
-    The same (seed, n_mc) draws are reused for every action, so the returned
-    profile is exactly reproducible and per-action values match
-    oracle_expected_cost at the same seed. Ties break toward the smallest
+    Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    if n_mc < 1:
-        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
-    base, eps = world_draws(model, n_mc, seed)
-    values = np.empty(grid.n_points)
-    for k, z in enumerate(grid.points):
-        values[k] = cost_draws(model, float(z), base, eps).mean()
+    values = oracle_profile(model, grid, *world_draws(model, n_mc, seed))
     k_best = int(np.argmin(values))
     return float(grid.points[k_best]), float(values[k_best])
 

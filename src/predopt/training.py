@@ -15,19 +15,16 @@ simpo_fit degenerates to exactly this, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Dataset, Problem, ValidationError, WeightConfig
 from .objective import (
-    AnchorActions,
-    WeightPair,
     action_distribution,
     argmin_profile,
     empirical_profile,
     gamma_weight,
-    joint_objective,
     model_profile,
     omega_weight,
 )
@@ -42,7 +39,6 @@ from .predictor import (
 __all__ = [
     "TrainConfig",
     "HistoryRow",
-    "TrainState",
     "TrainResult",
     "TrainingError",
     "simpo_fit",
@@ -97,17 +93,6 @@ class HistoryRow:
     z_star_test: float
 
 
-@dataclass
-class TrainState:
-    """In-flight view of a run: current parameters, append-only history, and
-    the fixed train-side anchor."""
-
-    params: PredictorParams
-    iter: int
-    history: list
-    z_star_train: float
-
-
 @dataclass(frozen=True)
 class TrainResult:
     params_star: PredictorParams
@@ -117,11 +102,6 @@ class TrainResult:
     converged: bool
     history: tuple
     z_star_train: float
-
-    @property
-    def anchors(self) -> AnchorActions:
-        """Final anchor pair: the historical optimum and the decision."""
-        return AnchorActions(self.z_star_train, self.z_star)
 
 
 def sgd_step(params: PredictorParams, grad: np.ndarray, lr: float) -> PredictorParams:
@@ -175,16 +155,15 @@ def _fit(
     params = init_params(arch, config.seed)
     # Batch sampling gets its own stream so it never aliases the init draws.
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    state = TrainState(params=params, iter=0, history=[], z_star_train=z_star_train)
+    history = []
     ones = np.ones(len(train))
 
     task_enabled = use_joint_weights and wc.task_term_enabled
-    converged = False
     while True:
-        state.iter += 1
+        it = len(history) + 1
         idx = _batch_indices(batch_rng, len(train), config.batch_size)
 
-        profile = model_profile(state.params, val.X, grid, problem)
+        profile = model_profile(params, val.X, grid, problem)
         probs = action_distribution(profile, wc.tau)
         z_star_test = argmin_profile(profile)
         if use_joint_weights:
@@ -194,12 +173,13 @@ def _fit(
             omega, gamma = 1.0, 1.0
 
         pred_loss, pred_grad = loss_and_grad(
-            state.params, train.X[idx], train.z_obs[idx], train.y[idx], ones[idx], problem
+            params, train.X[idx], train.z_obs[idx], train.y[idx], ones[idx], problem
         )
         if task_enabled:
-            task_loss, task_grad_vec = task_grad(state.params, val.X, grid, probs, problem)
+            task_loss, task_grad_vec = task_grad(params, val.X, grid, probs, problem)
             total_grad = omega * pred_grad + gamma * task_grad_vec
         else:
+            # Recorded as 0 so every row composes as pred*omega + task*gamma.
             task_loss = 0.0
             total_grad = omega * pred_grad
 
@@ -209,37 +189,26 @@ def _fit(
             or not np.all(np.isfinite(total_grad))
         ):
             raise TrainingError(
-                f"non-finite loss or gradient at iteration {state.iter} "
+                f"non-finite loss or gradient at iteration {it} "
                 f"(pred={pred_loss!r}, task={task_loss!r}); reduce the learning rate",
-                iteration=state.iter,
+                iteration=it,
             )
-        value = joint_objective(pred_loss, task_loss, WeightPair(omega, gamma), task_enabled)
-        state.history.append(
-            HistoryRow(
-                iter=state.iter,
-                total=value.total,
-                pred_term=value.pred_term,
-                task_term=value.task_term,
-                omega=omega,
-                gamma=gamma,
-                z_star_test=z_star_test,
-            )
-        )
-        state.params = sgd_step(state.params, total_grad, config.learning_rate)
-        if check_termination(state.history, config):
-            converged = len(state.history) < config.max_iters
+        total = pred_loss * omega + task_loss * gamma
+        history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
+        params = sgd_step(params, total_grad, config.learning_rate)
+        if check_termination(history, config):
             break
 
-    final_profile = model_profile(state.params, val.X, grid, problem)
+    final_profile = model_profile(params, val.X, grid, problem)
     z_star = argmin_profile(final_profile)
     g_star = float(final_profile.values[grid.index_of(z_star)])
     return TrainResult(
-        params_star=state.params,
+        params_star=params,
         z_star=z_star,
         g_star=g_star,
-        iters_run=len(state.history),
-        converged=converged,
-        history=tuple(state.history),
+        iters_run=len(history),
+        converged=len(history) < config.max_iters,
+        history=tuple(history),
         z_star_train=z_star_train,
     )
 

@@ -34,7 +34,7 @@ SMALL_CONFIG = {
         "weights": {"alpha": 1.0, "beta": 20.0, "tau": 1.0, "task_term_enabled": True},
     },
     "eval": {"n_mc": 2000, "n_seeds": 2},
-    "io": {"out_dir": "results"},
+    "io": {},
 }
 
 
@@ -94,11 +94,39 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
-def test_bad_value_is_config_error(tmp_path):
+NAN = float("nan")
+
+# (dotted config key, bad value): degenerate, non-numeric or non-finite; JSON
+# as read by Python may carry NaN and Infinity
+BAD_VALUES = [
+    pytest.param("problem.grid.n_points", 1, id="problem.grid.n_points"),
+    pytest.param("train.weights.alpha", NAN, id="train.weights.alpha"),
+    pytest.param("train.weights.beta", NAN, id="train.weights.beta"),
+    pytest.param("problem.base_weights", [2.0, NAN], id="problem.base_weights"),
+    pytest.param("problem.base_weights", ["a"], id="problem.base_weights-text"),
+    pytest.param("problem.intercept", NAN, id="problem.intercept"),
+    pytest.param("problem.action_effect", NAN, id="problem.action_effect"),
+    pytest.param("problem.nonlinearity", NAN, id="problem.nonlinearity"),
+    pytest.param("problem.cost_params.c_h", NAN, id="problem.cost_params.c_h"),
+    pytest.param("problem.cost_params.c_s", float("inf"), id="problem.cost_params.c_s"),
+    pytest.param("eval.n_mc", 0, id="eval.n_mc"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_VALUES)
+def test_bad_value_is_config_error(tmp_path, capsys, key, value):
     blob = copy.deepcopy(SMALL_CONFIG)
-    blob["problem"]["grid"]["n_points"] = 1
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, blob))
+    *parents, leaf = key.split(".")
+    section = blob
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    path = _write(tmp_path, blob)
+    with pytest.raises(ConfigError, match=leaf):
+        load_config(path)
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert leaf in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_missing_method_flag_exits_2(config_path, tmp_path):

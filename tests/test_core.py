@@ -11,6 +11,7 @@ from predopt.core import (
     save_dataset_csv,
     split_dataset,
 )
+from predopt.predictor import Architecture, PredictorParams, loss_and_grad, predict_batch
 from predopt.problems import newsvendor_problem, pricing_problem
 
 
@@ -108,28 +109,6 @@ def test_dataset_must_be_nonempty():
         Dataset(X=np.zeros((0, 2)), z_obs=np.zeros(0), y=np.zeros(0))
 
 
-def test_dataset_samples_view_round_trip():
-    data = _toy_dataset(9, d=2, seed=8)
-    samples = data.samples
-    assert len(samples) == 9
-    assert all(len(s.x) == 2 for s in samples)
-    back = Dataset.from_samples(samples)
-    assert np.array_equal(back.X, data.X)
-    assert np.array_equal(back.z_obs, data.z_obs)
-    assert np.array_equal(back.y, data.y)
-
-
-def test_from_samples_rejects_mixed_dims():
-    from predopt.core import LabeledSample
-
-    mixed = [
-        LabeledSample(np.zeros(2), 1.0, 0.0),
-        LabeledSample(np.zeros(3), 1.0, 0.0),
-    ]
-    with pytest.raises(ValidationError):
-        Dataset.from_samples(mixed)
-
-
 def test_dataset_is_readonly():
     data = _toy_dataset(4)
     with pytest.raises(ValueError):
@@ -145,10 +124,15 @@ def test_dataset_is_readonly():
     ids=["newsvendor", "pricing"],
 )
 def test_predictive_loss_zero_at_truth(problem):
-    y = np.random.default_rng(3).normal(scale=50, size=1000)
-    assert np.all(problem.predictive_loss(y, y) == 0.0)
+    rng = np.random.default_rng(3)
+    params = PredictorParams(Architecture("linear", 2), rng.normal(scale=5, size=4))
+    X, Z = rng.normal(size=(1000, 2)), rng.uniform(0, 10, size=1000)
+    y = predict_batch(params, X, Z)
+    ones = np.ones(1000)
+    loss, grad = loss_and_grad(params, X, Z, y, ones, problem)
+    assert loss == 0.0 and np.all(grad == 0.0)
     other = y + np.random.default_rng(4).normal(size=1000)
-    assert np.all(problem.predictive_loss(y, other) >= 0.0)
+    assert loss_and_grad(params, X, Z, other, ones, problem)[0] > 0.0
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -133,6 +133,20 @@ def test_compare_methods_oracle_rows_zero_regret():
     assert all(r.regret >= 0.0 for r in trained)
     assert all(np.isfinite(r.pred_mse) for r in trained)
     assert all(r.iters_run >= 1 for r in trained)
+    # every row of a seed is scored from one shared scan of the seed's MC stream
+    for r in reports:
+        mc_seed = derive_seeds(r.seed)[3]
+        if r.method == "oracle":
+            assert (r.chosen_action, r.expected_cost) == oracle_action(model, GRID, 1500, mc_seed)
+        else:
+            assert (r.expected_cost, r.regret) == evaluate_decision(
+                model, r.chosen_action, GRID, 1500, mc_seed
+            )
+
+
+def test_evaluate_decision_rejects_zero_draws():
+    with pytest.raises(ValidationError, match="n_mc"):
+        evaluate_decision(_world(), 10.0, GRID, n_mc=0, seed=0)
 
 
 def test_compare_methods_deterministic_csv(tmp_path):

@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from predopt.core import ValidationError, make_grid
+from predopt.core import ValidationError, WeightConfig, make_grid, split_dataset
 from predopt.objective import (
     CostProfile,
-    WeightPair,
     action_distribution,
     argmin_profile,
     empirical_profile,
     gamma_weight,
-    joint_objective,
     model_profile,
     omega_weight,
 )
 from predopt.predictor import Architecture, PredictorParams, init_params, predict
-from predopt.problems import newsvendor_problem
+from predopt.problems import TrueModel, gen_dataset, newsvendor_problem, problem_from_model
+from predopt.training import TrainConfig, simpo_fit, two_stage_fit
 
 GRID = make_grid(0.0, 20.0, 201)
 
@@ -270,40 +269,41 @@ def test_gamma_strictly_decreasing_in_anchor_distance():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-# --- joint objective --------------------------------------------------------
+# --- joint objective (composed per iteration by the trainer) -----------------
+
+
+def _fit_rows(fit, task_term_enabled=True):
+    model = TrueModel(
+        kind="newsvendor",
+        base_weights=(2.0, -1.0),
+        intercept=16.0,
+        action_effect=0.9,
+        nonlinearity=-0.04,
+        noise_sd=1.0,
+        feature_sd=1.5,
+        cost_params={"c_h": 1.0, "c_s": 3.0},
+        logging={"policy": "uniform"},
+    )
+    problem = problem_from_model(model, GRID)
+    train, val, _ = split_dataset(gen_dataset(model, 200, GRID, 5), 0.6, 0.2, 6)
+    wc = WeightConfig(alpha=2.0, beta=20.0, tau=0.5, task_term_enabled=task_term_enabled)
+    config = TrainConfig(weight_config=wc, learning_rate=3e-3, max_iters=20, seed=0)
+    return fit(problem, train, val, Architecture("linear", 2), config).history
 
 
 def test_joint_objective_zero():
-    v = joint_objective(0.0, 123.4, WeightPair(1.0, 1.0), task_enabled=False)
-    assert v.total == 0.0 and v.task_term == 0.0
-
-
-def test_joint_objective_arithmetic():
-    v = joint_objective(2.0, 4.0, WeightPair(1.5, 0.5), task_enabled=True)
-    assert v.total == pytest.approx(5.0, rel=1e-15)
-    assert v.pred_term == 2.0 and v.task_term == 4.0
+    # task term switched off: it is recorded as exactly 0 and adds nothing to F
+    rows = _fit_rows(simpo_fit, task_term_enabled=False)
+    assert rows
+    for row in rows:
+        assert row.task_term == 0.0
+        assert row.total == row.pred_term * row.omega
 
 
 def test_joint_objective_two_stage_reduction():
-    v = joint_objective(3.25, 99.0, WeightPair(1.0, 1.0), task_enabled=False)
-    assert v.total == 3.25
-
-
-def test_joint_objective_composition_exact():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        pred, task = rng.uniform(0, 10, size=2)
-        w = WeightPair(1.0 + rng.uniform(0, 3), rng.uniform(0.01, 1.0))
-        v = joint_objective(pred, task, w, task_enabled=True)
-        assert v.total == pytest.approx(
-            v.pred_term * w.omega + v.task_term * w.gamma, rel=1e-12
-        )
-
-
-def test_weight_pair_validates_ranges():
-    with pytest.raises(ValidationError):
-        WeightPair(0.5, 1.0)
-    with pytest.raises(ValidationError):
-        WeightPair(1.0, 0.0)
-    with pytest.raises(ValidationError):
-        WeightPair(1.0, 1.5)
+    # two-stage: unit weights, no task term, so F is the predictive loss itself
+    rows = _fit_rows(two_stage_fit)
+    assert rows
+    for row in rows:
+        assert (row.omega, row.gamma, row.task_term) == (1.0, 1.0, 0.0)
+        assert row.total == row.pred_term

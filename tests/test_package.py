@@ -1,0 +1,29 @@
+"""The package namespace carries what the demos import, checked without
+running the (slow) demos."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import predopt
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def _package_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "predopt":
+            yield from (alias.name for alias in node.names)
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    names = list(_package_imports(demo))
+    assert names, f"{demo.name} imports nothing from predopt"
+    missing = [name for name in names if not hasattr(predopt, name)]
+    assert missing == []

@@ -3,12 +3,10 @@ import pytest
 
 from predopt.core import ValidationError, WeightConfig, make_grid, split_dataset
 from predopt.objective import (
-    WeightPair,
     action_distribution,
     argmin_profile,
     empirical_profile,
     gamma_weight,
-    joint_objective,
     model_profile,
     omega_weight,
 )
@@ -175,6 +173,11 @@ def test_history_rows_compose_exactly():
     for row in res.history:
         composed = row.pred_term * row.omega + row.task_term * row.gamma
         assert row.total == pytest.approx(composed, rel=1e-12)
+    # two-stage: unit weights and the task term recorded as 0, so F is the loss
+    base = two_stage_fit(problem, train, val, Architecture("linear", 2), _config(max_iters=50))
+    for row in base.history:
+        assert (row.omega, row.gamma, row.task_term) == (1.0, 1.0, 0.0)
+        assert row.total == row.pred_term
 
 
 def test_g_star_matches_final_profile():
@@ -186,8 +189,17 @@ def test_g_star_matches_final_profile():
     k = GRID.index_of(res.z_star)
     assert res.z_star == argmin_profile(prof)
     assert res.g_star == pytest.approx(prof.values[k], rel=1e-12)
-    assert res.anchors.z_star_train == res.z_star_train
-    assert res.anchors.z_star_test == res.z_star
+
+
+def test_gamma_underflow_does_not_abort_training():
+    # at a huge beta, exp(-beta * gap) underflows to exactly 0 while the
+    # anchors disagree; the fit must go on with the task term weighted out
+    model = _world(nonlinearity=-0.04, action_effect=0.9)
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 200, seed=2)
+    wc = WeightConfig(alpha=2.0, beta=1e6, tau=0.5)
+    res = simpo_fit(problem, train, val, Architecture("linear", 2), _config(weight_config=wc))
+    assert any(row.gamma == 0.0 for row in res.history)
 
 
 def test_training_abort_names_iteration():
@@ -281,7 +293,7 @@ def test_frozen_coefficient_descent_envelope():
             def frozen_F(p):
                 pl, _ = loss_and_grad(p, train.X, train.z_obs, train.y, ones, problem)
                 tl, _ = task_grad(p, val.X, GRID, probs, problem)
-                return joint_objective(pl, tl, WeightPair(omega, gamma), True).total
+                return pl * omega + tl * gamma
 
             _, pred_grad = loss_and_grad(params, train.X, train.z_obs, train.y, ones, problem)
             _, task_grad_vec = task_grad(params, val.X, GRID, probs, problem)
