@@ -2,7 +2,8 @@
 
 One JSON config fully determines an experiment. Parsing is strict: unknown
 keys are rejected by name (and line, when it can be located in the file).
-Exit codes: 0 success, 2 usage or config error, 3 runtime/training error.
+Exit codes: 0 success, 2 usage, config, checkpoint or file-system error, 3
+training abort.
 All output files are written to a temporary name and atomically renamed.
 """
 
@@ -311,9 +312,24 @@ def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
     return 0
 
 
+def _layout(arch: Architecture) -> tuple:
+    # hidden_units only shapes an mlp1, so a linear config may carry any value
+    return (arch.kind, arch.feature_dim, arch.n_weights)
+
+
+def _describe(arch: Architecture) -> str:
+    hidden = f", hidden_units={arch.hidden_units}" if arch.kind == "mlp1" else ""
+    return f"{arch.kind} (feature_dim={arch.feature_dim}{hidden})"
+
+
 def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) -> int:
     data_seed, split_seed, _, mc_seed = derive_seeds(config.seed)
     params = load_checkpoint(checkpoint_path)
+    if _layout(params.architecture) != _layout(config.arch):
+        raise ConfigError(
+            f"checkpoint {checkpoint_path} holds a {_describe(params.architecture)} model, "
+            f"but the config describes a {_describe(config.arch)} model"
+        )
     problem = problem_from_model(config.model_spec, config.grid)
     data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
     _train, val, _test = split_dataset(data, config.train_frac, config.val_frac, split_seed)
@@ -402,7 +418,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(config, args.out, args.jobs)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError) as err:
+    except (ConfigError, ValidationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TrainingError as err:

@@ -6,6 +6,7 @@ read-only so instances can be shared across concurrent experiment runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +27,16 @@ __all__ = [
 
 class ValidationError(ValueError):
     """An input violated a documented precondition."""
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise a ValidationError naming `name` unless value is a finite real number."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -153,6 +164,8 @@ class WeightConfig:
     task_term_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "tau"):
+            _require_finite(name, getattr(self, name))
         if self.alpha < 0:
             raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionGrid, Problem, ValidationError
-from .predictor import PredictorParams, predict_on_grid
+from .predictor import PredictorParams, _grid_pass
 
 __all__ = [
     "CostProfile",
@@ -71,9 +71,8 @@ def model_profile(
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError("inputs must be a non-empty (m, d) array")
-    preds = predict_on_grid(params, X, grid.points)  # (m, K)
-    values = problem.task_cost(grid.points[None, :], preds).mean(axis=0)
-    return CostProfile(grid, values, "model")
+    _, G, _ = _grid_pass(params.architecture, params.weights, X, grid.points, problem.task_cost)
+    return CostProfile(grid, G.mean(axis=0), "model")
 
 
 def argmin_profile(profile: CostProfile) -> float:
@@ -89,7 +88,11 @@ def action_distribution(profile: CostProfile, tau: float) -> np.ndarray:
     """
     if not tau > 0:
         raise ValidationError(f"tau must be > 0, got {tau}")
-    shifted = profile.values - profile.values.min()
+    return _soft_min(profile.values, tau)
+
+
+def _soft_min(values: np.ndarray, tau: float) -> np.ndarray:
+    shifted = values - values.min()
     w = np.exp(-shifted / tau)
     return w / w.sum()
 

@@ -96,16 +96,13 @@ def init_params(arch: Architecture, seed: int) -> PredictorParams:
     return PredictorParams(arch, w)
 
 
-def _unpack_linear(params: PredictorParams):
-    d = params.architecture.feature_dim
-    w = params.weights
+def _unpack_linear(arch: Architecture, w: np.ndarray):
+    d = arch.feature_dim
     return w[:d], w[d], w[d + 1]
 
 
-def _unpack_mlp1(params: PredictorParams):
-    d = params.architecture.feature_dim
-    h = params.architecture.hidden_units
-    w = params.weights
+def _unpack_mlp1(arch: Architecture, w: np.ndarray):
+    d, h = arch.feature_dim, arch.hidden_units
     W1 = w[: (d + 1) * h].reshape(h, d + 1)
     b1 = w[(d + 1) * h : (d + 1) * h + h]
     w2 = w[(d + 1) * h + h : (d + 1) * h + 2 * h]
@@ -130,13 +127,39 @@ def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.n
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.architecture.feature_dim:
         raise ValidationError("X must be (n, feature_dim)")
-    if params.architecture.kind == "linear":
-        w_x, w_z, b = _unpack_linear(params)
+    return _predict_batch(params.architecture, params.weights, X, Z)
+
+
+def _predict_batch(arch: Architecture, w: np.ndarray, X: np.ndarray, Z: np.ndarray):
+    if arch.kind == "linear":
+        w_x, w_z, b = _unpack_linear(arch, w)
         return X @ w_x + w_z * Z + b
-    W1, b1, w2, b2 = _unpack_mlp1(params)
-    d = params.architecture.feature_dim
+    W1, b1, w2, b2 = _unpack_mlp1(arch, w)
+    d = arch.feature_dim
     A = X @ W1[:, :d].T + np.outer(Z, W1[:, d]) + b1
     return np.tanh(A) @ w2 + b2
+
+
+def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None):
+    """One forward pass over every input crossed with every action.
+
+    Returns (P, G, T): the (m, K) predictions, the (m, K) costs
+    task_cost(points, P) (None without task_cost), and for mlp1 the (m, K, h)
+    hidden activations (None for linear), which task-gradient backprop reuses.
+    """
+    if arch.kind == "linear":
+        w_x, w_z, b = _unpack_linear(arch, w)
+        P = (X @ w_x)[:, None] + w_z * points[None, :] + b
+        T = None
+    else:
+        W1, b1, w2, b2 = _unpack_mlp1(arch, w)
+        d = arch.feature_dim
+        # A[j, k, i] = x_j . W1[i, :d] + z_k * W1[i, d] + b1[i]
+        A = (X @ W1[:, :d].T)[:, None, :] + np.outer(points, W1[:, d])[None, :, :] + b1
+        T = np.tanh(A)
+        P = T @ w2 + b2
+    G = None if task_cost is None else task_cost(points[None, :], P)
+    return P, G, T
 
 
 def predict_on_grid(
@@ -145,14 +168,7 @@ def predict_on_grid(
     """Predictions for every input crossed with every action: (m, K)."""
     X = np.asarray(X, dtype=float)
     points = np.asarray(points, dtype=float)
-    if params.architecture.kind == "linear":
-        w_x, w_z, b = _unpack_linear(params)
-        return (X @ w_x)[:, None] + w_z * points[None, :] + b
-    W1, b1, w2, b2 = _unpack_mlp1(params)
-    d = params.architecture.feature_dim
-    # A[j, k, i] = x_j . W1[i, :d] + z_k * W1[i, d] + b1[i]
-    A = (X @ W1[:, :d].T)[:, None, :] + np.outer(points, W1[:, d])[None, :, :] + b1
-    return np.tanh(A) @ w2 + b2
+    return _grid_pass(params.architecture, params.weights, X, points)[0]
 
 
 def loss_and_grad(
@@ -179,22 +195,26 @@ def loss_and_grad(
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValidationError("sample weights must be finite and nonnegative")
 
-    diff = predict_batch(params, X, Z) - Y
+    return _loss_and_grad(params.architecture, params.weights, X, Z, Y, weights)
+
+
+def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
+    n = Z.shape[0]
+    diff = _predict_batch(arch, w, X, Z) - Y
     loss = float(np.mean(weights * (diff * diff)))
     # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
     c = weights * (2.0 * diff) / n
 
-    grad = np.empty_like(params.weights)
-    if params.architecture.kind == "linear":
-        d = params.architecture.feature_dim
+    grad = np.empty_like(w)
+    d = arch.feature_dim
+    if arch.kind == "linear":
         grad[:d] = X.T @ c
         grad[d] = c @ Z
         grad[d + 1] = c.sum()
         return loss, grad
 
-    W1, b1, w2, _ = _unpack_mlp1(params)
-    d = params.architecture.feature_dim
-    h = params.architecture.hidden_units
+    W1, b1, w2, _ = _unpack_mlp1(arch, w)
+    h = arch.hidden_units
     U = np.column_stack([X, Z])
     T = np.tanh(U @ W1.T + b1)
     S = (c[:, None] * w2) * (1.0 - T * T)  # (n, h) backprop through tanh
@@ -226,32 +246,32 @@ def task_grad(
         raise ValidationError(
             f"action_probs must sum to 1 within 1e-9, got {probs.sum()!r}"
         )
-    m = X.shape[0]
-    if m == 0:
+    if X.shape[0] == 0:
         raise ValidationError("inputs must be non-empty")
 
-    points = grid.points
-    P = predict_on_grid(params, X, points)  # (m, K)
-    G = problem.task_cost(points[None, :], P)
+    arch, w = params.architecture, params.weights
+    P, G, T = _grid_pass(arch, w, X, grid.points, problem.task_cost)
     task_loss = float(probs @ G.mean(axis=0))
+    return task_loss, _task_grad_body(arch, w, X, grid.points, P, T, probs, problem)
 
+
+def _task_grad_body(arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem):
+    """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w."""
+    m = X.shape[0]
     C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
 
-    grad = np.empty_like(params.weights)
-    if params.architecture.kind == "linear":
-        d = params.architecture.feature_dim
+    grad = np.empty_like(w)
+    d = arch.feature_dim
+    if arch.kind == "linear":
         row = C.sum(axis=1)  # per-input total coefficient
         col = C.sum(axis=0)  # per-action total coefficient
         grad[:d] = X.T @ row
         grad[d] = col @ points
         grad[d + 1] = C.sum()
-        return task_loss, grad
+        return grad
 
-    W1, b1, w2, _ = _unpack_mlp1(params)
-    d = params.architecture.feature_dim
-    h = params.architecture.hidden_units
-    A = (X @ W1[:, :d].T)[:, None, :] + np.outer(points, W1[:, d])[None, :, :] + b1
-    T = np.tanh(A)  # (m, K, h)
+    _, _, w2, _ = _unpack_mlp1(arch, w)
+    h = arch.hidden_units
     S = C[:, :, None] * w2 * (1.0 - T * T)  # (m, K, h)
     gW1 = np.empty((h, d + 1))
     gW1[:, :d] = np.einsum("jkh,jd->hd", S, X)
@@ -260,7 +280,7 @@ def task_grad(
     grad[(d + 1) * h : (d + 1) * h + h] = S.sum(axis=(0, 1))
     grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = np.einsum("jkh,jk->h", T, C)
     grad[-1] = C.sum()
-    return task_loss, grad
+    return grad
 
 
 def save_checkpoint(params: PredictorParams, path) -> None:
@@ -274,14 +294,41 @@ def save_checkpoint(params: PredictorParams, path) -> None:
         fh.write("\n")
 
 
+_CHECKPOINT_ARCH_KEYS = {"kind": str, "feature_dim": int, "hidden_units": int, "activation": str}
+
+
 def load_checkpoint(path) -> PredictorParams:
+    """Read a checkpoint written by save_checkpoint, checking its schema."""
     with open(path) as fh:
-        raw = json.load(fh)
-    blob = raw["architecture"]
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"checkpoint {path} is not valid JSON: {err}") from err
+    if not isinstance(raw, dict) or set(raw) != {"architecture", "weights"}:
+        raise ValidationError(
+            f"checkpoint {path} must hold exactly the keys 'architecture' and 'weights'"
+        )
+    blob, weights = raw["architecture"], raw["weights"]
+    if not isinstance(blob, dict) or not {"kind", "feature_dim"} <= set(blob):
+        raise ValidationError(
+            f"checkpoint {path}: 'architecture' must be an object with 'kind' and 'feature_dim'"
+        )
+    for key, value in blob.items():
+        expected = _CHECKPOINT_ARCH_KEYS.get(key)
+        if expected is None:
+            raise ValidationError(f"checkpoint {path}: unknown architecture key {key!r}")
+        if not isinstance(value, expected) or isinstance(value, bool):
+            raise ValidationError(
+                f"checkpoint {path}: architecture key {key!r} must be {expected.__name__}"
+            )
+    if not isinstance(weights, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in weights
+    ):
+        raise ValidationError(f"checkpoint {path}: 'weights' must be a list of numbers")
     arch = Architecture(
         kind=blob["kind"],
         feature_dim=blob["feature_dim"],
         hidden_units=blob.get("hidden_units", 0),
         activation=blob.get("activation", "tanh"),
     )
-    return PredictorParams(arch, np.asarray(raw["weights"], dtype=float))
+    return PredictorParams(arch, np.asarray(weights, dtype=float))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ActionGrid, Dataset, Problem, ValidationError
+from .core import ActionGrid, Dataset, Problem, ValidationError, _require_finite
 
 __all__ = [
     "TrueModel",
@@ -63,15 +63,21 @@ class TrueModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown problem kind {self.kind!r}")
+        for name in ("intercept", "action_effect", "nonlinearity", "noise_sd", "feature_sd"):
+            _require_finite(name, getattr(self, name))
         if not self.noise_sd > 0:
             raise ValidationError(f"noise_sd must be > 0, got {self.noise_sd}")
         if not self.feature_sd > 0:
             raise ValidationError(f"feature_sd must be > 0, got {self.feature_sd}")
+        for i, v in enumerate(self.base_weights):
+            _require_finite(f"base_weights[{i}]", v)
         bw = tuple(float(v) for v in self.base_weights)
         if len(bw) < 1:
             raise ValidationError("base_weights must have at least one entry")
         object.__setattr__(self, "base_weights", bw)
         cp = dict(self.cost_params)
+        for key, v in cp.items():
+            _require_finite(f"cost_params[{key!r}]", v)
         if self.kind == "newsvendor":
             c_h, c_s = cp.get("c_h"), cp.get("c_s")
             if c_h is None or c_s is None or c_h < 0 or c_s < 0 or c_h + c_s <= 0:
@@ -88,6 +94,9 @@ class TrueModel:
         if policy not in _POLICIES:
             raise ValidationError(f"unknown logging policy {policy!r}")
         if policy == "biased":
+            for key in ("center", "width"):
+                if key in lg:
+                    _require_finite(f"logging[{key!r}]", lg[key])
             if "center" not in lg or not lg.get("width", 0) > 0:
                 raise ValidationError("biased logging needs center and width > 0")
         object.__setattr__(self, "logging", lg)

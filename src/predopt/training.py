@@ -1,16 +1,20 @@
 """Training loops: the joint simpo procedure and the two-stage baseline.
 
-Each simpo iteration: (1) build the model-implied cost profile on the
-validation inputs and turn it into action probabilities and the test-side
-anchor; (2) compute the omega/gamma weights from the anchors; (3) take one
-gradient step on F = pred*omega + task*gamma with the weights and action
-probabilities frozen for the step; (4) check termination. The train-side
-anchor depends only on historical labels, so it is computed once up front.
+Each simpo iteration: (1) one forward pass over the validation inputs crossed
+with the grid actions gives the prediction and cost matrices, and from them
+the model-implied cost profile, the action probabilities, the test-side
+anchor and (with the task term on) the task loss and its gradient; (2) the
+omega/gamma weights come from the anchors; (3) one gradient step on
+F = pred*omega + task*gamma with the weights and action probabilities frozen
+for the step; (4) check termination. The train-side anchor depends only on
+historical labels, so it is computed once up front.
 
 The two-stage baseline runs the same loop minimizing the predictive loss
-alone (omega = gamma = 1, no task term) and takes its decision in a single
-pass from the final model profile. With alpha = 0 and the task term disabled,
-simpo_fit degenerates to exactly this, bit for bit.
+alone (omega = gamma = 1, no task term). It never uses a per-iteration
+decision, so it builds no per-iteration profile and logs z_star_test as nan;
+it takes its decision in a single pass from the final model profile. With
+alpha = 0 and the task term disabled, simpo_fit reaches exactly the same
+weights and F values, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,21 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, Problem, ValidationError, WeightConfig
-from .objective import (
-    action_distribution,
-    argmin_profile,
-    empirical_profile,
-    gamma_weight,
-    model_profile,
-    omega_weight,
-)
+from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite
+from .objective import _soft_min, argmin_profile, empirical_profile, gamma_weight, omega_weight
 from .predictor import (
     Architecture,
     PredictorParams,
+    _grid_pass,
+    _loss_and_grad,
+    _task_grad_body,
     init_params,
-    loss_and_grad,
-    task_grad,
 )
 
 __all__ = [
@@ -52,7 +50,8 @@ HISTORY_COLUMNS = ("iter", "F", "pred_term", "task_term", "omega", "gamma", "z_s
 
 
 class TrainingError(RuntimeError):
-    """Raised when a fit hits a non-finite loss or gradient."""
+    """Raised when a fit hits a non-finite loss, gradient, cost profile or
+    weight vector."""
 
     def __init__(self, message: str, iteration: int):
         super().__init__(message)
@@ -70,6 +69,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("learning_rate", "tol"):
+            _require_finite(name, getattr(self, name))
         if not self.learning_rate > 0:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:
@@ -138,6 +139,17 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndar
     return rng.choice(n, size=batch_size, replace=False)
 
 
+def _profile_values(G: np.ndarray, it: int) -> np.ndarray:
+    """Model cost profile from the (m, K) cost matrix; non-finite aborts the fit."""
+    values = G.mean(axis=0)
+    if not np.all(np.isfinite(values)):
+        raise TrainingError(
+            f"non-finite model cost profile at iteration {it}; reduce the learning rate",
+            iteration=it,
+        )
+    return values
+
+
 def _fit(
     problem: Problem,
     train: Dataset,
@@ -150,9 +162,12 @@ def _fit(
         raise ValidationError("train and val splits must be non-empty")
     wc: WeightConfig = config.weight_config
     grid = problem.grid
+    points = grid.points
 
     z_star_train = argmin_profile(empirical_profile(train.y, problem))
-    params = init_params(arch, config.seed)
+    # A plain weight vector in the loop: PredictorParams validates and copies,
+    # so it is built once, for the result.
+    w = init_params(arch, config.seed).weights
     # Batch sampling gets its own stream so it never aliases the init draws.
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     history = []
@@ -163,20 +178,22 @@ def _fit(
         it = len(history) + 1
         idx = _batch_indices(batch_rng, len(train), config.batch_size)
 
-        profile = model_profile(params, val.X, grid, problem)
-        probs = action_distribution(profile, wc.tau)
-        z_star_test = argmin_profile(profile)
         if use_joint_weights:
+            P, G, T = _grid_pass(arch, w, val.X, points, problem.task_cost)
+            values = _profile_values(G, it)
+            probs = _soft_min(values, wc.tau)
+            z_star_test = float(points[int(np.argmin(values))])
             omega = omega_weight(probs, grid, z_star_train, wc.alpha)
             gamma = gamma_weight(z_star_train, z_star_test, wc.beta, grid)
         else:
-            omega, gamma = 1.0, 1.0
+            omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
-        pred_loss, pred_grad = loss_and_grad(
-            params, train.X[idx], train.z_obs[idx], train.y[idx], ones[idx], problem
+        pred_loss, pred_grad = _loss_and_grad(
+            arch, w, train.X[idx], train.z_obs[idx], train.y[idx], ones[idx]
         )
         if task_enabled:
-            task_loss, task_grad_vec = task_grad(params, val.X, grid, probs, problem)
+            task_loss = float(probs @ values)
+            task_grad_vec = _task_grad_body(arch, w, val.X, points, P, T, probs, problem)
             total_grad = omega * pred_grad + gamma * task_grad_vec
         else:
             # Recorded as 0 so every row composes as pred*omega + task*gamma.
@@ -195,17 +212,22 @@ def _fit(
             )
         total = pred_loss * omega + task_loss * gamma
         history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
-        params = sgd_step(params, total_grad, config.learning_rate)
+        w = w - config.learning_rate * total_grad
+        if not np.all(np.isfinite(w)):
+            raise TrainingError(
+                f"non-finite weights after the step at iteration {it}; reduce the learning rate",
+                iteration=it,
+            )
         if check_termination(history, config):
             break
 
-    final_profile = model_profile(params, val.X, grid, problem)
-    z_star = argmin_profile(final_profile)
-    g_star = float(final_profile.values[grid.index_of(z_star)])
+    _, G, _ = _grid_pass(arch, w, val.X, points, problem.task_cost)
+    values = _profile_values(G, len(history))
+    k_star = int(np.argmin(values))
     return TrainResult(
-        params_star=params,
-        z_star=z_star,
-        g_star=g_star,
+        params_star=PredictorParams(arch, w),
+        z_star=float(points[k_star]),
+        g_star=float(values[k_star]),
         iters_run=len(history),
         converged=len(history) < config.max_iters,
         history=tuple(history),

@@ -235,6 +235,39 @@ def test_train_abort_exits_3(tmp_path, capsys):
     assert "iteration" in capsys.readouterr().err
 
 
+def _diverging_config(tmp_path):
+    # the first step overflows the weights to inf
+    blob = copy.deepcopy(SMALL_CONFIG)
+    blob["train"]["learning_rate"] = 1e307
+    blob["train"]["max_iters"] = 5
+    return _write(tmp_path, blob)
+
+
+def test_train_diverging_step_exits_3(tmp_path, capsys):
+    path = _diverging_config(tmp_path)
+    with np.errstate(over="ignore"):
+        argv = ["train", "--config", str(path), "--method", "two-stage", "--out", str(tmp_path / "o")]
+        rc = main(argv)
+    assert rc == 3
+    assert "non-finite weights after the step at iteration 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_diverging_step_records_failed_fits(tmp_path):
+    path = _diverging_config(tmp_path)
+    out = tmp_path / "r.csv"
+    with np.errstate(over="ignore"):
+        assert main(["compare", "--config", str(path), "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 * SMALL_CONFIG["eval"]["n_seeds"]
+    for row in rows:
+        if row[0] == "oracle":
+            assert float(row[5]) == 0.0
+        else:
+            # a failed fit: no decision, and the iteration it stopped at
+            assert row[3:7] == ["nan"] * 4 and row[7] == "1"
+
+
 # --- evaluate -------------------------------------------------------------------
 
 
@@ -274,3 +307,43 @@ def test_compare_rows_and_determinism(config_path, tmp_path, capsys):
     oracle_rows = [ln for ln in lines[1:] if ln.startswith("oracle")]
     for row in oracle_rows:
         assert float(row.split(",")[5]) == 0.0
+
+
+# --- checkpoint and file-system errors -------------------------------------------------
+
+
+def _evaluate_argv(config_path, tmp_path, checkpoint):
+    report = tmp_path / "report.json"
+    return [
+        "evaluate", "--config", str(config_path), "--checkpoint", str(checkpoint), "--out", str(report)
+    ]
+
+
+def _failing_run(kind, config_path, tmp_path):
+    """Arguments of one command that must fail, and the text stderr must hold."""
+    ckpt = tmp_path / "ckpt.json"
+    if kind == "no-architecture":
+        ckpt.write_text(json.dumps({"weights": [0.0] * 4}))
+        return _evaluate_argv(config_path, tmp_path, ckpt), "'architecture'"
+    if kind == "feature-dim-mismatch":
+        arch = {"kind": "linear", "feature_dim": 3}
+        ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 5}))
+        return _evaluate_argv(config_path, tmp_path, ckpt), "feature_dim=3"
+    if kind == "missing-checkpoint":
+        return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    argv = ["train", "--config", str(config_path), "--method", "two-stage", "--out", str(taken)]
+    return argv, str(taken)
+
+
+@pytest.mark.parametrize(
+    "kind", ["no-architecture", "feature-dim-mismatch", "missing-checkpoint", "out-is-a-file"]
+)
+def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, kind):
+    argv, expect = _failing_run(kind, config_path, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expect in err
+    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.rglob(".tmp-*")) == []

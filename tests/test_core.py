@@ -6,13 +6,15 @@ from hypothesis import strategies as st
 from predopt.core import (
     Dataset,
     ValidationError,
+    WeightConfig,
     load_dataset_csv,
     make_grid,
     save_dataset_csv,
     split_dataset,
 )
 from predopt.predictor import Architecture, PredictorParams, loss_and_grad, predict_batch
-from predopt.problems import newsvendor_problem, pricing_problem
+from predopt.problems import TrueModel, newsvendor_problem, pricing_problem
+from predopt.training import TrainConfig
 
 
 def test_make_grid_unit_spacing():
@@ -153,3 +155,62 @@ def test_dataset_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError):
         load_dataset_csv(path)
+
+
+NAN, INF = float("nan"), float("inf")
+_WORLD = dict(
+    kind="newsvendor",
+    base_weights=(2.0, -1.0),
+    intercept=10.0,
+    action_effect=0.9,
+    nonlinearity=0.0,
+    noise_sd=1.0,
+    feature_sd=1.0,
+    cost_params={"c_h": 1.0, "c_s": 3.0},
+    logging={"policy": "biased", "center": 5.0, "width": 5.0},
+)
+
+
+def _train(**kw):
+    return TrainConfig(weight_config=WeightConfig(), **{"learning_rate": 1e-3, **kw})
+
+
+def _world(**kw):
+    return TrueModel(**{**_WORLD, **kw})
+
+
+# (constructor, bad keyword arguments, the field the error must name)
+NON_FINITE = [
+    pytest.param(WeightConfig, {"alpha": NAN, "beta": NAN}, "alpha", id="WeightConfig.alpha"),
+    pytest.param(WeightConfig, {"beta": INF}, "beta", id="WeightConfig.beta"),
+    pytest.param(WeightConfig, {"tau": INF}, "tau", id="WeightConfig.tau"),
+    pytest.param(_train, {"learning_rate": INF}, "learning_rate", id="TrainConfig.learning_rate"),
+    pytest.param(_train, {"tol": INF}, "tol", id="TrainConfig.tol"),
+    pytest.param(_world, {"intercept": NAN}, "intercept", id="TrueModel.intercept"),
+    pytest.param(_world, {"action_effect": INF}, "action_effect", id="TrueModel.action_effect"),
+    pytest.param(_world, {"nonlinearity": NAN}, "nonlinearity", id="TrueModel.nonlinearity"),
+    pytest.param(_world, {"noise_sd": INF}, "noise_sd", id="TrueModel.noise_sd"),
+    pytest.param(_world, {"feature_sd": INF}, "feature_sd", id="TrueModel.feature_sd"),
+    pytest.param(
+        _world, {"base_weights": (2.0, NAN)}, "base_weights[1]", id="TrueModel.base_weights"
+    ),
+    pytest.param(
+        _world, {"cost_params": {"c_h": NAN, "c_s": 3.0}}, "cost_params['c_h']", id="TrueModel.c_h"
+    ),
+    pytest.param(
+        _world, {"cost_params": {"c_h": 1.0, "c_s": INF}}, "cost_params['c_s']", id="TrueModel.c_s"
+    ),
+    pytest.param(
+        _world,
+        {"logging": {"policy": "biased", "center": NAN, "width": 5.0}},
+        "logging['center']",
+        id="TrueModel.logging.center",
+    ),
+]
+
+
+@pytest.mark.parametrize("build, kwargs, field", NON_FINITE)
+def test_non_finite_value_is_rejected_by_name(build, kwargs, field):
+    with pytest.raises(ValidationError) as err:
+        build(**kwargs)
+    assert str(err.value).startswith(f"{field} must be a finite number")

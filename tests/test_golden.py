@@ -1,0 +1,108 @@
+"""Golden results CSVs: `predopt compare` on small configs must stay byte-identical.
+
+A performance change to training or evaluation must reproduce the results CSV
+exactly, not merely within a tolerance. The hashes below pin the CSVs that
+these configs produce with the numpy 2.4.6 wheel (scipy-openblas 0.3.31) on
+x86_64; another numpy build or BLAS may round differently, and then the
+hashes must be recomputed from a known-good commit before a change is judged
+against them.
+"""
+
+import copy
+import hashlib
+import json
+
+import pytest
+
+from predopt.cli import main
+
+NEWSVENDOR = {
+    "seed": 0,
+    "problem": {
+        "kind": "newsvendor",
+        "base_weights": [2.0, -1.0],
+        "intercept": 10.0,
+        "action_effect": 0.9,
+        "nonlinearity": -0.04,
+        "noise_sd": 1.0,
+        "feature_sd": 1.0,
+        "cost_params": {"c_h": 1.0, "c_s": 3.0},
+        "logging": {"policy": "biased", "center": 5.0, "width": 5.0},
+        "grid": {"z_min": 0.0, "z_max": 20.0, "n_points": 101},
+        "n_samples": 500,
+        "train_frac": 0.6,
+        "val_frac": 0.2,
+    },
+    "model": {"kind": "linear"},
+    "train": {
+        "learning_rate": 0.01,
+        "batch_size": 0,
+        "max_iters": 800,
+        "tol": 1e-9,
+        "patience": 60,
+        "weights": {"alpha": 2.0, "beta": 3.0, "tau": 10.0, "task_term_enabled": True},
+    },
+    "eval": {"n_mc": 5000, "n_seeds": 2},
+}
+
+NEWSVENDOR_MLP1 = copy.deepcopy(NEWSVENDOR)
+NEWSVENDOR_MLP1["model"] = {"kind": "mlp1", "hidden_units": 8}
+NEWSVENDOR_MLP1["train"]["batch_size"] = 64
+NEWSVENDOR_MLP1["train"]["max_iters"] = 40
+NEWSVENDOR_MLP1["train"]["learning_rate"] = 0.02
+
+PRICING = {
+    "seed": 0,
+    "problem": {
+        "kind": "pricing",
+        "base_weights": [0.5],
+        "intercept": 12.0,
+        "action_effect": -2.0,
+        "nonlinearity": 0.0,
+        "noise_sd": 0.5,
+        "feature_sd": 1.0,
+        "cost_params": {"capacity": 50.0},
+        "logging": {"policy": "uniform"},
+        "grid": {"z_min": 0.0, "z_max": 6.0, "n_points": 61},
+        "n_samples": 400,
+        "train_frac": 0.6,
+        "val_frac": 0.2,
+    },
+    "model": {"kind": "linear"},
+    "train": {
+        "learning_rate": 0.01,
+        "batch_size": 0,
+        "max_iters": 600,
+        "tol": 1e-9,
+        "patience": 40,
+        "weights": {"alpha": 1.0, "beta": 40.0, "tau": 1.0, "task_term_enabled": False},
+    },
+    "eval": {"n_mc": 20000, "n_seeds": 2},
+}
+
+GOLDEN = [
+    pytest.param(
+        NEWSVENDOR,
+        "070d48a052625bc2507e9c9877190d0d5e4aa40f30d8af9c6a290c8c8c083ebc",
+        id="newsvendor_linear",
+    ),
+    pytest.param(
+        NEWSVENDOR_MLP1,
+        "20980f28d438b809c6ebca0dc99c76e46f58ba31b26f3d063c89edc24912cfc5",
+        id="newsvendor_mlp1",
+    ),
+    pytest.param(
+        PRICING,
+        "53ca95fae9548c996ed9f66667d31b44e561fbfc48183a3365da42dddf6248b7",
+        id="pricing",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, sha256", GOLDEN)
+def test_compare_csv_matches_golden_hash(tmp_path, config, sha256):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "results.csv"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
