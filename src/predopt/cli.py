@@ -10,11 +10,14 @@ All output files are written to a temporary name and atomically renamed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -284,9 +287,28 @@ def _fit_once(config: ExperimentConfig, method: str):
     return fit(problem, train, val, config.arch, cfg), val, problem
 
 
+@contextmanager
+def _output_dir(path):
+    """Create directory `path` and its missing parents before the body runs,
+    so an unusable output path fails before any compute; if the body raises,
+    remove the directories this created."""
+    path = os.path.abspath(path)
+    top = None  # the outermost directory this call creates
+    probe = path
+    while not os.path.lexists(probe):
+        top, probe = probe, os.path.dirname(probe)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if top is not None:
+            shutil.rmtree(top, ignore_errors=True)
+        raise
+
+
 def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
-    result, _val, _problem = _fit_once(config, method)
-    os.makedirs(run_dir, exist_ok=True)
+    with _output_dir(run_dir):
+        result, _val, _problem = _fit_once(config, method)
     _atomic_via_tmp(
         os.path.join(run_dir, "checkpoint.json"),
         lambda tmp: save_checkpoint(result.params_star, tmp),
@@ -343,19 +365,22 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) 
 
 
 def cmd_compare(config: ExperimentConfig, out_path: str, jobs: int) -> int:
-    reports = compare_methods(
-        config.model_spec,
-        config.grid,
-        config.arch,
-        config.train,
-        config.n_seeds,
-        n_samples=config.n_samples,
-        train_frac=config.train_frac,
-        val_frac=config.val_frac,
-        n_mc=config.n_mc,
-        base_seed=config.seed,
-        jobs=jobs,
-    )
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", out_path)
+    with _output_dir(os.path.dirname(os.path.abspath(out_path))):
+        reports = compare_methods(
+            config.model_spec,
+            config.grid,
+            config.arch,
+            config.train,
+            config.n_seeds,
+            n_samples=config.n_samples,
+            train_frac=config.train_frac,
+            val_frac=config.val_frac,
+            n_mc=config.n_mc,
+            base_seed=config.seed,
+            jobs=jobs,
+        )
     _atomic_via_tmp(out_path, lambda tmp: write_results_csv(reports, tmp))
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
     for method in ("simpo", "two_stage", "oracle"):

@@ -136,12 +136,21 @@ class Problem:
     task_cost_grad_y is its derivative with respect to the outcome, with the
     value-0 convention exactly at kinks, so trainers can form exact analytic
     gradients. The predictive loss is squared error for every problem.
+
+    separable_kernel, when set, computes the same profile and task-gradient
+    sums for separable predictions P[j, k] = a[j] + c[k] (a linear model)
+    without forming the (m, K) matrices: separable_kernel(z, a, c) returns
+    (values, gradient_sums), where values[k] is the mean over j of
+    task_cost(z[k], P[j, k]) and gradient_sums(probs) returns the row sums,
+    column sums and total of C[j, k] = task_cost_grad_y(z[k], P[j, k]) *
+    probs[k] / m.
     """
 
     grid: ActionGrid
     task_cost: Callable
     name: str = "problem"
     task_cost_grad_y: Callable = None
+    separable_kernel: Callable = None
 
     def __post_init__(self):
         if self.task_cost_grad_y is None:

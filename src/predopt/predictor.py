@@ -140,12 +140,13 @@ def _predict_batch(arch: Architecture, w: np.ndarray, X: np.ndarray, Z: np.ndarr
     return np.tanh(A) @ w2 + b2
 
 
-def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None):
+def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None, out=None):
     """One forward pass over every input crossed with every action.
 
     Returns (P, G, T): the (m, K) predictions, the (m, K) costs
     task_cost(points, P) (None without task_cost), and for mlp1 the (m, K, h)
     hidden activations (None for linear), which task-gradient backprop reuses.
+    For mlp1, `out` is an optional (m, K, h) array that T is written into.
     """
     if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
@@ -153,10 +154,13 @@ def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None):
         T = None
     else:
         W1, b1, w2, b2 = _unpack_mlp1(arch, w)
-        d = arch.feature_dim
-        # A[j, k, i] = x_j . W1[i, :d] + z_k * W1[i, d] + b1[i]
-        A = (X @ W1[:, :d].T)[:, None, :] + np.outer(points, W1[:, d])[None, :, :] + b1
-        T = np.tanh(A)
+        d, h = arch.feature_dim, arch.hidden_units
+        if out is None:
+            out = np.empty((X.shape[0], points.shape[0], h))
+        # A[j, k, i] = x_j . W1[i, :d] + z_k * W1[i, d] + b1[i], then T = tanh(A)
+        np.add((X @ W1[:, :d].T)[:, None, :], np.outer(points, W1[:, d])[None, :, :], out=out)
+        np.add(out, b1, out=out)
+        T = np.tanh(out, out=out)
         P = T @ w2 + b2
     G = None if task_cost is None else task_cost(points[None, :], P)
     return P, G, T
@@ -250,29 +254,58 @@ def task_grad(
         raise ValidationError("inputs must be non-empty")
 
     arch, w = params.architecture, params.weights
+    terms = _separable_terms(arch, w, X, grid.points, problem)
+    if terms is not None:
+        values, gradient_sums = problem.separable_kernel(grid.points, *terms)
+        return float(probs @ values), _linear_task_grad(w, X, grid.points, *gradient_sums(probs))
     P, G, T = _grid_pass(arch, w, X, grid.points, problem.task_cost)
     task_loss = float(probs @ G.mean(axis=0))
     return task_loss, _task_grad_body(arch, w, X, grid.points, P, T, probs, problem)
 
 
-def _task_grad_body(arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem):
-    """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w."""
+def _separable_terms(arch: Architecture, w: np.ndarray, X, points, problem: Problem):
+    """(a, c) with grid predictions P[j, k] = a[j] + c[k], when the model is
+    linear and the problem has a separable kernel; None otherwise, and the
+    dense grid pass is needed."""
+    if arch.kind != "linear" or problem.separable_kernel is None:
+        return None
+    w_x, w_z, b = _unpack_linear(arch, w)
+    return X @ w_x + b, w_z * points
+
+
+def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
+    """Linear-model task gradient from the row sums, column sums and total of
+    the (m, K) coefficient matrix C[j, k] = p_k * dg/dy(z_k, P[j, k]) / m."""
+    d = X.shape[1]
+    grad = np.empty_like(w)
+    grad[:d] = X.T @ row
+    grad[d] = col @ points
+    grad[d + 1] = total
+    return grad
+
+
+def _task_grad_body(
+    arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem, work=None
+):
+    """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w.
+
+    For mlp1, `work` is an optional pair of (m, K, h) arrays to compute in.
+    """
     m = X.shape[0]
     C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
+    if arch.kind == "linear":
+        return _linear_task_grad(w, X, points, C.sum(axis=1), C.sum(axis=0), C.sum())
 
     grad = np.empty_like(w)
     d = arch.feature_dim
-    if arch.kind == "linear":
-        row = C.sum(axis=1)  # per-input total coefficient
-        col = C.sum(axis=0)  # per-action total coefficient
-        grad[:d] = X.T @ row
-        grad[d] = col @ points
-        grad[d + 1] = C.sum()
-        return grad
-
     _, _, w2, _ = _unpack_mlp1(arch, w)
     h = arch.hidden_units
-    S = C[:, :, None] * w2 * (1.0 - T * T)  # (m, K, h)
+    U, V = work if work is not None else (np.empty_like(T), np.empty_like(T))
+    # S = C[:, :, None] * w2 * (1 - T * T), backprop through tanh, (m, K, h)
+    np.multiply(C[:, :, None], w2, out=U)
+    np.multiply(T, T, out=V)
+    np.subtract(1.0, V, out=V)
+    S = np.multiply(U, V, out=U)
     gW1 = np.empty((h, d + 1))
     gW1[:, :d] = np.einsum("jkh,jd->hd", S, X)
     gW1[:, d] = np.einsum("jkh,k->h", S, points)

@@ -134,12 +134,48 @@ def pricing_cost_grad_y(z, y, capacity: float):
     return np.where((y > 0.0) & (y < capacity), -z, 0.0)
 
 
+def _newsvendor_separable(z, a, c, c_h: float, c_s: float):
+    """Newsvendor profile and task-gradient sums for predictions a[j] + c[k].
+
+    The prediction for input j at action z[k] exceeds the action exactly when
+    a[j] > t[k] = z[k] - c[k], so each action needs only the count and sum
+    of the a[j] on either side of t[k], and each input only the probability
+    mass of the t[k] on either side of a[j]. One sort of a, one argsort of t,
+    searchsorted and prefix sums: O((m + K) log m), no (m, K) array. Ties
+    a[j] == t[k] are kinks: no cost and gradient 0, as in newsvendor_cost_grad_y.
+    See core.Problem.separable_kernel for what is returned.
+    """
+    m = a.shape[0]
+    t = z - c
+    a_sorted = np.sort(a)
+    prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))  # prefix[i]: sum of the i smallest
+    n_below = np.searchsorted(a_sorted, t, side="left")  # inputs with a[j] < t[k]
+    n_upto = np.searchsorted(a_sorted, t, side="right")
+    n_above = m - n_upto  # inputs with a[j] > t[k]
+    under = n_below * t - prefix[n_below]  # sum over a[j] < t[k] of t[k] - a[j]
+    over = (prefix[m] - prefix[n_upto]) - n_above * t  # sum over a[j] > t[k] of a[j] - t[k]
+    values = (c_h * under + c_s * over) / m
+
+    def gradient_sums(probs):
+        order = np.argsort(t, kind="stable")
+        t_sorted = t[order]
+        mass = np.concatenate(([0.0], np.cumsum(probs[order])))  # mass[i]: of the i smallest t
+        mass_below = mass[np.searchsorted(t_sorted, a, side="left")]  # actions with t[k] < a[j]
+        mass_above = mass[-1] - mass[np.searchsorted(t_sorted, a, side="right")]
+        row = (c_s * mass_below - c_h * mass_above) / m
+        col = probs * (c_s * n_above - c_h * n_below) / m
+        return row, col, col.sum()
+
+    return values, gradient_sums
+
+
 def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
     return Problem(
         grid=grid,
         task_cost=lambda z, y: newsvendor_cost(z, y, c_h, c_s),
         name="newsvendor",
         task_cost_grad_y=lambda z, y: newsvendor_cost_grad_y(z, y, c_h, c_s),
+        separable_kernel=lambda z, a, c: _newsvendor_separable(z, a, c, c_h, c_s),
     )
 
 

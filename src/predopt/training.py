@@ -3,7 +3,9 @@
 Each simpo iteration: (1) one forward pass over the validation inputs crossed
 with the grid actions gives the prediction and cost matrices, and from them
 the model-implied cost profile, the action probabilities, the test-side
-anchor and (with the task term on) the task loss and its gradient; (2) the
+anchor and (with the task term on) the task loss and its gradient (a linear
+model on a problem with a separable kernel gets all of these from sorted
+predictions and prefix sums instead, without the matrices); (2) the
 omega/gamma weights come from the anchors; (3) one gradient step on
 F = pred*omega + task*gamma with the weights and action probabilities frozen
 for the step; (4) check termination. The train-side anchor depends only on
@@ -29,7 +31,9 @@ from .predictor import (
     Architecture,
     PredictorParams,
     _grid_pass,
+    _linear_task_grad,
     _loss_and_grad,
+    _separable_terms,
     _task_grad_body,
     init_params,
 )
@@ -139,9 +143,8 @@ def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndar
     return rng.choice(n, size=batch_size, replace=False)
 
 
-def _profile_values(G: np.ndarray, it: int) -> np.ndarray:
-    """Model cost profile from the (m, K) cost matrix; non-finite aborts the fit."""
-    values = G.mean(axis=0)
+def _checked_profile(values: np.ndarray, it: int) -> np.ndarray:
+    """The model cost profile, unless it is non-finite: that aborts the fit."""
     if not np.all(np.isfinite(values)):
         raise TrainingError(
             f"non-finite model cost profile at iteration {it}; reduce the learning rate",
@@ -174,13 +177,32 @@ def _fit(
     ones = np.ones(len(train))
 
     task_enabled = use_joint_weights and wc.task_term_enabled
+    # A linear model on a problem with a separable kernel never forms the
+    # (m, K) matrices. An mlp1 simpo fit reuses its (m, K, h) arrays: the
+    # activations, and two work arrays for the task gradient.
+    kernel = problem.separable_kernel if arch.kind == "linear" else None
+    T_out = work = None
+    if arch.kind == "mlp1" and use_joint_weights:
+        shape = (len(val), grid.n_points, arch.hidden_units)
+        T_out = np.empty(shape)
+        if task_enabled:
+            work = (np.empty(shape), np.empty(shape))
+
+    def profile(w, it):
+        """The model cost profile at weights w, and what the task gradient needs."""
+        if kernel is not None:
+            terms = _separable_terms(arch, w, val.X, points, problem)
+            values, gradient_sums = kernel(points, *terms)
+            return _checked_profile(values, it), gradient_sums
+        P, G, T = _grid_pass(arch, w, val.X, points, problem.task_cost, out=T_out)
+        return _checked_profile(G.mean(axis=0), it), (P, T)
+
     while True:
         it = len(history) + 1
         idx = _batch_indices(batch_rng, len(train), config.batch_size)
 
         if use_joint_weights:
-            P, G, T = _grid_pass(arch, w, val.X, points, problem.task_cost)
-            values = _profile_values(G, it)
+            values, state = profile(w, it)
             probs = _soft_min(values, wc.tau)
             z_star_test = float(points[int(np.argmin(values))])
             omega = omega_weight(probs, grid, z_star_train, wc.alpha)
@@ -193,7 +215,12 @@ def _fit(
         )
         if task_enabled:
             task_loss = float(probs @ values)
-            task_grad_vec = _task_grad_body(arch, w, val.X, points, P, T, probs, problem)
+            if kernel is not None:
+                task_grad_vec = _linear_task_grad(w, val.X, points, *state(probs))
+            else:
+                task_grad_vec = _task_grad_body(
+                    arch, w, val.X, points, *state, probs, problem, work
+                )
             total_grad = omega * pred_grad + gamma * task_grad_vec
         else:
             # Recorded as 0 so every row composes as pred*omega + task*gamma.
@@ -221,8 +248,7 @@ def _fit(
         if check_termination(history, config):
             break
 
-    _, G, _ = _grid_pass(arch, w, val.X, points, problem.task_cost)
-    values = _profile_values(G, len(history))
+    values, _ = profile(w, len(history))
     k_star = int(np.argmin(values))
     return TrainResult(
         params_star=PredictorParams(arch, w),

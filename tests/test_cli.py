@@ -235,6 +235,17 @@ def test_train_abort_exits_3(tmp_path, capsys):
     assert "iteration" in capsys.readouterr().err
 
 
+def test_train_abort_removes_the_directories_it_created(tmp_path):
+    blob = copy.deepcopy(SMALL_CONFIG)
+    blob["train"]["learning_rate"] = 1e307
+    path = _write(tmp_path, blob)
+    (tmp_path / "keep").mkdir()
+    out = tmp_path / "keep" / "new" / "run"
+    with np.errstate(over="ignore"):
+        assert main(["train", "--config", str(path), "--method", "simpo", "--out", str(out)]) == 3
+    assert (tmp_path / "keep").is_dir() and list((tmp_path / "keep").iterdir()) == []
+
+
 def _diverging_config(tmp_path):
     # the first step overflows the weights to inf
     blob = copy.deepcopy(SMALL_CONFIG)
@@ -331,16 +342,37 @@ def _failing_run(kind, config_path, tmp_path):
         return _evaluate_argv(config_path, tmp_path, ckpt), "feature_dim=3"
     if kind == "missing-checkpoint":
         return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    if kind == "compare-out-is-a-directory":
+        return ["compare", "--config", str(config_path), "--out", str(tmp_path)], str(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
+    if kind == "compare-parent-is-a-file":
+        argv = ["compare", "--config", str(config_path), "--out", str(taken / "results.csv")]
+        return argv, str(taken)
     argv = ["train", "--config", str(config_path), "--method", "two-stage", "--out", str(taken)]
     return argv, str(taken)
 
 
 @pytest.mark.parametrize(
-    "kind", ["no-architecture", "feature-dim-mismatch", "missing-checkpoint", "out-is-a-file"]
+    "kind",
+    [
+        "no-architecture",
+        "feature-dim-mismatch",
+        "missing-checkpoint",
+        "out-is-a-file",
+        "compare-parent-is-a-file",
+        "compare-out-is-a-directory",
+    ],
 )
-def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, kind):
+def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monkeypatch, kind):
+    import predopt.cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    # an unusable output path must fail before any fit runs
+    monkeypatch.setattr(predopt.cli, "_fit_once", no_compute)
+    monkeypatch.setattr(predopt.cli, "compare_methods", no_compute)
     argv, expect = _failing_run(kind, config_path, tmp_path)
     assert main(argv) == 2
     err = capsys.readouterr().err

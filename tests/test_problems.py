@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from predopt.core import ValidationError, make_grid, save_dataset_csv
+from predopt.objective import model_profile
+from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_grad_body, task_grad
 from predopt.problems import (
     TrueModel,
     gen_dataset,
@@ -9,6 +13,7 @@ from predopt.problems import (
     model_to_json,
     newsvendor_cost,
     newsvendor_cost_grad_y,
+    newsvendor_problem,
     oracle_action,
     oracle_expected_cost,
     pricing_cost,
@@ -228,3 +233,140 @@ def test_oracle_action_matches_pointwise_expected_cost():
     grid = make_grid(0.0, 20.0, 11)
     action, cost = oracle_action(m, grid, n_mc=3000, seed=8)
     assert cost == oracle_expected_cost(m, action, n_mc=3000, seed=8)
+
+
+# --- the separable newsvendor kernel against the dense grid pass -------------------
+#
+# For a linear model, newsvendor_problem's separable kernel computes the model
+# cost profile and the task-gradient sums without the (m, K) matrices. The
+# reference is the dense path: _grid_pass for the profile and _task_grad_body
+# for the gradient. The kernel sums in another order, so the two agree within
+# a tolerance fixed before the kernel was written; where the answer is exactly
+# 0, as on a kink, they agree bit for bit.
+
+RTOL, ATOL = 1e-9, 1e-12
+
+
+def _dense_reference(params, X, problem, probs):
+    arch, w, points = params.architecture, params.weights, problem.grid.points
+    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost)
+    values = G.mean(axis=0)
+    return values, float(probs @ values), _task_grad_body(arch, w, X, points, P, T, probs, problem)
+
+
+def _through_the_kernel(params, X, problem, probs):
+    """The public profile and task gradient, which take the kernel for a linear model."""
+    values = model_profile(params, X, problem.grid, problem).values
+    task_loss, grad = task_grad(params, X, problem.grid, probs, problem)
+    return values, task_loss, grad
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= ATOL + RTOL * np.abs(want)), (got, want)
+
+
+_COST = st.one_of(st.just(0.0), st.floats(0.1, 5.0))
+_W_Z = st.one_of(st.floats(-2.0, 0.99), st.just(1.0), st.floats(1.01, 3.0))
+
+
+@st.composite
+def _linear_newsvendor_cases(draw):
+    """A newsvendor problem, a linear model on it, validation inputs with
+    some duplicate rows, and action probabilities."""
+    c_h, c_s = draw(_COST), draw(_COST)
+    assume(c_h + c_s > 0)
+    m, k, d = draw(st.integers(1, 60)), draw(st.integers(2, 80)), draw(st.integers(1, 3))
+    z_min = draw(st.floats(-10.0, 10.0))
+    grid = make_grid(z_min, z_min + draw(st.floats(1.0, 30.0)), k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(0.0, 1.5, size=(m, d))
+    n_dup = draw(st.integers(0, m - 1))
+    X[rng.integers(0, m, size=n_dup)] = X[rng.integers(0, m, size=n_dup)]
+    # |w_x| >= 0.05 keeps the predictions continuous in the random inputs, so
+    # no prediction lands within rounding of an action; exact ties are the
+    # dyadic test's job
+    w_x = rng.uniform(0.05, 3.0, size=d) * rng.choice([-1.0, 1.0], size=d)
+    w = np.concatenate([w_x, [draw(_W_Z), draw(st.floats(-10.0, 30.0))]])
+    probs = rng.random(k) ** 3
+    probs /= probs.sum()
+    params = PredictorParams(Architecture("linear", d), w)
+    return newsvendor_problem(grid, c_h, c_s), params, X, probs
+
+
+@given(case=_linear_newsvendor_cases())
+@settings(max_examples=300, deadline=None)
+def test_separable_kernel_matches_dense_grid_pass(case):
+    problem, params, X, probs = case
+    values, task_loss, grad = _through_the_kernel(params, X, problem, probs)
+    ref_values, ref_loss, ref_grad = _dense_reference(params, X, problem, probs)
+    _assert_close(values, ref_values)
+    _assert_close(task_loss, ref_loss)
+    _assert_close(grad, ref_grad)
+
+
+def _eighths(lo, hi):
+    return st.integers(lo * 8, hi * 8).map(lambda v: v / 8.0)
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """Inputs, weights, grid and costs on multiples of 1/8: every prediction
+    and every t_k = z_k - w_z z_k is exact, so many predictions sit exactly on
+    an action (a kink) and both paths see the same ties."""
+    c_h, c_s = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), draw(st.sampled_from([0.0, 1.0, 2.5]))
+    assume(c_h + c_s > 0)
+    m, k, d = draw(st.integers(1, 40)), draw(st.integers(2, 41)), draw(st.integers(1, 2))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    z_min = draw(_eighths(-4, 4))
+    grid = make_grid(z_min, z_min + step * (k - 1), k)
+    X = np.array(draw(st.lists(_eighths(-4, 4), min_size=m * d, max_size=m * d))).reshape(m, d)
+    w = np.array(
+        draw(st.lists(_eighths(-2, 2), min_size=d, max_size=d))
+        + [draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0])), draw(_eighths(-4, 12))]
+    )
+    probs = np.array(draw(st.lists(st.integers(0, 8), min_size=k, max_size=k)), dtype=float)
+    assume(probs.sum() > 0)
+    probs /= probs.sum()
+    params = PredictorParams(Architecture("linear", d), w)
+    return newsvendor_problem(grid, c_h, c_s), params, X, probs
+
+
+@given(case=_dyadic_cases())
+@settings(max_examples=300, deadline=None)
+def test_separable_kernel_matches_dense_on_exact_ties(case):
+    problem, params, X, probs = case
+    values, task_loss, grad = _through_the_kernel(params, X, problem, probs)
+    ref_values, ref_loss, ref_grad = _dense_reference(params, X, problem, probs)
+    # exact sums: each profile value is rounded once, by the division by m
+    assert np.array_equal(values, ref_values)
+    _assert_close(task_loss, ref_loss)
+    _assert_close(grad, ref_grad)
+
+
+@given(
+    w_z=st.sampled_from([0.0, 1.0]),
+    m=st.integers(1, 30),
+    k=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    c_h=_COST,
+    c_s=_COST,
+)
+@settings(max_examples=100, deadline=None)
+def test_separable_kernel_gradient_is_zero_on_kinks_bit_for_bit(w_z, m, k, seed, c_h, c_s):
+    # b = 0 and w_x = 0, so every prediction is w_z * z_k: with w_z = 1 it
+    # equals every action, with w_z = 0 it is 0, which equals the action
+    # z_0 = 0. All the probability on kink actions makes the gradient exactly 0.
+    assume(c_h + c_s > 0)
+    rng = np.random.default_rng(seed)
+    grid = make_grid(0.0, float(k - 1), k)
+    X = rng.normal(size=(m, 2))
+    params = PredictorParams(Architecture("linear", 2), np.array([0.0, 0.0, w_z, 0.0]))
+    probs = rng.random(k) if w_z == 1.0 else np.eye(k)[0]
+    probs /= probs.sum()
+    problem = newsvendor_problem(grid, c_h, c_s)
+    values, task_loss, grad = _through_the_kernel(params, X, problem, probs)
+    ref_values, ref_loss, ref_grad = _dense_reference(params, X, problem, probs)
+    assert grad.tobytes() == ref_grad.tobytes() == np.zeros(4).tobytes()
+    _assert_close(values, ref_values)
+    _assert_close(task_loss, ref_loss)

@@ -1,8 +1,14 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid, split_dataset
+from predopt.evaluation import derive_seeds
 from predopt.objective import (
+    CostProfile,
     action_distribution,
     argmin_profile,
     empirical_profile,
@@ -10,7 +16,15 @@ from predopt.objective import (
     model_profile,
     omega_weight,
 )
-from predopt.predictor import Architecture, PredictorParams, init_params, loss_and_grad, task_grad
+from predopt.predictor import (
+    Architecture,
+    PredictorParams,
+    _grid_pass,
+    _task_grad_body,
+    init_params,
+    loss_and_grad,
+    task_grad,
+)
 from predopt.problems import TrueModel, gen_dataset, oracle_action, problem_from_model
 from predopt.training import (
     HistoryRow,
@@ -328,7 +342,9 @@ def test_history_csv_round_trip(tmp_path):
 # --- the fused loop against a loop built from the public functions ---------------
 
 
-def _reference_simpo(problem, train, val, arch, config):
+def _reference_simpo(
+    problem, train, val, arch, config, model_profile=model_profile, task_grad=task_grad
+):
     """simpo_fit written out with the public per-step functions, each iteration
     building its own profile and its own task gradient."""
     wc, grid = config.weight_config, problem.grid
@@ -406,6 +422,54 @@ def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides)
     assert np.array_equal(res.params_star.weights, params.weights)
     assert res.history == history
     assert (res.z_star, res.g_star) == (z_star, g_star)
+
+
+def _dense_model_profile(params, X, grid, problem):
+    _, G, _ = _grid_pass(params.architecture, params.weights, X, grid.points, problem.task_cost)
+    return CostProfile(grid, G.mean(axis=0), "model")
+
+
+def _dense_task_grad(params, X, grid, probs, problem):
+    arch, w, points = params.architecture, params.weights, grid.points
+    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost)
+    return float(probs @ G.mean(axis=0)), _task_grad_body(arch, w, X, points, P, T, probs, problem)
+
+
+def test_separable_fit_tracks_the_dense_reference_loop():
+    # the fit takes the newsvendor kernel for a linear model; the same loop on
+    # the dense (m, K) grid pass must take the same decisions and reach the
+    # same weights up to rounding
+    model = _world(nonlinearity=-0.04, action_effect=0.9)
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 300, seed=2)
+    cfg = _config(max_iters=40, patience=40)
+    arch = Architecture("linear", 2)
+    res = simpo_fit(problem, train, val, arch, cfg)
+    params, history, z_star, g_star = _reference_simpo(
+        problem, train, val, arch, cfg, _dense_model_profile, _dense_task_grad
+    )
+    assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
+    assert res.z_star == z_star
+    assert res.g_star == pytest.approx(g_star, rel=1e-9)
+    np.testing.assert_allclose(res.params_star.weights, params.weights, rtol=1e-9, atol=0)
+
+
+def test_two_stage_decision_matches_least_squares_on_default_world():
+    # an independent reference for the linear two-stage fit: ordinary least
+    # squares on [x, z, 1] over the training split, then that model's profile
+    config = load_config(Path(__file__).parents[1] / "configs" / "compare_default.json")
+    data_seed, split_seed, train_seed, _ = derive_seeds(0)
+    problem = problem_from_model(config.model_spec, config.grid)
+    data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
+    train, val, _ = split_dataset(data, config.train_frac, config.val_frac, split_seed)
+    res = two_stage_fit(problem, train, val, config.arch, replace(config.train, seed=train_seed))
+
+    design = np.column_stack([train.X, train.z_obs, np.ones(len(train))])
+    coef, *_ = np.linalg.lstsq(design, train.y, rcond=None)
+    lstsq_params = PredictorParams(config.arch, coef)
+    z_lstsq = argmin_profile(model_profile(lstsq_params, val.X, config.grid, problem))
+    dense = _dense_model_profile(lstsq_params, val.X, config.grid, problem)
+    assert res.z_star == z_lstsq == argmin_profile(dense)
 
 
 def _count_grid_passes(monkeypatch):
