@@ -21,7 +21,6 @@ __all__ = [
     "make_grid",
     "split_dataset",
     "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 
@@ -226,20 +225,3 @@ def save_dataset_csv(data: Dataset, path) -> None:
         lines.append(",".join(cells))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_dataset_csv(path) -> Dataset:
-    with open(path, "r", newline="") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines:
-        raise ValidationError(f"{path}: empty dataset file")
-    header = lines[0].split(",")
-    if len(header) < 3 or header[-2] != "z_obs" or header[-1] != "y":
-        raise ValidationError(f"{path}: expected header x0..x{{d-1}},z_obs,y")
-    d = len(header) - 2
-    if header[:d] != [f"x{j}" for j in range(d)]:
-        raise ValidationError(f"{path}: feature columns must be named x0..x{d - 1}")
-    rows = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
-    if rows.ndim != 2 or rows.shape[1] != d + 2:
-        raise ValidationError(f"{path}: rows do not match the header width")
-    return Dataset(X=rows[:, :d], z_obs=rows[:, d], y=rows[:, d + 1])

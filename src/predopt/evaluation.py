@@ -214,15 +214,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_results_csv(reports, path, normalize_timing: bool = True) -> None:
+def write_results_csv(reports, path) -> None:
     """Results CSV with a stable column order and 17-significant-digit floats.
 
-    normalize_timing writes wall_ms as 0 so reruns of the same experiment are
+    wall_ms is written as 0 so reruns of the same experiment are
     byte-identical; measured timing stays on the DecisionReport objects.
     """
     lines = [",".join(RESULTS_COLUMNS)]
     for r in reports:
-        wall = 0.0 if normalize_timing else r.wall_ms
         lines.append(
             ",".join(
                 [
@@ -234,7 +233,7 @@ def write_results_csv(reports, path, normalize_timing: bool = True) -> None:
                     _fmt(r.regret),
                     _fmt(r.pred_mse),
                     str(r.iters_run),
-                    _fmt(wall),
+                    _fmt(0.0),
                 ]
             )
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionGrid, Problem, ValidationError
-from .predictor import PredictorParams, _grid_pass, _separable_terms
+from .predictor import PredictorParams, _profile
 
 __all__ = [
     "CostProfile",
@@ -71,12 +71,8 @@ def model_profile(
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValidationError("inputs must be a non-empty (m, d) array")
-    arch, w = params.architecture, params.weights
-    terms = _separable_terms(arch, w, X, grid.points, problem)
-    if terms is not None:
-        return CostProfile(grid, problem.separable_kernel(grid.points, *terms)[0], "model")
-    _, G, _ = _grid_pass(arch, w, X, grid.points, problem.task_cost)
-    return CostProfile(grid, G.mean(axis=0), "model")
+    values, _ = _profile(params.architecture, params.weights, X, grid.points, problem)
+    return CostProfile(grid, values, "model")
 
 
 def argmin_profile(profile: CostProfile) -> float:

@@ -41,7 +41,6 @@ class Architecture:
     kind: str
     feature_dim: int
     hidden_units: int = 0
-    activation: str = "tanh"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -53,8 +52,6 @@ class Architecture:
                 raise ValidationError(
                     f"mlp1 needs hidden_units >= 1, got {self.hidden_units}"
                 )
-            if self.activation != "tanh":
-                raise ValidationError(f"unsupported activation {self.activation!r}")
 
     @property
     def n_weights(self) -> int:
@@ -253,24 +250,37 @@ def task_grad(
     if X.shape[0] == 0:
         raise ValidationError("inputs must be non-empty")
 
-    arch, w = params.architecture, params.weights
-    terms = _separable_terms(arch, w, X, grid.points, problem)
-    if terms is not None:
-        values, gradient_sums = problem.separable_kernel(grid.points, *terms)
-        return float(probs @ values), _linear_task_grad(w, X, grid.points, *gradient_sums(probs))
-    P, G, T = _grid_pass(arch, w, X, grid.points, problem.task_cost)
-    task_loss = float(probs @ G.mean(axis=0))
-    return task_loss, _task_grad_body(arch, w, X, grid.points, P, T, probs, problem)
+    values, grad_at = _profile(params.architecture, params.weights, X, grid.points, problem)
+    return float(probs @ values), grad_at(probs)
 
 
-def _separable_terms(arch: Architecture, w: np.ndarray, X, points, problem: Problem):
-    """(a, c) with grid predictions P[j, k] = a[j] + c[k], when the model is
-    linear and the problem has a separable kernel; None otherwise, and the
-    dense grid pass is needed."""
-    if arch.kind != "linear" or problem.separable_kernel is None:
-        return None
-    w_x, w_z, b = _unpack_linear(arch, w)
-    return X @ w_x + b, w_z * points
+def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buffers=(None, None)):
+    """The model cost profile at weights w, and its task gradient.
+
+    Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
+    and grad_at(probs) is the flat gradient of probs @ values with probs held
+    fixed. A linear model on a problem with a separable kernel takes the
+    kernel, P[j, k] = a[j] + c[k], and never forms the (m, K) matrices;
+    everything else takes one grid pass. `buffers` comes from _fit_buffers.
+    """
+    if arch.kind == "linear" and problem.separable_kernel is not None:
+        w_x, w_z, b = _unpack_linear(arch, w)
+        values, gradient_sums = problem.separable_kernel(points, X @ w_x + b, w_z * points)
+        return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
+    T_out, work = buffers
+    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost, out=T_out)
+    return G.mean(axis=0), lambda probs: _task_grad_body(
+        arch, w, X, points, P, T, probs, problem, work
+    )
+
+
+def _fit_buffers(arch: Architecture, m: int, n_points: int, with_task_grad: bool):
+    """The (m, K, h) arrays an mlp1 fit reuses in every _profile call: the
+    activations and, when it takes task gradients, two work arrays."""
+    if arch.kind != "mlp1":
+        return None, None
+    shape = (m, n_points, arch.hidden_units)
+    return np.empty(shape), ((np.empty(shape), np.empty(shape)) if with_task_grad else None)
 
 
 def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
@@ -321,7 +331,6 @@ def save_checkpoint(params: PredictorParams, path) -> None:
     blob: dict = {"kind": arch.kind, "feature_dim": arch.feature_dim}
     if arch.kind == "mlp1":
         blob["hidden_units"] = arch.hidden_units
-        blob["activation"] = arch.activation
     with open(path, "w") as fh:
         json.dump({"architecture": blob, "weights": list(params.weights)}, fh)
         fh.write("\n")
@@ -358,10 +367,8 @@ def load_checkpoint(path) -> PredictorParams:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in weights
     ):
         raise ValidationError(f"checkpoint {path}: 'weights' must be a list of numbers")
-    arch = Architecture(
-        kind=blob["kind"],
-        feature_dim=blob["feature_dim"],
-        hidden_units=blob.get("hidden_units", 0),
-        activation=blob.get("activation", "tanh"),
-    )
+    # Older checkpoints name the activation; tanh is the only one.
+    if blob.get("activation", "tanh") != "tanh":
+        raise ValidationError(f"checkpoint {path}: architecture key 'activation' must be 'tanh'")
+    arch = Architecture(blob["kind"], blob["feature_dim"], blob.get("hidden_units", 0))
     return PredictorParams(arch, np.asarray(weights, dtype=float))

@@ -39,7 +39,6 @@ __all__ = [
     "oracle_profile",
     "oracle_action",
     "model_to_json",
-    "model_from_json",
 ]
 
 _KINDS = ("newsvendor", "pricing")
@@ -301,17 +300,3 @@ def model_to_json(model: TrueModel) -> dict:
         "cost_params": dict(model.cost_params),
         "logging": dict(model.logging),
     }
-
-
-def model_from_json(blob: dict) -> TrueModel:
-    return TrueModel(
-        kind=blob["kind"],
-        base_weights=tuple(blob["base_weights"]),
-        intercept=float(blob["intercept"]),
-        action_effect=float(blob["action_effect"]),
-        nonlinearity=float(blob["nonlinearity"]),
-        noise_sd=float(blob["noise_sd"]),
-        feature_sd=float(blob["feature_sd"]),
-        cost_params=dict(blob["cost_params"]),
-        logging=dict(blob["logging"]),
-    )

@@ -1,14 +1,11 @@
 """Training loops: the joint simpo procedure and the two-stage baseline.
 
-Each simpo iteration: (1) one forward pass over the validation inputs crossed
-with the grid actions gives the prediction and cost matrices, and from them
-the model-implied cost profile, the action probabilities, the test-side
-anchor and (with the task term on) the task loss and its gradient (a linear
-model on a problem with a separable kernel gets all of these from sorted
-predictions and prefix sums instead, without the matrices); (2) the
-omega/gamma weights come from the anchors; (3) one gradient step on
-F = pred*omega + task*gamma with the weights and action probabilities frozen
-for the step; (4) check termination. The train-side anchor depends only on
+Each simpo iteration: (1) one predictor._profile call gives the
+model-implied cost profile over the grid actions, and from it the action
+probabilities, the test-side anchor and (with the task term on) the task
+loss and its gradient; (2) the omega/gamma weights come from the anchors;
+(3) one gradient step on F = pred*omega + task*gamma with the weights and
+action probabilities frozen for the step; (4) check termination. The train-side anchor depends only on
 historical labels, so it is computed once up front.
 
 The two-stage baseline runs the same loop minimizing the predictive loss
@@ -30,11 +27,9 @@ from .objective import _soft_min, argmin_profile, empirical_profile, gamma_weigh
 from .predictor import (
     Architecture,
     PredictorParams,
-    _grid_pass,
-    _linear_task_grad,
+    _fit_buffers,
     _loss_and_grad,
-    _separable_terms,
-    _task_grad_body,
+    _profile,
     init_params,
 )
 
@@ -45,7 +40,6 @@ __all__ = [
     "TrainingError",
     "simpo_fit",
     "two_stage_fit",
-    "sgd_step",
     "check_termination",
     "save_history_csv",
 ]
@@ -109,18 +103,6 @@ class TrainResult:
     z_star_train: float
 
 
-def sgd_step(params: PredictorParams, grad: np.ndarray, lr: float) -> PredictorParams:
-    """One descent step: weights <- weights - lr * grad."""
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != params.weights.shape:
-        raise ValidationError(
-            f"gradient length {grad.shape} does not match params {params.weights.shape}"
-        )
-    if not lr >= 0:
-        raise ValidationError(f"lr must be nonnegative, got {lr}")
-    return PredictorParams(params.architecture, params.weights - lr * grad)
-
-
 def check_termination(history, config: TrainConfig) -> bool:
     """True at the iteration cap, or when the relative improvement of F stayed
     below tol for the last `patience` consecutive iterations (each improvement
@@ -177,32 +159,15 @@ def _fit(
     ones = np.ones(len(train))
 
     task_enabled = use_joint_weights and wc.task_term_enabled
-    # A linear model on a problem with a separable kernel never forms the
-    # (m, K) matrices. An mlp1 simpo fit reuses its (m, K, h) arrays: the
-    # activations, and two work arrays for the task gradient.
-    kernel = problem.separable_kernel if arch.kind == "linear" else None
-    T_out = work = None
-    if arch.kind == "mlp1" and use_joint_weights:
-        shape = (len(val), grid.n_points, arch.hidden_units)
-        T_out = np.empty(shape)
-        if task_enabled:
-            work = (np.empty(shape), np.empty(shape))
-
-    def profile(w, it):
-        """The model cost profile at weights w, and what the task gradient needs."""
-        if kernel is not None:
-            terms = _separable_terms(arch, w, val.X, points, problem)
-            values, gradient_sums = kernel(points, *terms)
-            return _checked_profile(values, it), gradient_sums
-        P, G, T = _grid_pass(arch, w, val.X, points, problem.task_cost, out=T_out)
-        return _checked_profile(G.mean(axis=0), it), (P, T)
+    buffers = _fit_buffers(arch, len(val), grid.n_points, task_enabled)
 
     while True:
         it = len(history) + 1
         idx = _batch_indices(batch_rng, len(train), config.batch_size)
 
         if use_joint_weights:
-            values, state = profile(w, it)
+            values, grad_at = _profile(arch, w, val.X, points, problem, buffers)
+            _checked_profile(values, it)
             probs = _soft_min(values, wc.tau)
             z_star_test = float(points[int(np.argmin(values))])
             omega = omega_weight(probs, grid, z_star_train, wc.alpha)
@@ -215,13 +180,7 @@ def _fit(
         )
         if task_enabled:
             task_loss = float(probs @ values)
-            if kernel is not None:
-                task_grad_vec = _linear_task_grad(w, val.X, points, *state(probs))
-            else:
-                task_grad_vec = _task_grad_body(
-                    arch, w, val.X, points, *state, probs, problem, work
-                )
-            total_grad = omega * pred_grad + gamma * task_grad_vec
+            total_grad = omega * pred_grad + gamma * grad_at(probs)
         else:
             # Recorded as 0 so every row composes as pred*omega + task*gamma.
             task_loss = 0.0
@@ -248,7 +207,7 @@ def _fit(
         if check_termination(history, config):
             break
 
-    values, _ = profile(w, len(history))
+    values = _checked_profile(_profile(arch, w, val.X, points, problem, buffers)[0], len(history))
     k_star = int(np.argmin(values))
     return TrainResult(
         params_star=PredictorParams(arch, w),

@@ -340,6 +340,10 @@ def _failing_run(kind, config_path, tmp_path):
         arch = {"kind": "linear", "feature_dim": 3}
         ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 5}))
         return _evaluate_argv(config_path, tmp_path, ckpt), "feature_dim=3"
+    if kind == "activation-not-tanh":
+        arch = {"kind": "mlp1", "feature_dim": 2, "hidden_units": 1, "activation": "relu"}
+        ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 6}))
+        return _evaluate_argv(config_path, tmp_path, ckpt), "'activation'"
     if kind == "missing-checkpoint":
         return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
     if kind == "compare-out-is-a-directory":
@@ -358,6 +362,7 @@ def _failing_run(kind, config_path, tmp_path):
     [
         "no-architecture",
         "feature-dim-mismatch",
+        "activation-not-tanh",
         "missing-checkpoint",
         "out-is-a-file",
         "compare-parent-is-a-file",

@@ -1,13 +1,16 @@
 """The package namespace carries what the demos import, checked without
-running the (slow) demos."""
+running the (slow) demos, and every name in a module's __all__ resolves."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import predopt
 
+MODULES = sorted(m.name for m in pkgutil.iter_modules(predopt.__path__))
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
@@ -26,4 +29,11 @@ def test_demo_imports_resolve(demo):
     names = list(_package_imports(demo))
     assert names, f"{demo.name} imports nothing from predopt"
     missing = [name for name in names if not hasattr(predopt, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"predopt.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []

@@ -17,10 +17,12 @@ from predopt.predictor import (
     save_checkpoint,
     task_grad,
 )
-from predopt.problems import newsvendor_problem
+from predopt.problems import newsvendor_problem, pricing_problem
 
 GRID = make_grid(0.0, 10.0, 21)
 NEWSVENDOR = newsvendor_problem(GRID, c_h=1.0, c_s=3.0)
+CAPACITY = 3.0
+PRICING = pricing_problem(GRID, capacity=CAPACITY)
 
 LINEAR3 = Architecture("linear", feature_dim=3)
 MLP24 = Architecture("mlp1", feature_dim=2, hidden_units=4)
@@ -267,26 +269,40 @@ def test_task_grad_rejects_bad_probs():
         task_grad(p, X, GRID, bad, NEWSVENDOR)
 
 
-def _kink_distance(params, X, grid, problem):
-    P = predict_on_grid(params, X, grid.points)
-    return np.min(np.abs(grid.points[None, :] - P))
+def _newsvendor_kink_gap(z, P):
+    return np.abs(P - z)  # kink at y = z
 
 
-@pytest.mark.parametrize("arch", [LINEAR3, MLP24], ids=["linear", "mlp1"])
-def test_task_grad_matches_finite_differences(arch):
+def _pricing_kink_gap(z, P):
+    return np.minimum(np.abs(P), np.abs(P - CAPACITY))  # kinks at y = 0 and y = capacity
+
+
+# a linear model on pricing takes the dense grid pass, on newsvendor the kernel
+@pytest.mark.parametrize(
+    "arch, problem, kink_gap",
+    [
+        pytest.param(LINEAR3, NEWSVENDOR, _newsvendor_kink_gap, id="linear"),
+        pytest.param(MLP24, NEWSVENDOR, _newsvendor_kink_gap, id="mlp1"),
+        pytest.param(LINEAR3, PRICING, _pricing_kink_gap, id="pricing-linear"),
+        pytest.param(MLP24, PRICING, _pricing_kink_gap, id="pricing-mlp1"),
+    ],
+)
+def test_task_grad_matches_finite_differences(arch, problem, kink_gap):
     rng = np.random.default_rng(8)
-    checked = 0
+    checked = nonzero = 0
     while checked < 20:
         p = _random_params(arch, rng)
         X = rng.normal(size=(6, arch.feature_dim))
         probs = rng.dirichlet(np.ones(GRID.n_points))
         # skip draws whose predictions sit within FD reach of a cost kink
-        if _kink_distance(p, X, GRID, NEWSVENDOR) < 1e-3:
+        if np.min(kink_gap(GRID.points, predict_on_grid(p, X, GRID.points))) < 1e-3:
             continue
-        _, analytic = task_grad(p, X, GRID, probs, NEWSVENDOR)
-        numeric = fd_gradient(lambda q: task_grad(q, X, GRID, probs, NEWSVENDOR)[0], p)
+        _, analytic = task_grad(p, X, GRID, probs, problem)
+        numeric = fd_gradient(lambda q: task_grad(q, X, GRID, probs, problem)[0], p)
         assert_grad_close(analytic, numeric)
         checked += 1
+        nonzero += bool(np.any(analytic != 0.0))
+    assert nonzero >= 10
 
 
 # --- checkpoints -----------------------------------------------------------------
@@ -303,3 +319,8 @@ def test_checkpoint_round_trip(tmp_path, arch):
     assert np.array_equal(back.weights, p.weights)
     blob = json.loads(path.read_text())
     assert set(blob) == {"architecture", "weights"}
+    assert "activation" not in blob["architecture"]
+    # older checkpoints name the activation; tanh, the only one, still loads
+    blob["architecture"]["activation"] = "tanh"
+    path.write_text(json.dumps(blob))
+    assert load_checkpoint(path).architecture == p.architecture

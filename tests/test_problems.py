@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,6 @@ from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_g
 from predopt.problems import (
     TrueModel,
     gen_dataset,
-    model_from_json,
     model_to_json,
     newsvendor_cost,
     newsvendor_cost_grad_y,
@@ -99,7 +100,7 @@ def test_true_model_rejects_bad_logging():
 
 def test_model_json_round_trip():
     m = _newsvendor_world(logging={"policy": "biased", "center": 4.0, "width": 3.0})
-    assert model_from_json(model_to_json(m)) == m
+    assert TrueModel(**json.loads(json.dumps(model_to_json(m)))) == m
 
 
 # --- dataset generation -------------------------------------------------------

@@ -32,7 +32,6 @@ from predopt.training import (
     TrainingError,
     check_termination,
     save_history_csv,
-    sgd_step,
     simpo_fit,
     two_stage_fit,
 )
@@ -72,33 +71,6 @@ def _config(**overrides):
     )
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
-
-
-# --- sgd_step ----------------------------------------------------------------
-
-
-def test_sgd_step_zero_grad():
-    p = PredictorParams(Architecture("linear", 1), np.array([1.0, -2.0, 0.5]))
-    q = sgd_step(p, np.zeros(3), lr=0.1)
-    assert np.array_equal(q.weights, p.weights)
-
-
-def test_sgd_step_zero_lr():
-    p = PredictorParams(Architecture("linear", 1), np.array([1.0, -2.0, 0.5]))
-    q = sgd_step(p, np.array([5.0, 5.0, 5.0]), lr=0.0)
-    assert np.array_equal(q.weights, p.weights)
-
-
-def test_sgd_step_arithmetic():
-    p = PredictorParams(Architecture("linear", 1), np.array([1.0, 1.0, 1.0]))
-    q = sgd_step(p, np.array([2.0, -2.0, 0.0]), lr=0.5)
-    assert np.array_equal(q.weights, [0.0, 2.0, 1.0])
-
-
-def test_sgd_step_rejects_length_mismatch():
-    p = PredictorParams(Architecture("linear", 1), np.array([1.0, 1.0, 1.0]))
-    with pytest.raises(ValidationError):
-        sgd_step(p, np.zeros(4), lr=0.1)
 
 
 # --- termination ---------------------------------------------------------------
@@ -316,7 +288,8 @@ def test_frozen_coefficient_descent_envelope():
             _, pred_grad = loss_and_grad(params, train.X, train.z_obs, train.y, ones, problem)
             _, task_grad_vec = task_grad(params, val.X, GRID, probs, problem)
             before = frozen_F(params)
-            params = sgd_step(params, omega * pred_grad + gamma * task_grad_vec, 1e-3)
+            step = omega * pred_grad + gamma * task_grad_vec
+            params = PredictorParams(params.architecture, params.weights - 1e-3 * step)
             after = frozen_F(params)
             total += 1
             if after <= before + 1e-12:
@@ -373,7 +346,7 @@ def _reference_simpo(
         history.append(
             HistoryRow(len(history) + 1, pl * omega + tl * gamma, pl, tl, omega, gamma, z_star_test)
         )
-        params = sgd_step(params, step, config.learning_rate)
+        params = PredictorParams(arch, params.weights - config.learning_rate * step)
         if check_termination(history, config):
             break
     final = model_profile(params, val.X, grid, problem)
@@ -473,9 +446,7 @@ def test_two_stage_decision_matches_least_squares_on_default_world():
 
 
 def _count_grid_passes(monkeypatch):
-    import predopt.objective
     import predopt.predictor
-    import predopt.training
 
     calls = []
     kernel = predopt.predictor._grid_pass
@@ -484,21 +455,38 @@ def _count_grid_passes(monkeypatch):
         calls.append(1)
         return kernel(*args, **kwargs)
 
-    for module in (predopt.predictor, predopt.objective, predopt.training):
-        monkeypatch.setattr(module, "_grid_pass", counting)
+    monkeypatch.setattr(predopt.predictor, "_grid_pass", counting)
     return calls
 
 
-@pytest.mark.parametrize("fit, passes_per_iter", [(two_stage_fit, 0), (simpo_fit, 1)])
-def test_grid_passes_per_fit(monkeypatch, fit, passes_per_iter):
+MLP1 = Architecture("mlp1", 2, hidden_units=4)
+LINEAR = Architecture("linear", 2)
+PRICING = {"kind": "pricing", "cost_params": {"capacity": 50.0}}
+
+
+@pytest.mark.parametrize(
+    "fit, arch, world, passes_per_iter, final_passes",
+    [
+        pytest.param(two_stage_fit, MLP1, {}, 0, 1, id="two_stage_fit-0"),
+        pytest.param(simpo_fit, MLP1, {}, 1, 1, id="simpo_fit-1"),
+        # a linear newsvendor fit takes the separable kernel throughout
+        pytest.param(two_stage_fit, LINEAR, {}, 0, 0, id="two_stage_fit-0-linear-newsvendor"),
+        pytest.param(simpo_fit, LINEAR, {}, 0, 0, id="simpo_fit-0-linear-newsvendor"),
+        # pricing has no kernel: a linear fit takes the grid pass, like mlp1
+        pytest.param(two_stage_fit, LINEAR, PRICING, 0, 1, id="two_stage_fit-0-linear-pricing"),
+        pytest.param(simpo_fit, LINEAR, PRICING, 1, 1, id="simpo_fit-1-linear-pricing"),
+    ],
+)
+def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, final_passes):
     # simpo needs one pass per iteration; two-stage none; both one more for
-    # the final decision
-    model = _world()
+    # the final decision, unless the problem's kernel serves the model
+    model = _world(**world)
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=0)
     n = 12
     calls = _count_grid_passes(monkeypatch)
-    arch = Architecture("mlp1", 2, hidden_units=4)
-    res = fit(problem, train, val, arch, _config(max_iters=n, patience=n))
+    cfg = _config(max_iters=n, patience=n)
+    assert cfg.weight_config.task_term_enabled
+    res = fit(problem, train, val, arch, cfg)
     assert res.iters_run == n
-    assert len(calls) == passes_per_iter * n + 1
+    assert len(calls) == passes_per_iter * n + final_passes
