@@ -22,8 +22,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv, split_dataset
+from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv
 from .evaluation import (
+    _seed_setup,
     compare_methods,
     derive_seeds,
     evaluate_decision,
@@ -31,7 +32,7 @@ from .evaluation import (
 )
 from .objective import argmin_profile, model_profile
 from .predictor import Architecture, load_checkpoint, save_checkpoint
-from .problems import TrueModel, gen_dataset, model_to_json, problem_from_model
+from .problems import TrueModel, gen_dataset, model_to_json
 from .training import TrainConfig, TrainingError, save_history_csv, simpo_fit, two_stage_fit
 
 __all__ = ["main", "ExperimentConfig", "ConfigError", "load_config"]
@@ -53,6 +54,13 @@ class ExperimentConfig:
     n_mc: int
     n_seeds: int
     seed: int
+
+    def __post_init__(self):
+        for name in ("train_frac", "val_frac"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 # key -> (required, expected type(s)); nested dicts hold their own schema
@@ -165,7 +173,11 @@ def _check_keys(blob: dict, schema: dict, raw_text: str, path: str = "") -> None
                 numbers = value if isinstance(value, list) else [value]
                 if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in numbers):
                     raise ConfigError(f"config key '{where}' must be numeric")
-                if not all(math.isfinite(v) for v in numbers):
+                try:
+                    finite = all(math.isfinite(v) for v in numbers)
+                except OverflowError:  # an integer literal too large for a float
+                    finite = False
+                if not finite:
                     raise ConfigError(f"config key '{where}' must be finite")
     for key, (required, _expected) in schema.items():
         if required and key not in blob:
@@ -185,58 +197,26 @@ def load_config(path) -> ExperimentConfig:
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     _check_keys(blob, _SCHEMA, raw_text)
-    if blob["eval"]["n_mc"] < 1:
-        raise ConfigError(f"config key 'eval.n_mc' must be >= 1, got {blob['eval']['n_mc']}")
 
-    p = blob["problem"]
+    # config keys are field names: each section builds its class by keyword, with its defaults
+    problem = dict(blob["problem"])
+    grid = problem.pop("grid")
+    split = {key: problem.pop(key) for key in ("n_samples", "train_frac", "val_frac")}
+    train = dict(blob["train"])
+    weights = train.pop("weights")
     try:
-        model = TrueModel(
-            kind=p["kind"],
-            base_weights=tuple(p["base_weights"]),
-            intercept=float(p["intercept"]),
-            action_effect=float(p["action_effect"]),
-            nonlinearity=float(p["nonlinearity"]),
-            noise_sd=float(p["noise_sd"]),
-            feature_sd=float(p["feature_sd"]),
-            cost_params=p["cost_params"],
-            logging=p["logging"],
-        )
-        grid = make_grid(p["grid"]["z_min"], p["grid"]["z_max"], p["grid"]["n_points"])
-        arch = Architecture(
-            kind=blob["model"]["kind"],
-            feature_dim=model.feature_dim,
-            hidden_units=blob["model"].get("hidden_units", 0),
-        )
-        t = blob["train"]
-        w = t["weights"]
-        train = TrainConfig(
-            weight_config=WeightConfig(
-                alpha=float(w["alpha"]),
-                beta=float(w["beta"]),
-                tau=float(w["tau"]),
-                task_term_enabled=bool(w.get("task_term_enabled", True)),
-            ),
-            learning_rate=float(t["learning_rate"]),
-            batch_size=int(t.get("batch_size", 0)),
-            max_iters=int(t["max_iters"]),
-            tol=float(t.get("tol", 1e-6)),
-            patience=int(t.get("patience", 10)),
-            seed=int(blob["seed"]),
+        model = TrueModel(**problem)
+        return ExperimentConfig(
+            model_spec=model,
+            grid=make_grid(**grid),
+            arch=Architecture(feature_dim=model.feature_dim, **blob["model"]),
+            train=TrainConfig(weight_config=WeightConfig(**weights), seed=blob["seed"], **train),
+            seed=blob["seed"],
+            **split,
+            **blob["eval"],
         )
     except ValidationError as err:
         raise ConfigError(str(err)) from err
-    return ExperimentConfig(
-        model_spec=model,
-        grid=grid,
-        n_samples=int(p["n_samples"]),
-        train_frac=float(p["train_frac"]),
-        val_frac=float(p["val_frac"]),
-        arch=arch,
-        train=train,
-        n_mc=int(blob["eval"]["n_mc"]),
-        n_seeds=int(blob["eval"]["n_seeds"]),
-        seed=int(blob["seed"]),
-    )
 
 
 def _atomic_via_tmp(path, writer) -> None:
@@ -277,14 +257,15 @@ def cmd_generate(config: ExperimentConfig, out_path: str) -> int:
     return 0
 
 
+def _seed_setup_of(c: ExperimentConfig):
+    """evaluation._seed_setup at the run seed of config `c`."""
+    return _seed_setup(c.model_spec, c.grid, c.train, c.seed, c.n_samples, c.train_frac, c.val_frac)
+
+
 def _fit_once(config: ExperimentConfig, method: str):
-    data_seed, split_seed, train_seed, _ = derive_seeds(config.seed)
-    problem = problem_from_model(config.model_spec, config.grid)
-    data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
-    train, val, _test = split_dataset(data, config.train_frac, config.val_frac, split_seed)
-    cfg = replace(config.train, seed=train_seed)
+    problem, (train, val, _test), cfg, _mc_seed = _seed_setup_of(config)
     fit = simpo_fit if method == "simpo" else two_stage_fit
-    return fit(problem, train, val, config.arch, cfg), val, problem
+    return fit(problem, train, val, config.arch, cfg)
 
 
 @contextmanager
@@ -308,7 +289,7 @@ def _output_dir(path):
 
 def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
     with _output_dir(run_dir):
-        result, _val, _problem = _fit_once(config, method)
+        result = _fit_once(config, method)
     _atomic_via_tmp(
         os.path.join(run_dir, "checkpoint.json"),
         lambda tmp: save_checkpoint(result.params_star, tmp),
@@ -345,16 +326,13 @@ def _describe(arch: Architecture) -> str:
 
 
 def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) -> int:
-    data_seed, split_seed, _, mc_seed = derive_seeds(config.seed)
     params = load_checkpoint(checkpoint_path)
     if _layout(params.architecture) != _layout(config.arch):
         raise ConfigError(
             f"checkpoint {checkpoint_path} holds a {_describe(params.architecture)} model, "
             f"but the config describes a {_describe(config.arch)} model"
         )
-    problem = problem_from_model(config.model_spec, config.grid)
-    data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
-    _train, val, _test = split_dataset(data, config.train_frac, config.val_frac, split_seed)
+    problem, (_train, val, _test), _cfg, mc_seed = _seed_setup_of(config)
     profile = model_profile(params, val.X, config.grid, problem)
     action = argmin_profile(profile)
     cost, regret = evaluate_decision(config.model_spec, action, config.grid, config.n_mc, mc_seed)

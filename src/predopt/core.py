@@ -28,14 +28,15 @@ class ValidationError(ValueError):
     """An input violated a documented precondition."""
 
 
-def _require_finite(name: str, value) -> None:
-    """Raise a ValidationError naming `name` unless value is a finite real number."""
+def _require_finite(name: str, value) -> float:
+    """`value` as a float; a ValidationError naming `name` unless it is a finite real number."""
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -173,7 +174,7 @@ class WeightConfig:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "tau"):
-            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.alpha < 0:
             raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta < 0:

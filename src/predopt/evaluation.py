@@ -101,6 +101,15 @@ def _score(model, action, grid, base, eps, values) -> tuple[float, float]:
     return float(costs_at_action.mean()), regret
 
 
+def _seed_setup(model, grid, config, run_seed, n_samples, train_frac, val_frac):
+    """The per-seed recipe compare, train and evaluate share: the problem, the
+    (train, val, test) split, `config` with its derived seed and the MC seed."""
+    data_seed, split_seed, train_seed, mc_seed = derive_seeds(run_seed)
+    data = gen_dataset(model, n_samples, grid, data_seed)
+    splits = split_dataset(data, train_frac, val_frac, split_seed)
+    return problem_from_model(model, grid), splits, replace(config, seed=train_seed), mc_seed
+
+
 def _pred_mse(params, test) -> float:
     resid = test.y - predict_batch(params, test.X, test.z_obs)
     return float(np.mean(resid * resid))
@@ -119,11 +128,9 @@ def _run_seed(args) -> list[DecisionReport]:
     Takes a plain-data tuple so it can cross a process boundary.
     """
     (model, grid, arch, config, run_seed, n_samples, train_frac, val_frac, n_mc) = args
-    data_seed, split_seed, train_seed, mc_seed = derive_seeds(run_seed)
-    problem = problem_from_model(model, grid)
-    data = gen_dataset(model, n_samples, grid, data_seed)
-    train, val, test = split_dataset(data, train_frac, val_frac, split_seed)
-    cfg = replace(config, seed=train_seed)
+    problem, (train, val, test), cfg, mc_seed = _seed_setup(
+        model, grid, config, run_seed, n_samples, train_frac, val_frac
+    )
 
     fits = []
     for method, fit in (("simpo", simpo_fit), ("two_stage", two_stage_fit)):

@@ -63,14 +63,13 @@ class TrueModel:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown problem kind {self.kind!r}")
         for name in ("intercept", "action_effect", "nonlinearity", "noise_sd", "feature_sd"):
-            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.noise_sd > 0:
             raise ValidationError(f"noise_sd must be > 0, got {self.noise_sd}")
         if not self.feature_sd > 0:
             raise ValidationError(f"feature_sd must be > 0, got {self.feature_sd}")
-        for i, v in enumerate(self.base_weights):
-            _require_finite(f"base_weights[{i}]", v)
-        bw = tuple(float(v) for v in self.base_weights)
+        weights = enumerate(self.base_weights)
+        bw = tuple(_require_finite(f"base_weights[{i}]", v) for i, v in weights)
         if len(bw) < 1:
             raise ValidationError("base_weights must have at least one entry")
         object.__setattr__(self, "base_weights", bw)

@@ -68,7 +68,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "tol"):
-            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.learning_rate > 0:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_iters < 1:

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,12 +55,45 @@ def _write(tmp_path, blob, name="cfg.json"):
 # --- config parsing ------------------------------------------------------------
 
 
-def test_load_config_round_trip(config_path):
+def test_load_config_round_trip(config_path, tmp_path):
     cfg = load_config(config_path)
     assert cfg.model_spec.kind == "newsvendor"
     assert cfg.grid.n_points == 41
     assert cfg.train.weight_config.alpha == 1.0
     assert cfg.n_seeds == 2
+
+    # integer literals for float keys, and every optional key left out
+    blob = copy.deepcopy(SMALL_CONFIG)
+    problem = blob["problem"]
+    problem.update(base_weights=[2, -1], intercept=12, noise_sd=1, feature_sd=1, action_effect=0)
+    problem["grid"].update(z_min=0, z_max=20)
+    blob["train"]["learning_rate"] = 1
+    blob["train"]["weights"] = {"alpha": 1, "beta": 20, "tau": 1}
+    for key in ("batch_size", "tol", "patience"):
+        del blob["train"][key]
+    del blob["io"]
+    cfg = load_config(_write(tmp_path, blob))
+    assert cfg.train.batch_size == 0 and cfg.train.tol == 1e-6 and cfg.train.patience == 10
+    assert cfg.train.weight_config.task_term_enabled is True
+    assert cfg.arch.hidden_units == 0
+    assert cfg.seed == cfg.train.seed == 3
+    m, w = cfg.model_spec, cfg.train.weight_config
+    floats = [m.intercept, m.action_effect, m.nonlinearity, m.noise_sd, m.feature_sd, *m.base_weights]
+    floats += [cfg.grid.z_min, cfg.grid.z_max, cfg.train_frac, cfg.val_frac]
+    floats += [cfg.train.learning_rate, cfg.train.tol, w.alpha, w.beta, w.tau]
+    assert all(type(v) is float for v in floats)
+    assert (m.intercept, w.beta, cfg.train.learning_rate) == (12.0, 20.0, 1.0)
+
+
+def test_every_shipped_config_loads():
+    paths = sorted((Path(__file__).parents[1] / "configs").glob("*.json"))
+    assert paths
+    for path in paths:
+        blob = json.loads(path.read_text())
+        cfg = load_config(path)
+        assert cfg.seed == cfg.train.seed == blob["seed"], path.name
+        assert cfg.model_spec.kind == blob["problem"]["kind"], path.name
+        assert cfg.n_seeds == blob["eval"]["n_seeds"], path.name
 
 
 def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
@@ -109,7 +143,11 @@ BAD_VALUES = [
     pytest.param("problem.nonlinearity", NAN, id="problem.nonlinearity"),
     pytest.param("problem.cost_params.c_h", NAN, id="problem.cost_params.c_h"),
     pytest.param("problem.cost_params.c_s", float("inf"), id="problem.cost_params.c_s"),
+    pytest.param("train.weights.tau", 10**400, id="train.weights.tau-huge-int"),
+    pytest.param("problem.base_weights", [2.0, 10**400], id="problem.base_weights-huge-int"),
     pytest.param("eval.n_mc", 0, id="eval.n_mc"),
+    pytest.param("seed", -1, id="seed"),
+    pytest.param("problem.n_samples", 0, id="problem.n_samples"),
 ]
 
 
@@ -127,6 +165,56 @@ def test_bad_value_is_config_error(tmp_path, capsys, key, value):
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
     assert leaf in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "compare"])
+def test_negative_seed_flag_exits_2(config_path, tmp_path, capsys, command):
+    extra = {"train": ["--method", "simpo"], "evaluate": ["--checkpoint", str(tmp_path / "c.json")]}
+    out = tmp_path / "new" / "out"
+    argv = [command, "--config", str(config_path), "--out", str(out), "--seed", "-1"]
+    assert main(argv + extra.get(command, [])) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+# Every leaf of SMALL_CONFIG takes each of these values in turn.
+FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308]
+
+
+def _leaf_keys(blob, prefix=""):
+    for key, value in blob.items():
+        if isinstance(value, dict) and value:
+            yield from _leaf_keys(value, prefix + key + ".")
+        else:
+            yield prefix + key
+
+
+@pytest.mark.parametrize("key", list(_leaf_keys(SMALL_CONFIG)))
+def test_any_leaf_value_exits_0_2_or_3(tmp_path, key):
+    # the documented exit codes hold for every value: nothing escapes main, a
+    # failed run leaves no temporary file or directory behind, and a value
+    # rejected at load time is rejected by name
+    *parents, leaf = key.split(".")
+    for i, value in enumerate(FUZZ_VALUES):
+        blob = copy.deepcopy(SMALL_CONFIG)
+        blob["train"]["max_iters"] = 5
+        section = blob
+        for name in parents:
+            section = section[name]
+        section[leaf] = value
+        case = tmp_path / str(i)
+        case.mkdir()
+        path = _write(case, blob)
+        argv = ["train", "--config", str(path), "--method", "simpo", "--out", str(case / "new" / "run")]
+        with np.errstate(all="ignore"):
+            rc = main(argv)
+        assert rc in (0, 2, 3), (value, rc)
+        if rc != 0:
+            assert os.listdir(case) == [path.name], value
+        try:
+            load_config(path)
+        except ConfigError as err:
+            assert leaf in str(err), (value, str(err))
 
 
 def test_missing_method_flag_exits_2(config_path, tmp_path):
@@ -304,6 +392,26 @@ def test_evaluate_checkpoint(config_path, tmp_path, capsys):
 
 
 # --- compare --------------------------------------------------------------------
+
+
+def test_train_then_evaluate_matches_compare_rows(config_path, tmp_path):
+    # train, evaluate and compare share one per-seed recipe, so a seed's
+    # decision and its score agree bit for bit across the three commands
+    results = tmp_path / "r.csv"
+    assert main(["compare", "--config", str(config_path), "--out", str(results)]) == 0
+    rows = [ln.split(",") for ln in results.read_text().splitlines()[1:]]
+    checked = 0
+    for method, flag in (("simpo", "simpo"), ("two_stage", "two-stage")):
+        for row in (r for r in rows if r[0] == method):
+            run, seed = tmp_path / f"{method}-{row[1]}", ["--seed", row[1]]
+            argv = ["train", "--config", str(config_path), "--method", flag, "--out", str(run)]
+            assert main(argv + seed) == 0
+            assert main(_evaluate_argv(config_path, tmp_path, run / "checkpoint.json") + seed) == 0
+            got = json.loads((tmp_path / "report.json").read_text())
+            want = [float(v).hex() for v in row[3:6]]
+            assert [got[k].hex() for k in ("chosen_action", "expected_cost", "regret")] == want
+            checked += 1
+    assert checked == 2 * SMALL_CONFIG["eval"]["n_seeds"]
 
 
 def test_compare_rows_and_determinism(config_path, tmp_path, capsys):
