@@ -18,12 +18,20 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv
+from .core import (
+    ActionGrid,
+    ValidationError,
+    WeightConfig,
+    _require_finite,
+    make_grid,
+    save_dataset_csv,
+)
 from .evaluation import (
+    METHOD_ORDER,
     _seed_setup,
     compare_methods,
     derive_seeds,
@@ -32,7 +40,7 @@ from .evaluation import (
 )
 from .objective import argmin_profile, model_profile
 from .predictor import Architecture, load_checkpoint, save_checkpoint
-from .problems import TrueModel, gen_dataset, model_to_json
+from .problems import TrueModel, gen_dataset
 from .training import TrainConfig, TrainingError, save_history_csv, simpo_fit, two_stage_fit
 
 __all__ = ["main", "ExperimentConfig", "ConfigError", "load_config"]
@@ -57,7 +65,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("train_frac", "val_frac"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -65,6 +73,8 @@ class ExperimentConfig:
 
 # key -> (required, expected type(s)); nested dicts hold their own schema
 _NUMBER = (int, float)
+# The largest value of an int key; numpy's conversion of a larger size overflows.
+_INT_MAX = 2**31 - 1
 _SCHEMA = {
     "seed": (True, int),
     "problem": (
@@ -169,6 +179,8 @@ def _check_keys(blob: dict, schema: dict, raw_text: str, path: str = "") -> None
                 raise ConfigError(f"config key '{where}' must be an integer")
             if not isinstance(value, expected):
                 raise ConfigError(f"config key '{where}' has the wrong type")
+            if expected is int and value > _INT_MAX:
+                raise ConfigError(f"config key '{where}' must be <= {_INT_MAX}")
             if expected in (_NUMBER, list):
                 numbers = value if isinstance(value, list) else [value]
                 if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in numbers):
@@ -192,7 +204,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         blob = json.loads(raw_text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or an integer with too many digits
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -251,7 +263,7 @@ def cmd_generate(config: ExperimentConfig, out_path: str) -> int:
     data_seed, _, _, _ = derive_seeds(config.seed)
     data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
     _atomic_via_tmp(out_path, lambda tmp: save_dataset_csv(data, tmp))
-    meta = {"model": model_to_json(config.model_spec), "seed": config.seed, "data_seed": data_seed}
+    meta = {"model": asdict(config.model_spec), "seed": config.seed, "data_seed": data_seed}
     _atomic_write_text(_sidecar_path(out_path), json.dumps(meta, indent=2) + "\n")
     print(f"wrote {len(data)} samples to {out_path}")
     return 0
@@ -361,7 +373,7 @@ def cmd_compare(config: ExperimentConfig, out_path: str, jobs: int) -> int:
         )
     _atomic_via_tmp(out_path, lambda tmp: write_results_csv(reports, tmp))
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
-    for method in ("simpo", "two_stage", "oracle"):
+    for method in METHOD_ORDER:
         rows = [r for r in reports if r.method == method]
         regrets = np.array([r.regret for r in rows])
         costs = np.array([r.expected_cost for r in rows])

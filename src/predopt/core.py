@@ -191,6 +191,8 @@ def split_dataset(
     Sizes are floor(n * frac) for train and val, remainder to test. Raises if
     any split would be empty.
     """
+    train_frac = _require_finite("train_frac", train_frac)
+    val_frac = _require_finite("val_frac", val_frac)
     if train_frac <= 0 or val_frac <= 0:
         raise ValidationError("train_frac and val_frac must be positive")
     if train_frac + val_frac >= 1:

@@ -7,9 +7,8 @@ oracle's own regret is exactly zero.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,21 +35,11 @@ __all__ = [
 
 METHOD_ORDER = ("simpo", "two_stage", "oracle")
 
-RESULTS_COLUMNS = (
-    "method",
-    "seed",
-    "problem",
-    "chosen_action",
-    "expected_cost",
-    "regret",
-    "pred_mse",
-    "iters_run",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class DecisionReport:
+    """One row of the results CSV; its fields are the CSV's columns, in order."""
+
     method: str
     seed: int
     problem: str
@@ -59,7 +48,11 @@ class DecisionReport:
     regret: float
     pred_mse: float
     iters_run: int
-    wall_ms: float
+    # Never measured: reruns of the same experiment must write byte-identical CSVs.
+    wall_ms: float = 0.0
+
+
+RESULTS_COLUMNS = tuple(f.name for f in fields(DecisionReport))
 
 
 def derive_seeds(run_seed: int) -> tuple[int, int, int, int]:
@@ -115,9 +108,9 @@ def _pred_mse(params, test) -> float:
     return float(np.mean(resid * resid))
 
 
-def _failed_report(method: str, seed: int, problem_name: str, iters: int, wall_ms: float):
+def _failed_report(method: str, seed: int, problem_name: str, iters: int):
     nan = float("nan")
-    return DecisionReport(method, seed, problem_name, nan, nan, nan, nan, iters, wall_ms)
+    return DecisionReport(method, seed, problem_name, nan, nan, nan, nan, iters)
 
 
 def _run_seed(args) -> list[DecisionReport]:
@@ -134,23 +127,19 @@ def _run_seed(args) -> list[DecisionReport]:
 
     fits = []
     for method, fit in (("simpo", simpo_fit), ("two_stage", two_stage_fit)):
-        t0 = time.perf_counter()
         try:
-            result = fit(problem, train, val, arch, cfg)
+            fits.append((method, fit(problem, train, val, arch, cfg)))
         except TrainingError as err:
-            result = err
-        fits.append((method, result, (time.perf_counter() - t0) * 1e3))
+            fits.append((method, err))
 
-    t0 = time.perf_counter()
     base, eps = world_draws(model, n_mc, mc_seed)
     values = oracle_profile(model, grid, base, eps)
     k_best = int(np.argmin(values))
-    oracle_wall = (time.perf_counter() - t0) * 1e3
 
     reports = []
-    for method, result, wall in fits:
+    for method, result in fits:
         if isinstance(result, TrainingError):
-            reports.append(_failed_report(method, run_seed, problem.name, result.iteration, wall))
+            reports.append(_failed_report(method, run_seed, problem.name, result.iteration))
             continue
         cost, regret = _score(model, result.z_star, grid, base, eps, values)
         reports.append(
@@ -163,7 +152,6 @@ def _run_seed(args) -> list[DecisionReport]:
                 regret=regret,
                 pred_mse=_pred_mse(result.params_star, test),
                 iters_run=result.iters_run,
-                wall_ms=wall,
             )
         )
     reports.append(
@@ -176,7 +164,6 @@ def _run_seed(args) -> list[DecisionReport]:
             regret=0.0,
             pred_mse=float("nan"),
             iters_run=0,
-            wall_ms=oracle_wall,
         )
     )
     return reports
@@ -197,8 +184,8 @@ def compare_methods(
     jobs: int = 1,
 ) -> list[DecisionReport]:
     """Run simpo and two_stage on identical splits for each seed and report
-    both against the oracle. Rows come back ordered by (seed, method) no
-    matter how many workers ran them."""
+    both against the oracle. Rows come back ordered by seed, then by method in
+    METHOD_ORDER, however many workers ran them: map keeps the seeds' order."""
     if n_seeds < 1:
         raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
     work = [
@@ -210,9 +197,7 @@ def compare_methods(
             chunks = list(pool.map(_run_seed, work))
     else:
         chunks = [_run_seed(w) for w in work]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=lambda r: (r.seed, METHOD_ORDER.index(r.method)))
-    return reports
+    return [r for chunk in chunks for r in chunk]
 
 
 def _fmt(v) -> str:
@@ -222,27 +207,8 @@ def _fmt(v) -> str:
 
 
 def write_results_csv(reports, path) -> None:
-    """Results CSV with a stable column order and 17-significant-digit floats.
-
-    wall_ms is written as 0 so reruns of the same experiment are
-    byte-identical; measured timing stays on the DecisionReport objects.
-    """
+    """Results CSV: one column per DecisionReport field, floats to 17 significant digits."""
     lines = [",".join(RESULTS_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    str(r.seed),
-                    r.problem,
-                    _fmt(r.chosen_action),
-                    _fmt(r.expected_cost),
-                    _fmt(r.regret),
-                    _fmt(r.pred_mse),
-                    str(r.iters_run),
-                    _fmt(0.0),
-                ]
-            )
-        )
+    lines += [",".join(_fmt(v) for v in astuple(r)) for r in reports]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -368,7 +368,6 @@ def load_checkpoint(path) -> PredictorParams:
     ):
         raise ValidationError(f"checkpoint {path}: 'weights' must be a list of numbers")
     # Older checkpoints name the activation; tanh is the only one.
-    if blob.get("activation", "tanh") != "tanh":
+    if blob.pop("activation", "tanh") != "tanh":
         raise ValidationError(f"checkpoint {path}: architecture key 'activation' must be 'tanh'")
-    arch = Architecture(blob["kind"], blob["feature_dim"], blob.get("hidden_units", 0))
-    return PredictorParams(arch, np.asarray(weights, dtype=float))
+    return PredictorParams(Architecture(**blob), np.asarray(weights, dtype=float))

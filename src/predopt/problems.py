@@ -38,7 +38,6 @@ __all__ = [
     "oracle_expected_cost",
     "oracle_profile",
     "oracle_action",
-    "model_to_json",
 ]
 
 _KINDS = ("newsvendor", "pricing")
@@ -285,17 +284,3 @@ def oracle_action(
     values = oracle_profile(model, grid, *world_draws(model, n_mc, seed))
     k_best = int(np.argmin(values))
     return float(grid.points[k_best]), float(values[k_best])
-
-
-def model_to_json(model: TrueModel) -> dict:
-    return {
-        "kind": model.kind,
-        "base_weights": list(model.base_weights),
-        "intercept": model.intercept,
-        "action_effect": model.action_effect,
-        "nonlinearity": model.nonlinearity,
-        "noise_sd": model.noise_sd,
-        "feature_sd": model.feature_sd,
-        "cost_params": dict(model.cost_params),
-        "logging": dict(model.logging),
-    }

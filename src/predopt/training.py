@@ -18,7 +18,7 @@ weights and F values, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "save_history_csv",
 ]
 
+# HistoryRow's fields in order, with F for `total`
 HISTORY_COLUMNS = ("iter", "F", "pred_term", "task_term", "omega", "gamma", "z_star_test")
 
 
@@ -244,21 +245,10 @@ def two_stage_fit(
 
 
 def save_history_csv(history, path) -> None:
-    """Training log: iter,F,pred_term,task_term,omega,gamma,z_star_test."""
+    """Training log: HISTORY_COLUMNS, then one line per HistoryRow, floats by repr."""
     lines = [",".join(HISTORY_COLUMNS)]
     for row in history:
-        lines.append(
-            ",".join(
-                [
-                    str(row.iter),
-                    repr(row.total),
-                    repr(row.pred_term),
-                    repr(row.task_term),
-                    repr(row.omega),
-                    repr(row.gamma),
-                    repr(row.z_star_test),
-                ]
-            )
-        )
+        it, *values = astuple(row)
+        lines.append(",".join([str(it), *map(repr, values)]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -128,6 +128,15 @@ def test_invalid_json_is_config_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    # Python refuses to convert an integer literal of more than 4300 digits
+    path = tmp_path / "long.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}")
+    rc = main(["generate", "--config", str(path), "--out", str(tmp_path / "d.csv")])
+    assert rc == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
 NAN = float("nan")
 
 # (dotted config key, bad value): degenerate, non-numeric or non-finite; JSON
@@ -148,6 +157,10 @@ BAD_VALUES = [
     pytest.param("eval.n_mc", 0, id="eval.n_mc"),
     pytest.param("seed", -1, id="seed"),
     pytest.param("problem.n_samples", 0, id="problem.n_samples"),
+    pytest.param("problem.grid.n_points", 10**400, id="problem.grid.n_points-huge-int"),
+    pytest.param("problem.n_samples", 10**400, id="problem.n_samples-huge-int"),
+    pytest.param("eval.n_mc", 10**400, id="eval.n_mc-huge-int"),
+    pytest.param("train.max_iters", 2**31, id="train.max_iters-2**31"),
 ]
 
 
@@ -178,7 +191,7 @@ def test_negative_seed_flag_exits_2(config_path, tmp_path, capsys, command):
 
 
 # Every leaf of SMALL_CONFIG takes each of these values in turn.
-FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308]
+FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308, 10**400]
 
 
 def _leaf_keys(blob, prefix=""):

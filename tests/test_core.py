@@ -171,6 +171,10 @@ def _world(**kw):
     return TrueModel(**{**_WORLD, **kw})
 
 
+def _split(**kw):
+    return split_dataset(_toy_dataset(10), **{"train_frac": 0.6, "val_frac": 0.2, "seed": 0, **kw})
+
+
 # (constructor, bad keyword arguments, the field the error must name)
 NON_FINITE = [
     pytest.param(WeightConfig, {"alpha": NAN, "beta": NAN}, "alpha", id="WeightConfig.alpha"),
@@ -198,6 +202,8 @@ NON_FINITE = [
         "logging['center']",
         id="TrueModel.logging.center",
     ),
+    pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
+    pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),
 ]
 
 

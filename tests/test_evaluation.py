@@ -187,6 +187,9 @@ def test_compare_methods_parallel_matches_serial(tmp_path):
     write_results_csv(serial, pa)
     write_results_csv(parallel, pb)
     assert pa.read_bytes() == pb.read_bytes()
+    order = [(seed, method) for seed in (2, 3, 4) for method in METHOD_ORDER]
+    assert [(r.seed, r.method) for r in serial] == order
+    assert [(r.seed, r.method) for r in parallel] == order
 
 
 def test_results_csv_float_format(tmp_path):

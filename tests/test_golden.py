@@ -1,8 +1,9 @@
-"""Golden results CSVs: `predopt compare` on small configs must stay byte-identical.
+"""Golden outputs: every file predopt writes for small configs must stay byte-identical.
 
 A performance change to training or evaluation must reproduce the results CSV
-exactly, not merely within a tolerance. The hashes below pin the CSVs that
-these configs produce with the numpy 2.4.6 wheel (scipy-openblas 0.3.31) on
+exactly, not merely within a tolerance, and a change to how a file is written
+must reproduce its bytes. The hashes below pin the files that these configs
+produce with the numpy 2.4.6 wheel (scipy-openblas 0.3.31) on
 x86_64; another numpy build or BLAS may round differently, and then the
 hashes must be recomputed from a known-good commit before a change is judged
 against them.
@@ -112,3 +113,61 @@ def test_compare_csv_matches_golden_hash(tmp_path, config, sha256):
     out = tmp_path / "results.csv"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# Integer literals for float keys: the generate sidecar writes the keys TrueModel
+# coerces as floats (12.0) and the cost_params and logging values as given (1).
+INTEGER_LITERALS = {
+    "seed": 1,
+    "problem": {
+        "kind": "newsvendor",
+        "base_weights": [2, -1],
+        "intercept": 12,
+        "action_effect": 0,
+        "nonlinearity": 0,
+        "noise_sd": 1,
+        "feature_sd": 1,
+        "cost_params": {"c_h": 1, "c_s": 3},
+        "logging": {"policy": "biased", "center": 8, "width": 6},
+        "grid": {"z_min": 0, "z_max": 20, "n_points": 41},
+        "n_samples": 120,
+        "train_frac": 0.5,
+        "val_frac": 0.25,
+    },
+    "model": {"kind": "linear"},
+    "train": {
+        "learning_rate": 0.004,
+        "max_iters": 300,
+        "patience": 20,
+        "weights": {"alpha": 1, "beta": 20, "tau": 1},
+    },
+    "eval": {"n_mc": 3000, "n_seeds": 1},
+}
+
+GOLDEN_FILES = {
+    "train/checkpoint.json": "d50cdfea64f558aff9af712f25e2ba9ace970e7c68abf0f1f614c600557ca20c",
+    "train/training_log.csv": "df3bdf09d7d32458b917ed21f2bbeed1a2a667277e8b8efdb7e3f422b95b0ea5",
+    "train/summary.json": "a0587965c6b475354a3830850935e5670431fe827ab504dd26bab3b5052ff74e",
+    "evaluate.json": "44e9c847c154747091697687c030ce68584d42f4b0cb467f2f72e94a44054f17",
+    "generate.csv": "a401f4985b96c2dfa8a755b026f60717dc3a427f454689e797eb8182e1097564",
+    "generate.meta.json": "753b6ba76a2e17d6c910abf0dc52bdd6367fbd60b5590ce472dad1cd2b21d3f4",
+}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Run generate, train and evaluate once on INTEGER_LITERALS."""
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(INTEGER_LITERALS))
+    run = ["--config", str(cfg), "--out"]
+    assert main(["generate", *run, str(root / "generate.csv")]) == 0
+    assert main(["train", "--method", "simpo", *run, str(root / "train")]) == 0
+    checkpoint = str(root / "train" / "checkpoint.json")
+    assert main(["evaluate", "--checkpoint", checkpoint, *run, str(root / "evaluate.json")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name, sha256", GOLDEN_FILES.items(), ids=list(GOLDEN_FILES))
+def test_written_file_matches_golden_hash(written, name, sha256):
+    assert hashlib.sha256((written / name).read_bytes()).hexdigest() == sha256

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_g
 from predopt.problems import (
     TrueModel,
     gen_dataset,
-    model_to_json,
     newsvendor_cost,
     newsvendor_cost_grad_y,
     newsvendor_problem,
@@ -100,7 +100,7 @@ def test_true_model_rejects_bad_logging():
 
 def test_model_json_round_trip():
     m = _newsvendor_world(logging={"policy": "biased", "center": 4.0, "width": 3.0})
-    assert TrueModel(**json.loads(json.dumps(model_to_json(m)))) == m
+    assert TrueModel(**json.loads(json.dumps(asdict(m)))) == m
 
 
 # --- dataset generation -------------------------------------------------------
