@@ -10,6 +10,7 @@ import numpy as np
 
 from predopt import (
     Architecture,
+    ExperimentConfig,
     TrainConfig,
     TrueModel,
     WeightConfig,
@@ -30,7 +31,7 @@ world = TrueModel(
     cost_params={"c_h": 1.0, "c_s": 3.0},
     logging={"policy": "biased", "center": 5.0, "width": 5.0},
 )
-config = TrainConfig(
+train = TrainConfig(
     weight_config=WeightConfig(alpha=2.0, beta=3.0, tau=10.0),
     learning_rate=3e-3,
     max_iters=4000,
@@ -38,20 +39,21 @@ config = TrainConfig(
     patience=60,
     seed=0,
 )
-
 # three seeds to keep the demo quick; the shipped config runs ten
-reports = compare_methods(
-    world,
-    grid,
-    Architecture("linear", 2),
-    config,
-    n_seeds=3,
+experiment = ExperimentConfig(
+    model_spec=world,
+    grid=grid,
     n_samples=2000,
     train_frac=0.6,
     val_frac=0.2,
+    arch=Architecture("linear", 2),
+    train=train,
     n_mc=20000,
-    base_seed=0,
+    n_seeds=3,
+    seed=0,
 )
+
+reports = compare_methods(experiment)
 
 print(f"{'seed':>4} {'method':<10} {'action':>7} {'cost':>8} {'regret':>8} {'iters':>6}")
 for r in reports:

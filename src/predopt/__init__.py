@@ -7,7 +7,13 @@ imported from its module (predopt.core, predopt.predictor, ...).
 """
 
 from .core import WeightConfig, make_grid, split_dataset
-from .evaluation import compare_methods, derive_seeds, evaluate_decision, write_results_csv
+from .evaluation import (
+    ExperimentConfig,
+    compare_methods,
+    derive_seeds,
+    evaluate_decision,
+    write_results_csv,
+)
 from .objective import action_distribution, argmin_profile, empirical_profile
 from .predictor import Architecture
 from .problems import (

@@ -18,20 +18,14 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .core import (
-    ActionGrid,
-    ValidationError,
-    WeightConfig,
-    _require_finite,
-    make_grid,
-    save_dataset_csv,
-)
+from .core import ValidationError, WeightConfig, make_grid, save_dataset_csv
 from .evaluation import (
     METHOD_ORDER,
+    ExperimentConfig,
     _seed_setup,
     compare_methods,
     derive_seeds,
@@ -43,32 +37,11 @@ from .predictor import Architecture, load_checkpoint, save_checkpoint
 from .problems import TrueModel, gen_dataset
 from .training import TrainConfig, TrainingError, save_history_csv, simpo_fit, two_stage_fit
 
-__all__ = ["main", "ExperimentConfig", "ConfigError", "load_config"]
+__all__ = ["main", "ConfigError", "load_config"]
 
 
 class ConfigError(ValueError):
     """A config file failed strict validation."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model_spec: TrueModel
-    grid: ActionGrid
-    n_samples: int
-    train_frac: float
-    val_frac: float
-    arch: Architecture
-    train: TrainConfig
-    n_mc: int
-    n_seeds: int
-    seed: int
-
-    def __post_init__(self):
-        for name in ("train_frac", "val_frac"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 # key -> (required, expected type(s)); nested dicts hold their own schema
@@ -269,13 +242,8 @@ def cmd_generate(config: ExperimentConfig, out_path: str) -> int:
     return 0
 
 
-def _seed_setup_of(c: ExperimentConfig):
-    """evaluation._seed_setup at the run seed of config `c`."""
-    return _seed_setup(c.model_spec, c.grid, c.train, c.seed, c.n_samples, c.train_frac, c.val_frac)
-
-
 def _fit_once(config: ExperimentConfig, method: str):
-    problem, (train, val, _test), cfg, _mc_seed = _seed_setup_of(config)
+    problem, (train, val, _test), cfg, _mc_seed = _seed_setup(config, config.seed)
     fit = simpo_fit if method == "simpo" else two_stage_fit
     return fit(problem, train, val, config.arch, cfg)
 
@@ -344,7 +312,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) 
             f"checkpoint {checkpoint_path} holds a {_describe(params.architecture)} model, "
             f"but the config describes a {_describe(config.arch)} model"
         )
-    problem, (_train, val, _test), _cfg, mc_seed = _seed_setup_of(config)
+    problem, (_train, val, _test), _cfg, mc_seed = _seed_setup(config, config.seed)
     profile = model_profile(params, val.X, config.grid, problem)
     action = argmin_profile(profile)
     cost, regret = evaluate_decision(config.model_spec, action, config.grid, config.n_mc, mc_seed)
@@ -358,19 +326,7 @@ def cmd_compare(config: ExperimentConfig, out_path: str, jobs: int) -> int:
     if os.path.isdir(out_path):
         raise IsADirectoryError(errno.EISDIR, "output path is a directory", out_path)
     with _output_dir(os.path.dirname(os.path.abspath(out_path))):
-        reports = compare_methods(
-            config.model_spec,
-            config.grid,
-            config.arch,
-            config.train,
-            config.n_seeds,
-            n_samples=config.n_samples,
-            train_frac=config.train_frac,
-            val_frac=config.val_frac,
-            n_mc=config.n_mc,
-            base_seed=config.seed,
-            jobs=jobs,
-        )
+        reports = compare_methods(config, jobs)
     _atomic_via_tmp(out_path, lambda tmp: write_results_csv(reports, tmp))
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
     for method in METHOD_ORDER:

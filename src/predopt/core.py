@@ -28,6 +28,10 @@ class ValidationError(ValueError):
     """An input violated a documented precondition."""
 
 
+# Cost values within this fraction of max|values| of the minimum count as tied.
+TIE_TOLERANCE = 1e-12
+
+
 def _require_finite(name: str, value) -> float:
     """`value` as a float; a ValidationError naming `name` unless it is a finite real number."""
     try:
@@ -72,6 +76,15 @@ class ActionGrid:
     @property
     def width(self) -> float:
         return self.z_max - self.z_min
+
+    def best(self, values) -> tuple[float, float]:
+        """The smallest action whose value is within TIE_TOLERANCE * max|values|
+        of the minimum, and its value: ties break toward the smallest action,
+        however the sums behind `values` were rounded."""
+        values = np.asarray(values)
+        lo, hi = float(values.min()), float(values.max())
+        k = int((values <= lo + TIE_TOLERANCE * max(hi, -lo)).argmax())
+        return float(self.points[k]), float(values[k])
 
     def index_of(self, action: float) -> int:
         """Index of the grid point closest to `action`."""

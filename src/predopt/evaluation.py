@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
+from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, split_dataset
+from .core import ActionGrid, ValidationError, _require_finite, split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
@@ -25,6 +26,7 @@ from .problems import (
 from .training import TrainConfig, TrainingError, simpo_fit, two_stage_fit
 
 __all__ = [
+    "ExperimentConfig",
     "DecisionReport",
     "METHOD_ORDER",
     "evaluate_decision",
@@ -34,6 +36,29 @@ __all__ = [
 ]
 
 METHOD_ORDER = ("simpo", "two_stage", "oracle")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One experiment: the world, grid, split, model, training and evaluation settings, seed."""
+
+    model_spec: TrueModel
+    grid: ActionGrid
+    n_samples: int
+    train_frac: float
+    val_frac: float
+    arch: Architecture
+    train: TrainConfig
+    n_mc: int
+    n_seeds: int
+    seed: int
+
+    def __post_init__(self):
+        for name in ("train_frac", "val_frac"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+        for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -74,18 +99,17 @@ def evaluate_decision(
     0 and every other grid action gets regret >= 0. Regret within three MC
     standard errors of 0 is clamped to 0.
     """
-    base, eps = world_draws(model, n_mc, seed)
-    return _score(model, action, grid, base, eps, oracle_profile(model, grid, base, eps))
-
-
-def _score(model, action, grid, base, eps, values) -> tuple[float, float]:
-    """evaluate_decision's cost and regret, given the draws and their oracle profile."""
-    points = grid.points
-    if not np.any(np.isclose(points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
+    if not np.any(np.isclose(grid.points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
         raise ValidationError(f"action {action} is not a grid point")
+    base, eps = world_draws(model, n_mc, seed)
+    best_action, _ = grid.best(oracle_profile(model, grid, base, eps))
+    return _score(model, action, best_action, base, eps)
+
+
+def _score(model, action, best_action, base, eps) -> tuple[float, float]:
+    """evaluate_decision's cost and regret, given the draws and the oracle's action."""
     costs_at_action = cost_draws(model, float(action), base, eps)
-    k_best = int(np.argmin(values))
-    diffs = costs_at_action - cost_draws(model, float(points[k_best]), base, eps)
+    diffs = costs_at_action - cost_draws(model, best_action, base, eps)
     regret = float(diffs.mean())
     n_mc = len(eps)
     se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
@@ -94,13 +118,14 @@ def _score(model, action, grid, base, eps, values) -> tuple[float, float]:
     return float(costs_at_action.mean()), regret
 
 
-def _seed_setup(model, grid, config, run_seed, n_samples, train_frac, val_frac):
+def _seed_setup(config: ExperimentConfig, run_seed: int):
     """The per-seed recipe compare, train and evaluate share: the problem, the
-    (train, val, test) split, `config` with its derived seed and the MC seed."""
+    (train, val, test) split, the train config with its derived seed and the MC seed."""
     data_seed, split_seed, train_seed, mc_seed = derive_seeds(run_seed)
-    data = gen_dataset(model, n_samples, grid, data_seed)
-    splits = split_dataset(data, train_frac, val_frac, split_seed)
-    return problem_from_model(model, grid), splits, replace(config, seed=train_seed), mc_seed
+    model, grid = config.model_spec, config.grid
+    data = gen_dataset(model, config.n_samples, grid, data_seed)
+    splits = split_dataset(data, config.train_frac, config.val_frac, split_seed)
+    return problem_from_model(model, grid), splits, replace(config.train, seed=train_seed), mc_seed
 
 
 def _pred_mse(params, test) -> float:
@@ -113,35 +138,29 @@ def _failed_report(method: str, seed: int, problem_name: str, iters: int):
     return DecisionReport(method, seed, problem_name, nan, nan, nan, nan, iters)
 
 
-def _run_seed(args) -> list[DecisionReport]:
+def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     """One seed's worth of work: generate, split, fit both methods, then score
     both decisions and the oracle row from one set of world draws and one
-    oracle profile scan.
-
-    Takes a plain-data tuple so it can cross a process boundary.
-    """
-    (model, grid, arch, config, run_seed, n_samples, train_frac, val_frac, n_mc) = args
-    problem, (train, val, test), cfg, mc_seed = _seed_setup(
-        model, grid, config, run_seed, n_samples, train_frac, val_frac
-    )
+    oracle profile scan."""
+    model, grid = config.model_spec, config.grid
+    problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
 
     fits = []
     for method, fit in (("simpo", simpo_fit), ("two_stage", two_stage_fit)):
         try:
-            fits.append((method, fit(problem, train, val, arch, cfg)))
+            fits.append((method, fit(problem, train, val, config.arch, cfg)))
         except TrainingError as err:
             fits.append((method, err))
 
-    base, eps = world_draws(model, n_mc, mc_seed)
-    values = oracle_profile(model, grid, base, eps)
-    k_best = int(np.argmin(values))
+    base, eps = world_draws(model, config.n_mc, mc_seed)
+    best_action, best_value = grid.best(oracle_profile(model, grid, base, eps))
 
     reports = []
     for method, result in fits:
         if isinstance(result, TrainingError):
             reports.append(_failed_report(method, run_seed, problem.name, result.iteration))
             continue
-        cost, regret = _score(model, result.z_star, grid, base, eps, values)
+        cost, regret = _score(model, result.z_star, best_action, base, eps)
         reports.append(
             DecisionReport(
                 method=method,
@@ -159,8 +178,8 @@ def _run_seed(args) -> list[DecisionReport]:
             method="oracle",
             seed=run_seed,
             problem=problem.name,
-            chosen_action=float(grid.points[k_best]),
-            expected_cost=float(values[k_best]),
+            chosen_action=best_action,
+            expected_cost=best_value,
             regret=0.0,
             pred_mse=float("nan"),
             iters_run=0,
@@ -169,34 +188,21 @@ def _run_seed(args) -> list[DecisionReport]:
     return reports
 
 
-def compare_methods(
-    model: TrueModel,
-    grid: ActionGrid,
-    arch: Architecture,
-    config: TrainConfig,
-    n_seeds: int,
-    *,
-    n_samples: int,
-    train_frac: float,
-    val_frac: float,
-    n_mc: int,
-    base_seed: int = 0,
-    jobs: int = 1,
-) -> list[DecisionReport]:
-    """Run simpo and two_stage on identical splits for each seed and report
-    both against the oracle. Rows come back ordered by seed, then by method in
-    METHOD_ORDER, however many workers ran them: map keeps the seeds' order."""
-    if n_seeds < 1:
-        raise ValidationError(f"n_seeds must be >= 1, got {n_seeds}")
-    work = [
-        (model, grid, arch, config, base_seed + i, n_samples, train_frac, val_frac, n_mc)
-        for i in range(n_seeds)
-    ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_seed, work))
+def compare_methods(config: ExperimentConfig, jobs: int = 1) -> list[DecisionReport]:
+    """Run simpo and two_stage on identical splits for seeds config.seed to
+    config.seed + config.n_seeds - 1 and report both against the oracle. Rows
+    come back ordered by seed, then by method in METHOD_ORDER, however many
+    workers ran them: map keeps the seeds' order. Each seed gets at most one
+    worker process; with a single worker the seeds run in this process."""
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, config.n_seeds)
+    seeds = range(config.seed, config.seed + config.n_seeds)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_seed, repeat(config), seeds))
     else:
-        chunks = [_run_seed(w) for w in work]
+        chunks = map(_run_seed, repeat(config), seeds)
     return [r for chunk in chunks for r in chunk]
 
 

@@ -77,7 +77,7 @@ def model_profile(
 
 def argmin_profile(profile: CostProfile) -> float:
     """Grid action with the smallest cost; ties break toward the smallest action."""
-    return float(profile.grid.points[int(np.argmin(profile.values))])
+    return profile.grid.best(profile.values)[0]
 
 
 def action_distribution(profile: CostProfile, tau: float) -> np.ndarray:

@@ -281,6 +281,4 @@ def oracle_action(
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    values = oracle_profile(model, grid, *world_draws(model, n_mc, seed))
-    k_best = int(np.argmin(values))
-    return float(grid.points[k_best]), float(values[k_best])
+    return grid.best(oracle_profile(model, grid, *world_draws(model, n_mc, seed)))

@@ -170,7 +170,7 @@ def _fit(
             values, grad_at = _profile(arch, w, val.X, points, problem, buffers)
             _checked_profile(values, it)
             probs = _soft_min(values, wc.tau)
-            z_star_test = float(points[int(np.argmin(values))])
+            z_star_test = grid.best(values)[0]
             omega = omega_weight(probs, grid, z_star_train, wc.alpha)
             gamma = gamma_weight(z_star_train, z_star_test, wc.beta, grid)
         else:
@@ -209,11 +209,11 @@ def _fit(
             break
 
     values = _checked_profile(_profile(arch, w, val.X, points, problem, buffers)[0], len(history))
-    k_star = int(np.argmin(values))
+    z_star, g_star = grid.best(values)
     return TrainResult(
         params_star=PredictorParams(arch, w),
-        z_star=float(points[k_star]),
-        g_star=float(values[k_star]),
+        z_star=z_star,
+        g_star=g_star,
         iters_run=len(history),
         converged=len(history) < config.max_iters,
         history=tuple(history),

@@ -380,6 +380,16 @@ def test_compare_diverging_step_records_failed_fits(tmp_path):
             assert row[3:7] == ["nan"] * 4 and row[7] == "1"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_compare_rejects_jobs_below_1(config_path, tmp_path, capsys, jobs):
+    out = tmp_path / "results" / "r.csv"
+    argv = ["compare", "--config", str(config_path), "--out", str(out), "--jobs", jobs]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "jobs" in err
+    assert not (tmp_path / "results").exists()
+
+
 # --- evaluate -------------------------------------------------------------------
 
 

@@ -70,6 +70,26 @@ def _toy_dataset(n, d=3, seed=0):
     )
 
 
+@given(
+    minimum=st.floats(-1e6, 1e6, allow_nan=False),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_best_takes_the_first_action_of_a_flat_minimum(minimum, data):
+    # a minimum that is flat up to rounding: the stretch's values differ from
+    # each other by at most 8 ulps, and every other value sits clearly above
+    n = data.draw(st.integers(2, 60))
+    start = data.draw(st.integers(0, n - 1))
+    stop = data.draw(st.integers(start + 1, n))
+    scale = max(1.0, abs(minimum))
+    above = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    ulps = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    values = minimum + scale * np.array(above)
+    values[start:stop] = minimum + np.array(ulps[start:stop]) * np.spacing(minimum)
+    grid = make_grid(0.0, 1.0, n)
+    assert grid.best(values) == (grid.points[start], values[start])
+
+
 def test_split_sizes_floor():
     tr, va, te = split_dataset(_toy_dataset(10), 0.6, 0.2, seed=7)
     assert (len(tr), len(va), len(te)) == (6, 2, 2)

@@ -6,6 +6,7 @@ import pytest
 from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
     METHOD_ORDER,
+    ExperimentConfig,
     compare_methods,
     derive_seeds,
     evaluate_decision,
@@ -45,6 +46,19 @@ def _config(**overrides):
     )
     kwargs.update(overrides)
     return TrainConfig(**kwargs)
+
+
+def _experiment(model, train, **overrides):
+    kwargs = dict(
+        model_spec=model,
+        grid=GRID,
+        arch=Architecture("linear", 2),
+        train=train,
+        train_frac=0.6,
+        val_frac=0.2,
+    )
+    kwargs.update(overrides)
+    return ExperimentConfig(**kwargs)
 
 
 def test_derive_seeds_stable_and_distinct():
@@ -94,16 +108,7 @@ def test_evaluate_decision_rejects_off_grid_action():
 def test_compare_methods_row_count_and_order():
     model = _world()
     reports = compare_methods(
-        model,
-        GRID,
-        Architecture("linear", 2),
-        _config(),
-        n_seeds=1,
-        n_samples=120,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=2000,
-        base_seed=0,
+        _experiment(model, _config(), n_seeds=1, n_samples=120, n_mc=2000, seed=0)
     )
     assert [r.method for r in reports] == list(METHOD_ORDER)
     assert all(r.seed == 0 for r in reports)
@@ -113,16 +118,7 @@ def test_compare_methods_row_count_and_order():
 def test_compare_methods_oracle_rows_zero_regret():
     model = _world()
     reports = compare_methods(
-        model,
-        GRID,
-        Architecture("linear", 2),
-        _config(),
-        n_seeds=3,
-        n_samples=120,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=1500,
-        base_seed=5,
+        _experiment(model, _config(), n_seeds=3, n_samples=120, n_mc=1500, seed=5)
     )
     assert len(reports) == 9
     oracle_rows = [r for r in reports if r.method == "oracle"]
@@ -151,17 +147,9 @@ def test_evaluate_decision_rejects_zero_draws():
 
 def test_compare_methods_deterministic_csv(tmp_path):
     model = _world()
-    kwargs = dict(
-        n_seeds=2,
-        n_samples=100,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=1000,
-        base_seed=1,
-    )
-    arch = Architecture("linear", 2)
-    a = compare_methods(model, GRID, arch, _config(), **kwargs)
-    b = compare_methods(model, GRID, arch, _config(), **kwargs)
+    kwargs = dict(n_seeds=2, n_samples=100, n_mc=1000, seed=1)
+    a = compare_methods(_experiment(model, _config(), **kwargs))
+    b = compare_methods(_experiment(model, _config(), **kwargs))
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     write_results_csv(a, pa)
     write_results_csv(b, pb)
@@ -172,17 +160,9 @@ def test_compare_methods_deterministic_csv(tmp_path):
 
 def test_compare_methods_parallel_matches_serial(tmp_path):
     model = _world()
-    kwargs = dict(
-        n_seeds=3,
-        n_samples=90,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=800,
-        base_seed=2,
-    )
-    arch = Architecture("linear", 2)
-    serial = compare_methods(model, GRID, arch, _config(), jobs=1, **kwargs)
-    parallel = compare_methods(model, GRID, arch, _config(), jobs=3, **kwargs)
+    kwargs = dict(n_seeds=3, n_samples=90, n_mc=800, seed=2)
+    serial = compare_methods(_experiment(model, _config(), **kwargs), jobs=1)
+    parallel = compare_methods(_experiment(model, _config(), **kwargs), jobs=3)
     pa, pb = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     write_results_csv(serial, pa)
     write_results_csv(parallel, pb)
@@ -192,19 +172,42 @@ def test_compare_methods_parallel_matches_serial(tmp_path):
     assert [(r.seed, r.method) for r in parallel] == order
 
 
+def test_compare_methods_starts_at_most_one_worker_per_seed(monkeypatch):
+    import predopt.evaluation
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    experiment = _experiment(
+        _world(), _config(max_iters=5), n_seeds=2, n_samples=80, n_mc=500, seed=3
+    )
+    serial = compare_methods(experiment)
+    monkeypatch.setattr(predopt.evaluation, "ProcessPoolExecutor", SerialPool)
+    pooled = compare_methods(experiment, jobs=10**6)
+    assert started == [2]
+    assert list(map(repr, pooled)) == list(map(repr, serial))
+    for jobs in (0, -1):
+        with pytest.raises(ValidationError, match="jobs"):
+            compare_methods(experiment, jobs=jobs)
+    assert started == [2]
+
+
 def test_results_csv_float_format(tmp_path):
     model = _world()
     reports = compare_methods(
-        model,
-        GRID,
-        Architecture("linear", 2),
-        _config(max_iters=5),
-        n_seeds=1,
-        n_samples=80,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=500,
-        base_seed=3,
+        _experiment(model, _config(max_iters=5), n_seeds=1, n_samples=80, n_mc=500, seed=3)
     )
     path = tmp_path / "res.csv"
     write_results_csv(reports, path)
@@ -221,16 +224,14 @@ def test_fit_abort_recorded_as_failed_row_not_crash():
     model = _world()
     with np.errstate(over="ignore"):
         reports = compare_methods(
-            model,
-            GRID,
-            Architecture("linear", 2),
-            _config(learning_rate=1e9, max_iters=100, patience=100),
-            n_seeds=1,
-            n_samples=80,
-            train_frac=0.6,
-            val_frac=0.2,
-            n_mc=500,
-            base_seed=0,
+            _experiment(
+                model,
+                _config(learning_rate=1e9, max_iters=100, patience=100),
+                n_seeds=1,
+                n_samples=80,
+                n_mc=500,
+                seed=0,
+            )
         )
     assert [r.method for r in reports] == list(METHOD_ORDER)
     for r in reports:
@@ -246,16 +247,14 @@ def test_pred_mse_two_stage_not_worse_on_well_specified_world():
     # one in most seeds (harness consistency check)
     model = _world()
     reports = compare_methods(
-        model,
-        GRID,
-        Architecture("linear", 2),
-        _config(max_iters=400, learning_rate=5e-3),
-        n_seeds=10,
-        n_samples=300,
-        train_frac=0.6,
-        val_frac=0.2,
-        n_mc=500,
-        base_seed=7,
+        _experiment(
+            model,
+            _config(max_iters=400, learning_rate=5e-3),
+            n_seeds=10,
+            n_samples=300,
+            n_mc=500,
+            seed=7,
+        )
     )
     by_seed = {}
     for r in reports:

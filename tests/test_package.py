@@ -1,17 +1,21 @@
-"""The package namespace carries what the demos import, checked without
-running the (slow) demos, and every name in a module's __all__ resolves."""
+"""The package namespace carries what the demos import, every demo runs to
+completion, and every name in a module's __all__ resolves."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import predopt
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(predopt.__path__))
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def _package_imports(path):
@@ -30,6 +34,21 @@ def test_demo_imports_resolve(demo):
     assert names, f"{demo.name} imports nothing from predopt"
     missing = [name for name in names if not hasattr(predopt, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    # an absolute source path, since the demo runs in tmp_path (where it writes its files)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -6,7 +6,7 @@ import pytest
 
 from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid, split_dataset
-from predopt.evaluation import derive_seeds
+from predopt.evaluation import ExperimentConfig, _seed_setup, derive_seeds
 from predopt.objective import (
     CostProfile,
     action_distribution,
@@ -20,7 +20,6 @@ from predopt.predictor import (
     Architecture,
     PredictorParams,
     _grid_pass,
-    _task_grad_body,
     init_params,
     loss_and_grad,
     task_grad,
@@ -315,9 +314,7 @@ def test_history_csv_round_trip(tmp_path):
 # --- the fused loop against a loop built from the public functions ---------------
 
 
-def _reference_simpo(
-    problem, train, val, arch, config, model_profile=model_profile, task_grad=task_grad
-):
+def _reference_simpo(problem, train, val, arch, config):
     """simpo_fit written out with the public per-step functions, each iteration
     building its own profile and its own task gradient."""
     wc, grid = config.weight_config, problem.grid
@@ -402,25 +399,62 @@ def _dense_model_profile(params, X, grid, problem):
     return CostProfile(grid, G.mean(axis=0), "model")
 
 
-def _dense_task_grad(params, X, grid, probs, problem):
-    arch, w, points = params.architecture, params.weights, grid.points
-    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost)
-    return float(probs @ G.mean(axis=0)), _task_grad_body(arch, w, X, points, P, T, probs, problem)
+# the newsvendor_linear compare config of tests/test_golden.py
+GOLDEN_LINEAR = ExperimentConfig(
+    model_spec=_world(
+        intercept=10.0,
+        action_effect=0.9,
+        nonlinearity=-0.04,
+        feature_sd=1.0,
+        logging={"policy": "biased", "center": 5.0, "width": 5.0},
+    ),
+    grid=make_grid(0.0, 20.0, 101),
+    n_samples=500,
+    train_frac=0.6,
+    val_frac=0.2,
+    arch=Architecture("linear", 2),
+    train=TrainConfig(
+        weight_config=WeightConfig(alpha=2.0, beta=3.0, tau=10.0),
+        learning_rate=0.01,
+        max_iters=800,
+        tol=1e-9,
+        patience=60,
+    ),
+    n_mc=5000,
+    n_seeds=2,
+    seed=0,
+)
 
 
-def test_separable_fit_tracks_the_dense_reference_loop():
+def _default_world_run():
+    model = _world(nonlinearity=-0.04, action_effect=0.9)
+    train, val, _ = _splits(model, 300, seed=2)
+    cfg = _config(max_iters=40, patience=40)
+    return problem_from_model(model, GRID), train, val, Architecture("linear", 2), cfg
+
+
+def _golden_seed_1_run():
+    # all 800 iterations; at iteration 429 the profile's minimum sits on a
+    # stretch that is flat up to rounding, which the two paths round differently
+    problem, (train, val, _test), cfg, _ = _seed_setup(GOLDEN_LINEAR, 1)
+    return problem, train, val, GOLDEN_LINEAR.arch, cfg
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(_default_world_run, id="default-world"),
+        pytest.param(_golden_seed_1_run, id="golden-seed-1"),
+    ],
+)
+def test_separable_fit_tracks_the_dense_reference_loop(run):
     # the fit takes the newsvendor kernel for a linear model; the same loop on
     # the dense (m, K) grid pass must take the same decisions and reach the
     # same weights up to rounding
-    model = _world(nonlinearity=-0.04, action_effect=0.9)
-    problem = problem_from_model(model, GRID)
-    train, val, _ = _splits(model, 300, seed=2)
-    cfg = _config(max_iters=40, patience=40)
-    arch = Architecture("linear", 2)
+    problem, train, val, arch, cfg = run()
     res = simpo_fit(problem, train, val, arch, cfg)
-    params, history, z_star, g_star = _reference_simpo(
-        problem, train, val, arch, cfg, _dense_model_profile, _dense_task_grad
-    )
+    dense = replace(problem, separable_kernel=None)
+    params, history, z_star, g_star = _reference_simpo(dense, train, val, arch, cfg)
     assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
     assert res.z_star == z_star
     assert res.g_star == pytest.approx(g_star, rel=1e-9)
