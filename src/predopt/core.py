@@ -151,12 +151,14 @@ class Problem:
     gradients. The predictive loss is squared error for every problem.
 
     separable_kernel, when set, computes the same profile and task-gradient
-    sums for separable predictions P[j, k] = a[j] + c[k] (a linear model)
-    without forming the (m, K) matrices: separable_kernel(z, a, c) returns
-    (values, gradient_sums), where values[k] is the mean over j of
+    sums for separable outcomes P[j, k] = a[j] + c[k] without forming the
+    (m, K) matrices: separable_kernel(z, a, c) returns (values,
+    gradient_sums), where values[k] is the mean over j of
     task_cost(z[k], P[j, k]) and gradient_sums(probs) returns the row sums,
     column sums and total of C[j, k] = task_cost_grad_y(z[k], P[j, k]) *
-    probs[k] / m.
+    probs[k] / m. Both a linear model's predictions and the true outcomes of
+    a problems.TrueModel are separable, so linear fits take their profiles
+    and task gradients from it, and problems.oracle_profile its scan.
     """
 
     grid: ActionGrid

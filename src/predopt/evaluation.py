@@ -17,9 +17,9 @@ from .core import ActionGrid, ValidationError, _require_finite, split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
+    _oracle_cost_draws,
     cost_draws,
     gen_dataset,
-    oracle_profile,
     problem_from_model,
     world_draws,
 )
@@ -102,14 +102,15 @@ def evaluate_decision(
     if not np.any(np.isclose(grid.points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
         raise ValidationError(f"action {action} is not a grid point")
     base, eps = world_draws(model, n_mc, seed)
-    best_action, _ = grid.best(oracle_profile(model, grid, base, eps))
-    return _score(model, action, best_action, base, eps)
+    _, best_costs = _oracle_cost_draws(model, grid, base, eps)
+    return _score(model, action, best_costs, base, eps)
 
 
-def _score(model, action, best_action, base, eps) -> tuple[float, float]:
-    """evaluate_decision's cost and regret, given the draws and the oracle's action."""
+def _score(model, action, best_costs, base, eps) -> tuple[float, float]:
+    """evaluate_decision's cost and regret, given the draws and the oracle
+    action's per-draw costs under them."""
     costs_at_action = cost_draws(model, float(action), base, eps)
-    diffs = costs_at_action - cost_draws(model, best_action, base, eps)
+    diffs = costs_at_action - best_costs
     regret = float(diffs.mean())
     n_mc = len(eps)
     se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
@@ -140,8 +141,8 @@ def _failed_report(method: str, seed: int, problem_name: str, iters: int):
 
 def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     """One seed's worth of work: generate, split, fit both methods, then score
-    both decisions and the oracle row from one set of world draws and one
-    oracle profile scan."""
+    both decisions and the oracle row from one set of world draws, one oracle
+    profile scan and the oracle action's per-draw costs."""
     model, grid = config.model_spec, config.grid
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
 
@@ -153,14 +154,14 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
             fits.append((method, err))
 
     base, eps = world_draws(model, config.n_mc, mc_seed)
-    best_action, best_value = grid.best(oracle_profile(model, grid, base, eps))
+    best_action, best_costs = _oracle_cost_draws(model, grid, base, eps)
 
     reports = []
     for method, result in fits:
         if isinstance(result, TrainingError):
             reports.append(_failed_report(method, run_seed, problem.name, result.iteration))
             continue
-        cost, regret = _score(model, result.z_star, best_action, base, eps)
+        cost, regret = _score(model, result.z_star, best_costs, base, eps)
         reports.append(
             DecisionReport(
                 method=method,
@@ -179,7 +180,7 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
             seed=run_seed,
             problem=problem.name,
             chosen_action=best_action,
-            expected_cost=best_value,
+            expected_cost=float(best_costs.mean()),
             regret=0.0,
             pred_mse=float("nan"),
             iters_run=0,

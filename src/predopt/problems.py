@@ -11,8 +11,14 @@ from an explicit logging policy over the grid, because an action-conditioned
 predictor is only identifiable if logged actions vary.
 
 Oracles evaluate actions against the true process by Monte Carlo with common
-random numbers across grid actions, so profile comparisons are exact under a
-shared (seed, n_mc).
+random numbers across grid actions. Both costs are hinge functions of the
+outcome, and the true outcome (base + eps)[i] + m(z[k]) is separable in
+(draw, action) just as a linear model's prediction a[j] + c[k] is in (input,
+action). So one sorted prefix-sum kernel per cost (Problem.separable_kernel)
+gives a linear model's profile and the oracle profile alike, with no
+(inputs, actions) array and no loop over actions. The oracle scan only picks
+the oracle action; every reported oracle value is the mean of one dense
+cost_draws pass, exact under a shared (seed, n_mc).
 """
 
 from __future__ import annotations
@@ -166,6 +172,43 @@ def _newsvendor_separable(z, a, c, c_h: float, c_s: float):
     return values, gradient_sums
 
 
+def _pricing_separable(z, a, c, capacity: float):
+    """Pricing profile and task-gradient sums for predictions a[j] + c[k].
+
+    Sales clip(a[j] + c[k], 0, capacity) have two hinges in a[j], at
+    lo[k] = -c[k] and hi[k] = capacity - c[k]: inputs with a[j] <= lo[k] sell
+    nothing, those with a[j] >= hi[k] sell the capacity, and those between sell
+    a[j] + c[k]. So each action needs only the count and sum of the a[j]
+    between its hinges, and each input only the weight -z[k] * probs[k] of the
+    actions whose hinges bracket it. One sort of a, one argsort of lo,
+    searchsorted and prefix sums: O((m + K) log m), no (m, K) array. Ties
+    a[j] == lo[k] and a[j] == hi[k] are kinks: gradient 0, as in
+    pricing_cost_grad_y. See core.Problem.separable_kernel for what is returned.
+    """
+    m = a.shape[0]
+    lo, hi = -c, capacity - c
+    a_sorted = np.sort(a)
+    prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))  # prefix[i]: sum of the i smallest
+    n_upto_lo = np.searchsorted(a_sorted, lo, side="right")  # inputs with a[j] <= lo[k]
+    n_below_hi = np.searchsorted(a_sorted, hi, side="left")  # inputs with a[j] < hi[k]
+    n_between = n_below_hi - n_upto_lo
+    sales = prefix[n_below_hi] - prefix[n_upto_lo] + n_between * c + (m - n_below_hi) * capacity
+    values = -z * sales / m
+
+    def gradient_sums(probs):
+        weight = -z * probs
+        # hi = capacity - c rises with lo = -c, so one order sorts both
+        order = np.argsort(lo, kind="stable")
+        mass = np.concatenate(([0.0], np.cumsum(weight[order])))  # mass[i]: of the i smallest lo
+        mass_lo_below = mass[np.searchsorted(lo[order], a, side="left")]  # lo[k] < a[j]
+        mass_hi_upto = mass[np.searchsorted(hi[order], a, side="right")]  # hi[k] <= a[j]
+        row = (mass_lo_below - mass_hi_upto) / m
+        col = weight * n_between / m
+        return row, col, col.sum()
+
+    return values, gradient_sums
+
+
 def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
     return Problem(
         grid=grid,
@@ -182,6 +225,7 @@ def pricing_problem(grid: ActionGrid, capacity: float) -> Problem:
         task_cost=lambda z, y: pricing_cost(z, y, capacity),
         name="pricing",
         task_cost_grad_y=lambda z, y: pricing_cost_grad_y(z, y, capacity),
+        separable_kernel=lambda z, a, c: _pricing_separable(z, a, c, capacity),
     )
 
 
@@ -264,21 +308,33 @@ def oracle_profile(
 ) -> np.ndarray:
     """Mean cost of every grid action under the shared world draws (base, eps).
 
-    Common random numbers: each action sees the same draws, so per-action
-    values match oracle_expected_cost at the seed the draws came from.
+    The outcome of draw i at action z is (base + eps)[i] + mean_outcome(model,
+    0, z), separable like a linear model's prediction, so the problem's sorted
+    kernel scans every action at once. Its sums run in another order than
+    cost_draws(...).mean(), so values agree with oracle_expected_cost up to
+    rounding; they do not depend on the order of the draws.
     """
-    values = np.empty(grid.n_points)
-    for k, z in enumerate(grid.points):
-        values[k] = cost_draws(model, float(z), base, eps).mean()
-    return values
+    points = grid.points
+    kernel = problem_from_model(model, grid).separable_kernel
+    return kernel(points, base + eps, mean_outcome(model, 0.0, points))[0]
+
+
+def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, base: np.ndarray, eps: np.ndarray):
+    """The grid action with the smallest oracle_profile value under the world
+    draws (base, eps), and its per-draw costs, from which every reported
+    oracle value is taken."""
+    action = grid.best(oracle_profile(model, grid, base, eps))[0]
+    return action, cost_draws(model, action, base, eps)
 
 
 def oracle_action(
     model: TrueModel, grid: ActionGrid, n_mc: int, seed: int
 ) -> tuple[float, float]:
-    """Grid action with the smallest oracle_profile value, and that value.
+    """Grid action with the smallest oracle_profile value, and its
+    oracle_expected_cost at the same (n_mc, seed).
 
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    return grid.best(oracle_profile(model, grid, *world_draws(model, n_mc, seed)))
+    action, costs = _oracle_cost_draws(model, grid, *world_draws(model, n_mc, seed))
+    return action, float(costs.mean())

@@ -22,9 +22,12 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from predopt.cli import main
+from predopt.cli import load_config, main
+from predopt.evaluation import _seed_setup
+from predopt.training import simpo_fit, two_stage_fit
 
 NEWSVENDOR = {
     "seed": 0,
@@ -116,6 +119,27 @@ def test_compare_csv_matches_golden_hash(tmp_path, config, sha256):
     out = tmp_path / "results.csv"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("config", [p.values[0] for p in GOLDEN], ids=[p.id for p in GOLDEN])
+def test_decisions_do_not_depend_on_the_order_of_validation_rows(tmp_path, config):
+    # Reordering the validation rows reorders only the sums over them, and
+    # ActionGrid.best decides the same way however those sums were rounded.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    experiment = load_config(path)
+    for run_seed in range(experiment.seed, experiment.seed + experiment.n_seeds):
+        problem, (train, val, _test), cfg, _mc_seed = _seed_setup(experiment, run_seed)
+        shuffled = val.take(np.random.default_rng(run_seed).permutation(len(val)))
+        for fit in (simpo_fit, two_stage_fit):
+            want = fit(problem, train, val, experiment.arch, cfg)
+            got = fit(problem, train, shuffled, experiment.arch, cfg)
+            assert (got.z_star, got.iters_run) == (want.z_star, want.iters_run)
+            assert np.array_equal(
+                [r.z_star_test for r in got.history],
+                [r.z_star_test for r in want.history],
+                equal_nan=True,
+            )
 
 
 # Integer literals for float keys: the generate sidecar writes the keys TrueModel

@@ -11,14 +11,19 @@ from predopt.objective import model_profile
 from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_grad_body, task_grad
 from predopt.problems import (
     TrueModel,
+    cost_draws,
     gen_dataset,
+    mean_outcome,
     newsvendor_cost,
     newsvendor_cost_grad_y,
     newsvendor_problem,
     oracle_action,
     oracle_expected_cost,
+    oracle_profile,
     pricing_cost,
     pricing_cost_grad_y,
+    pricing_problem,
+    world_draws,
 )
 
 
@@ -236,14 +241,16 @@ def test_oracle_action_matches_pointwise_expected_cost():
     assert cost == oracle_expected_cost(m, action, n_mc=3000, seed=8)
 
 
-# --- the separable newsvendor kernel against the dense grid pass -------------------
+# --- the separable kernels against the dense grid pass ----------------------------
 #
-# For a linear model, newsvendor_problem's separable kernel computes the model
-# cost profile and the task-gradient sums without the (m, K) matrices. The
+# For a linear model, each problem's separable kernel computes the model cost
+# profile and the task-gradient sums without the (m, K) matrices. The
 # reference is the dense path: _grid_pass for the profile and _task_grad_body
 # for the gradient. The kernel sums in another order, so the two agree within
 # a tolerance fixed before the kernel was written; where the answer is exactly
-# 0, as on a kink, they agree bit for bit.
+# 0, as on a kink, they agree bit for bit. Pricing capacities are drawn both
+# below and above the predictions, so the cap binds for some inputs and not
+# for others.
 
 RTOL, ATOL = 1e-9, 1e-12
 
@@ -272,30 +279,40 @@ _W_Z = st.one_of(st.floats(-2.0, 0.99), st.just(1.0), st.floats(1.01, 3.0))
 
 
 @st.composite
-def _linear_newsvendor_cases(draw):
-    """A newsvendor problem, a linear model on it, validation inputs with
-    some duplicate rows, and action probabilities."""
-    c_h, c_s = draw(_COST), draw(_COST)
+def _problems(draw, grid, costs, capacities):
+    """A newsvendor problem with costs drawn from `costs`, or a pricing
+    problem with a capacity drawn from `capacities`."""
+    if draw(st.booleans()):
+        return pricing_problem(grid, draw(capacities))
+    c_h, c_s = draw(costs), draw(costs)
     assume(c_h + c_s > 0)
+    return newsvendor_problem(grid, c_h, c_s)
+
+
+@st.composite
+def _linear_cases(draw):
+    """A newsvendor or pricing problem, a linear model on it, validation
+    inputs with some duplicate rows, and action probabilities."""
     m, k, d = draw(st.integers(1, 60)), draw(st.integers(2, 80)), draw(st.integers(1, 3))
     z_min = draw(st.floats(-10.0, 10.0))
     grid = make_grid(z_min, z_min + draw(st.floats(1.0, 30.0)), k)
+    problem = draw(_problems(grid, _COST, st.floats(0.5, 60.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.normal(0.0, 1.5, size=(m, d))
     n_dup = draw(st.integers(0, m - 1))
     X[rng.integers(0, m, size=n_dup)] = X[rng.integers(0, m, size=n_dup)]
     # |w_x| >= 0.05 keeps the predictions continuous in the random inputs, so
-    # no prediction lands within rounding of an action; exact ties are the
+    # no prediction lands within rounding of a hinge; exact ties are the
     # dyadic test's job
     w_x = rng.uniform(0.05, 3.0, size=d) * rng.choice([-1.0, 1.0], size=d)
     w = np.concatenate([w_x, [draw(_W_Z), draw(st.floats(-10.0, 30.0))]])
     probs = rng.random(k) ** 3
     probs /= probs.sum()
     params = PredictorParams(Architecture("linear", d), w)
-    return newsvendor_problem(grid, c_h, c_s), params, X, probs
+    return problem, params, X, probs
 
 
-@given(case=_linear_newsvendor_cases())
+@given(case=_linear_cases())
 @settings(max_examples=300, deadline=None)
 def test_separable_kernel_matches_dense_grid_pass(case):
     problem, params, X, probs = case
@@ -312,15 +329,18 @@ def _eighths(lo, hi):
 
 @st.composite
 def _dyadic_cases(draw):
-    """Inputs, weights, grid and costs on multiples of 1/8: every prediction
-    and every t_k = z_k - w_z z_k is exact, so many predictions sit exactly on
-    an action (a kink) and both paths see the same ties."""
-    c_h, c_s = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])), draw(st.sampled_from([0.0, 1.0, 2.5]))
-    assume(c_h + c_s > 0)
+    """Inputs, weights, grid, costs and capacity on multiples of 1/8: every
+    prediction and every hinge (z_k - w_z z_k for newsvendor, -w_z z_k and
+    capacity - w_z z_k for pricing) is exact, so many predictions sit exactly
+    on a hinge (a kink: the action, or a sale of 0 or of the capacity) and
+    both paths see the same ties."""
     m, k, d = draw(st.integers(1, 40)), draw(st.integers(2, 41)), draw(st.integers(1, 2))
     step = draw(st.sampled_from([0.25, 0.5, 1.0]))
     z_min = draw(_eighths(-4, 4))
     grid = make_grid(z_min, z_min + step * (k - 1), k)
+    problem = draw(
+        _problems(grid, st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0]), _eighths(1, 12))
+    )
     X = np.array(draw(st.lists(_eighths(-4, 4), min_size=m * d, max_size=m * d))).reshape(m, d)
     w = np.array(
         draw(st.lists(_eighths(-2, 2), min_size=d, max_size=d))
@@ -330,7 +350,7 @@ def _dyadic_cases(draw):
     assume(probs.sum() > 0)
     probs /= probs.sum()
     params = PredictorParams(Architecture("linear", d), w)
-    return newsvendor_problem(grid, c_h, c_s), params, X, probs
+    return problem, params, X, probs
 
 
 @given(case=_dyadic_cases())
@@ -346,28 +366,96 @@ def test_separable_kernel_matches_dense_on_exact_ties(case):
 
 
 @given(
+    kind=st.sampled_from(["newsvendor", "pricing"]),
     w_z=st.sampled_from([0.0, 1.0]),
     m=st.integers(1, 30),
     k=st.integers(2, 30),
     seed=st.integers(0, 2**32 - 1),
     c_h=_COST,
     c_s=_COST,
+    on_capacity=st.booleans(),
 )
-@settings(max_examples=100, deadline=None)
-def test_separable_kernel_gradient_is_zero_on_kinks_bit_for_bit(w_z, m, k, seed, c_h, c_s):
-    # b = 0 and w_x = 0, so every prediction is w_z * z_k: with w_z = 1 it
+@settings(max_examples=200, deadline=None)
+def test_separable_kernel_gradient_is_zero_on_kinks_bit_for_bit(
+    kind, w_z, m, k, seed, c_h, c_s, on_capacity
+):
+    # w_x = 0, so every prediction is w_z * z_k + b, and all the probability
+    # sits on actions where that prediction is a kink, which makes the
+    # gradient exactly 0. Newsvendor (b = 0): with w_z = 1 the prediction
     # equals every action, with w_z = 0 it is 0, which equals the action
-    # z_0 = 0. All the probability on kink actions makes the gradient exactly 0.
-    assume(c_h + c_s > 0)
+    # z_0 = 0. Pricing, with the capacity on a grid action: with w_z = 0 every
+    # action sells exactly 0 (b = 0) or exactly the capacity (b = capacity);
+    # with w_z = 1 and b = 0, z_0 = 0 sells 0 and z = capacity sells the
+    # capacity.
     rng = np.random.default_rng(seed)
     grid = make_grid(0.0, float(k - 1), k)
     X = rng.normal(size=(m, 2))
-    params = PredictorParams(Architecture("linear", 2), np.array([0.0, 0.0, w_z, 0.0]))
-    probs = rng.random(k) if w_z == 1.0 else np.eye(k)[0]
+    if kind == "newsvendor":
+        assume(c_h + c_s > 0)
+        problem, b = newsvendor_problem(grid, c_h, c_s), 0.0
+        probs = rng.random(k) if w_z == 1.0 else np.eye(k)[0]
+    else:
+        capacity = float(rng.integers(1, k))
+        problem = pricing_problem(grid, capacity)
+        b = capacity if on_capacity and w_z == 0.0 else 0.0
+        kinks = [0, int(capacity)] if w_z == 1.0 else slice(None)
+        probs = np.zeros(k)
+        probs[kinks] = rng.random(k)[kinks]
+        assume(probs.sum() > 0)
     probs /= probs.sum()
-    problem = newsvendor_problem(grid, c_h, c_s)
+    params = PredictorParams(Architecture("linear", 2), np.array([0.0, 0.0, w_z, b]))
     values, task_loss, grad = _through_the_kernel(params, X, problem, probs)
     ref_values, ref_loss, ref_grad = _dense_reference(params, X, problem, probs)
     assert grad.tobytes() == ref_grad.tobytes() == np.zeros(4).tobytes()
     _assert_close(values, ref_values)
     _assert_close(task_loss, ref_loss)
+
+
+# --- the oracle scan against a dense loop over actions ---------------------------
+#
+# oracle_profile scans every action at once with the problem's separable
+# kernel. The reference is one cost_draws pass per action, the mean of each
+# in the order the draws came, within the kernel tolerance above.
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A world of either kind whose outcome is curved in the action
+    (nonlinearity != 0), a grid, and its world draws. Pricing capacities lie
+    inside the outcome range, so the capacity binds for some draws."""
+    kind = draw(st.sampled_from(["newsvendor", "pricing"]))
+    intercept = draw(st.floats(5.0, 15.0))
+    nonzero = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))
+    if kind == "pricing":
+        cost_params = {"capacity": draw(st.floats(1.0, intercept))}
+    else:
+        cost_params = {"c_h": draw(st.floats(0.1, 5.0)), "c_s": draw(st.floats(0.1, 5.0))}
+    model = TrueModel(
+        kind=kind,
+        base_weights=tuple(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))),
+        intercept=intercept,
+        action_effect=draw(nonzero),
+        nonlinearity=draw(nonzero) / 20.0,
+        noise_sd=draw(st.floats(0.1, 3.0)),
+        feature_sd=1.0,
+        cost_params=cost_params,
+    )
+    z_min = draw(st.floats(0.0, 5.0))
+    grid = make_grid(z_min, z_min + draw(st.floats(1.0, 10.0)), draw(st.integers(2, 61)))
+    base, eps = world_draws(model, draw(st.integers(1, 3000)), draw(st.integers(0, 2**32 - 1)))
+    if kind == "pricing":
+        outcomes = base + eps + mean_outcome(model, 0.0, grid.points)[:, None]
+        assume(np.any(outcomes > cost_params["capacity"]))
+    return model, grid, base, eps
+
+
+@given(case=_oracle_cases(), perm_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_oracle_profile_matches_a_dense_loop_over_actions(case, perm_seed):
+    model, grid, base, eps = case
+    values = oracle_profile(model, grid, base, eps)
+    dense = np.array([cost_draws(model, float(z), base, eps).mean() for z in grid.points])
+    _assert_close(values, dense)
+    assert grid.best(values)[0] == grid.best(dense)[0]
+    perm = np.random.default_rng(perm_seed).permutation(len(eps))
+    assert oracle_profile(model, grid, base[perm], eps[perm]).tobytes() == values.tobytes()

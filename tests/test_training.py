@@ -433,6 +433,17 @@ def _default_world_run():
     return problem_from_model(model, GRID), train, val, Architecture("linear", 2), cfg
 
 
+def _pricing_world_run():
+    # the capacity binds for the inputs with the highest predicted demand
+    model = _world(
+        kind="pricing", intercept=12.0, action_effect=-2.0, cost_params={"capacity": 10.0}
+    )
+    grid = make_grid(0.0, 6.0, 61)
+    train, val, _ = _splits(model, 300, seed=4, grid=grid)
+    cfg = _config(max_iters=200, patience=200)
+    return problem_from_model(model, grid), train, val, Architecture("linear", 2), cfg
+
+
 def _golden_seed_1_run():
     # all 800 iterations; at iteration 429 the profile's minimum sits on a
     # stretch that is flat up to rounding, which the two paths round differently
@@ -445,10 +456,11 @@ def _golden_seed_1_run():
     [
         pytest.param(_default_world_run, id="default-world"),
         pytest.param(_golden_seed_1_run, id="golden-seed-1"),
+        pytest.param(_pricing_world_run, id="pricing-world"),
     ],
 )
 def test_separable_fit_tracks_the_dense_reference_loop(run):
-    # the fit takes the newsvendor kernel for a linear model; the same loop on
+    # the fit takes the problem's kernel for a linear model; the same loop on
     # the dense (m, K) grid pass must take the same decisions and reach the
     # same weights up to rounding
     problem, train, val, arch, cfg = run()
@@ -503,12 +515,11 @@ PRICING = {"kind": "pricing", "cost_params": {"capacity": 50.0}}
     [
         pytest.param(two_stage_fit, MLP1, {}, 0, 1, id="two_stage_fit-0"),
         pytest.param(simpo_fit, MLP1, {}, 1, 1, id="simpo_fit-1"),
-        # a linear newsvendor fit takes the separable kernel throughout
+        # a linear fit takes the problem's separable kernel throughout
         pytest.param(two_stage_fit, LINEAR, {}, 0, 0, id="two_stage_fit-0-linear-newsvendor"),
         pytest.param(simpo_fit, LINEAR, {}, 0, 0, id="simpo_fit-0-linear-newsvendor"),
-        # pricing has no kernel: a linear fit takes the grid pass, like mlp1
-        pytest.param(two_stage_fit, LINEAR, PRICING, 0, 1, id="two_stage_fit-0-linear-pricing"),
-        pytest.param(simpo_fit, LINEAR, PRICING, 1, 1, id="simpo_fit-1-linear-pricing"),
+        pytest.param(two_stage_fit, LINEAR, PRICING, 0, 0, id="two_stage_fit-0-linear-pricing"),
+        pytest.param(simpo_fit, LINEAR, PRICING, 0, 0, id="simpo_fit-0-linear-pricing"),
     ],
 )
 def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, final_passes):
