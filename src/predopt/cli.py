@@ -2,8 +2,8 @@
 
 One JSON config fully determines an experiment. Parsing is strict: unknown
 keys are rejected by name (and line, when it can be located in the file).
-Exit codes: 0 success, 2 usage, config, checkpoint or file-system error, 3
-training abort.
+Exit codes: 0 success, 2 usage, config, checkpoint or file-system error or
+arrays too large to allocate, 3 training abort.
 All output files are written to a temporary name and atomically renamed.
 """
 
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(config, args.out, args.jobs)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError, OSError) as err:
+    except (ConfigError, ValidationError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TrainingError as err:

@@ -7,7 +7,7 @@ read-only so instances can be shared across concurrent experiment runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,18 +56,22 @@ class ActionGrid:
     z_min: float
     z_max: float
     n_points: int
-    points: np.ndarray
+    points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not self.z_min < self.z_max:
+        z_min, z_max, n_points = float(self.z_min), float(self.z_max), self.n_points
+        # a finite width also rules out a non-finite end
+        if not (z_min < z_max and math.isfinite(z_max - z_min)):
             raise ValidationError(
-                f"grid needs z_min < z_max, got z_min={self.z_min}, z_max={self.z_max}"
+                "grid needs z_min < z_max and a finite width z_max - z_min, "
+                f"got z_min={z_min}, z_max={z_max}"
             )
-        if self.n_points < 2:
-            raise ValidationError(f"grid needs n_points >= 2, got {self.n_points}")
-        if len(self.points) != self.n_points:
-            raise ValidationError("points length does not match n_points")
-        object.__setattr__(self, "points", _frozen_array(self.points))
+        if int(n_points) != n_points or n_points < 2:
+            raise ValidationError(f"grid needs an integer n_points >= 2, got {n_points}")
+        object.__setattr__(self, "z_min", z_min)
+        object.__setattr__(self, "z_max", z_max)
+        object.__setattr__(self, "n_points", int(n_points))
+        object.__setattr__(self, "points", _frozen_array(np.linspace(z_min, z_max, self.n_points)))
 
     @property
     def step(self) -> float:
@@ -93,14 +97,7 @@ class ActionGrid:
 
 def make_grid(z_min: float, z_max: float, n_points: int) -> ActionGrid:
     """Build an evenly spaced action grid with exact endpoints."""
-    if not np.isfinite(z_min) or not np.isfinite(z_max) or z_min >= z_max:
-        raise ValidationError(
-            f"grid needs finite z_min < z_max, got z_min={z_min}, z_max={z_max}"
-        )
-    if int(n_points) != n_points or n_points < 2:
-        raise ValidationError(f"grid needs an integer n_points >= 2, got {n_points}")
-    points = np.linspace(z_min, z_max, int(n_points))
-    return ActionGrid(float(z_min), float(z_max), int(n_points), points)
+    return ActionGrid(z_min, z_max, n_points)
 
 
 @dataclass(frozen=True)
@@ -163,13 +160,9 @@ class Problem:
 
     grid: ActionGrid
     task_cost: Callable
+    task_cost_grad_y: Callable
     name: str = "problem"
-    task_cost_grad_y: Callable = None
     separable_kernel: Callable = None
-
-    def __post_init__(self):
-        if self.task_cost_grad_y is None:
-            raise ValidationError("Problem requires task_cost_grad_y (0 at kinks)")
 
 
 @dataclass(frozen=True)

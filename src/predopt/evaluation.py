@@ -55,7 +55,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("train_frac", "val_frac"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
+            value = _require_finite(name, getattr(self, name))
+            if not value > 0:
+                raise ValidationError(f"{name} must be > 0, got {value}")
+            object.__setattr__(self, name, value)
+        if self.train_frac + self.val_frac >= 1:
+            raise ValidationError(
+                f"train_frac + val_frac must be < 1, got {self.train_frac + self.val_frac}"
+            )
         for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")

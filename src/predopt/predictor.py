@@ -206,14 +206,11 @@ def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
     # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
     c = weights * (2.0 * diff) / n
 
+    if arch.kind == "linear":
+        return loss, _linear_task_grad(w, X, Z, c, c, c.sum())
+
     grad = np.empty_like(w)
     d = arch.feature_dim
-    if arch.kind == "linear":
-        grad[:d] = X.T @ c
-        grad[d] = c @ Z
-        grad[d + 1] = c.sum()
-        return loss, grad
-
     W1, b1, w2, _ = _unpack_mlp1(arch, w)
     h = arch.hidden_units
     U = np.column_stack([X, Z])
@@ -285,7 +282,8 @@ def _fit_buffers(arch: Architecture, m: int, n_points: int, with_task_grad: bool
 
 def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
     """Linear-model task gradient from the row sums, column sums and total of
-    the (m, K) coefficient matrix C[j, k] = p_k * dg/dy(z_k, P[j, k]) / m."""
+    the (m, K) coefficient matrix C[j, k] = p_k * dg/dy(z_k, P[j, k]) / m;
+    with the batch's actions as points and row = col = c, the predictive-loss gradient."""
     d = X.shape[1]
     grad = np.empty_like(w)
     grad[:d] = X.T @ row

@@ -120,20 +120,11 @@ def check_termination(history, config: TrainConfig) -> bool:
     return True
 
 
-def _batch_indices(rng: np.random.Generator, n: int, batch_size: int) -> np.ndarray:
-    if batch_size == 0 or batch_size >= n:
-        return np.arange(n)
-    return rng.choice(n, size=batch_size, replace=False)
-
-
-def _checked_profile(values: np.ndarray, it: int) -> np.ndarray:
-    """The model cost profile, unless it is non-finite: that aborts the fit."""
-    if not np.all(np.isfinite(values)):
-        raise TrainingError(
-            f"non-finite model cost profile at iteration {it}; reduce the learning rate",
-            iteration=it,
-        )
-    return values
+def _abort(what: str, it: int, detail: str = ""):
+    """Abort the fit at iteration `it` on a non-finite `what`."""
+    raise TrainingError(
+        f"non-finite {what} at iteration {it}{detail}; reduce the learning rate", iteration=it
+    )
 
 
 def _fit(
@@ -144,8 +135,6 @@ def _fit(
     config: TrainConfig,
     use_joint_weights: bool,
 ) -> TrainResult:
-    if len(train) == 0 or len(val) == 0:
-        raise ValidationError("train and val splits must be non-empty")
     wc: WeightConfig = config.weight_config
     grid = problem.grid
     points = grid.points
@@ -157,18 +146,22 @@ def _fit(
     # Batch sampling gets its own stream so it never aliases the init draws.
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     history = []
-    ones = np.ones(len(train))
+    full_batch = (train.X, train.z_obs, train.y)
 
     task_enabled = use_joint_weights and wc.task_term_enabled
     buffers = _fit_buffers(arch, len(val), grid.n_points, task_enabled)
 
     while True:
         it = len(history) + 1
-        idx = _batch_indices(batch_rng, len(train), config.batch_size)
+        batch = full_batch
+        if 0 < config.batch_size < len(train):
+            idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
+            batch = tuple(column[idx] for column in full_batch)
 
         if use_joint_weights:
             values, grad_at = _profile(arch, w, val.X, points, problem, buffers)
-            _checked_profile(values, it)
+            if not np.all(np.isfinite(values)):
+                _abort("model cost profile", it)
             probs = _soft_min(values, wc.tau)
             z_star_test = grid.best(values)[0]
             omega = omega_weight(probs, grid, z_star_train, wc.alpha)
@@ -176,9 +169,7 @@ def _fit(
         else:
             omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
-        pred_loss, pred_grad = _loss_and_grad(
-            arch, w, train.X[idx], train.z_obs[idx], train.y[idx], ones[idx]
-        )
+        pred_loss, pred_grad = _loss_and_grad(arch, w, *batch, 1.0)  # unit sample weights
         if task_enabled:
             task_loss = float(probs @ values)
             total_grad = omega * pred_grad + gamma * grad_at(probs)
@@ -192,23 +183,18 @@ def _fit(
             or not np.isfinite(task_loss)
             or not np.all(np.isfinite(total_grad))
         ):
-            raise TrainingError(
-                f"non-finite loss or gradient at iteration {it} "
-                f"(pred={pred_loss!r}, task={task_loss!r}); reduce the learning rate",
-                iteration=it,
-            )
+            _abort("loss or gradient", it, f" (pred={pred_loss!r}, task={task_loss!r})")
         total = pred_loss * omega + task_loss * gamma
         history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
         w = w - config.learning_rate * total_grad
         if not np.all(np.isfinite(w)):
-            raise TrainingError(
-                f"non-finite weights after the step at iteration {it}; reduce the learning rate",
-                iteration=it,
-            )
+            _abort("weights after the step", it)
         if check_termination(history, config):
             break
 
-    values = _checked_profile(_profile(arch, w, val.X, points, problem, buffers)[0], len(history))
+    values = _profile(arch, w, val.X, points, problem, buffers)[0]
+    if not np.all(np.isfinite(values)):
+        _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)
     return TrainResult(
         params_star=PredictorParams(arch, w),

@@ -161,6 +161,9 @@ BAD_VALUES = [
     pytest.param("problem.n_samples", 10**400, id="problem.n_samples-huge-int"),
     pytest.param("eval.n_mc", 10**400, id="eval.n_mc-huge-int"),
     pytest.param("train.max_iters", 2**31, id="train.max_iters-2**31"),
+    pytest.param("problem.train_frac", -1, id="problem.train_frac-negative"),
+    pytest.param("problem.val_frac", 0, id="problem.val_frac-zero"),
+    pytest.param("problem.val_frac", 0.5, id="problem.val_frac-sum-1"),
 ]
 
 
@@ -363,6 +366,24 @@ def test_train_diverging_step_exits_3(tmp_path, capsys):
     assert rc == 3
     assert "non-finite weights after the step at iteration 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_out_of_memory_exits_2_and_leaves_nothing(
+    config_path, tmp_path, capsys, monkeypatch, command
+):
+    # a config whose arrays cannot be allocated; never allocate them for real
+    import predopt.training
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 80.0 GiB")
+
+    monkeypatch.setattr(predopt.training, "init_params", no_memory)
+    out = tmp_path / "new" / "out"
+    extra = ["--method", "simpo"] if command == "train" else []
+    assert main([command, "--config", str(config_path), "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "new").exists()
 
 
 def test_compare_diverging_step_records_failed_fits(tmp_path):

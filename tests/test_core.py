@@ -33,9 +33,11 @@ def test_make_grid_negative_range():
     assert np.array_equal(g.points, [-5.0, -2.5, 0.0, 2.5, 5.0])
 
 
-@pytest.mark.parametrize("bad", [(1, 1, 5), (2, 1, 5), (0, 1, 1), (0, 1, 0)])
+@pytest.mark.parametrize(
+    "bad", [(1, 1, 5), (2, 1, 5), (0, 1, 1), (0, 1, 0), (-1e308, 1e308, 5)]
+)
 def test_make_grid_rejects_bad_inputs(bad):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="z_min|n_points"):
         make_grid(*bad)
 
 

@@ -535,3 +535,104 @@ def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, fin
     res = fit(problem, train, val, arch, cfg)
     assert res.iters_run == n
     assert len(calls) == passes_per_iter * n + final_passes
+
+
+def test_linear_two_stage_fit_matches_closed_form_least_squares():
+    # the stop rule watches F, so the weights sit about sqrt(tol) from the
+    # least-squares optimum, not at machine precision
+    grid = make_grid(-1.0, 1.0, 21)
+    model = _world(intercept=1.0, action_effect=0.5, feature_sd=1.0)
+    train, val, _ = _splits(model, 500, seed=0, grid=grid)
+    cfg = _config(learning_rate=0.3, tol=1e-13, patience=10, max_iters=5000)
+    res = two_stage_fit(problem_from_model(model, grid), train, val, LINEAR, cfg)
+    assert res.converged and res.iters_run < cfg.max_iters
+    design = np.column_stack([train.X, train.z_obs, np.ones(len(train))])
+    coef, *_ = np.linalg.lstsq(design, train.y, rcond=None)
+    np.testing.assert_allclose(res.params_star.weights, coef, rtol=1e-6, atol=0)
+
+
+# --- aborts and the batch path ----------------------------------------------------
+
+
+def _poison_on_call(monkeypatch, name, call, poison):
+    """Replace predopt.training.<name> with a wrapper whose `call`-th result
+    is poison(result)."""
+    import predopt.training
+
+    real = getattr(predopt.training, name)
+    calls = []
+
+    def wrapper(*args):
+        calls.append(1)
+        out = real(*args)
+        return poison(out) if len(calls) == call else out
+
+    monkeypatch.setattr(predopt.training, name, wrapper)
+
+
+def _nan_profile(out):
+    values, grad_at = out
+    return np.full_like(values, np.nan), grad_at
+
+
+ABORT_SITES = [
+    pytest.param(
+        simpo_fit, "_profile", 3, _nan_profile, {},
+        "non-finite model cost profile at iteration 3; reduce the learning rate", 3,
+        id="iteration-profile",
+    ),
+    pytest.param(
+        two_stage_fit, "_profile", 1, _nan_profile, {},
+        "non-finite model cost profile at iteration 7; reduce the learning rate", 7,
+        id="final-profile",
+    ),
+    pytest.param(
+        two_stage_fit, "_loss_and_grad", 2, lambda out: (float("nan"), out[1]), {},
+        "non-finite loss or gradient at iteration 2 (pred=nan, task=0.0); "
+        "reduce the learning rate", 2,
+        id="loss-or-gradient",
+    ),
+    pytest.param(
+        two_stage_fit, "_loss_and_grad", 4, lambda out: (out[0], np.full_like(out[1], 1e308)),
+        {"learning_rate": 10.0},
+        "non-finite weights after the step at iteration 4; reduce the learning rate", 4,
+        id="weights-after-step",
+    ),
+]
+
+
+@pytest.mark.parametrize("fit, name, call, poison, overrides, message, iteration", ABORT_SITES)
+def test_every_abort_site_names_its_iteration(
+    monkeypatch, fit, name, call, poison, overrides, message, iteration
+):
+    model = _world()
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 200, seed=0)
+    cfg = _config(**{"max_iters": 7, "patience": 7, **overrides})
+    _poison_on_call(monkeypatch, name, call, poison)
+    with pytest.raises(TrainingError) as err, np.errstate(over="ignore"):
+        fit(problem, train, val, LINEAR, cfg)
+    assert str(err.value) == message
+    assert err.value.iteration == iteration
+
+
+@pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit])
+@pytest.mark.parametrize("arch", [LINEAR, MLP1], ids=["linear", "mlp1"])
+def test_full_batch_fit_steps_on_the_split_itself(monkeypatch, fit, arch):
+    import predopt.training
+
+    real = predopt.training._loss_and_grad
+    batches = []
+
+    def spy(*args):  # (arch, w, X, Z, Y, weights)
+        batches.append(args[2:5])
+        return real(*args)
+
+    monkeypatch.setattr(predopt.training, "_loss_and_grad", spy)
+    model = _world()
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 200, seed=0)
+    fit(problem, train, val, arch, _config(max_iters=3, patience=3))
+    assert len(batches) == 3
+    for X, Z, Y in batches:
+        assert X is train.X and Z is train.z_obs and Y is train.y
