@@ -191,6 +191,14 @@ class WeightConfig:
             raise ValidationError(f"tau must be > 0, got {self.tau}")
 
 
+def _split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:
+    """(train, val, test) sizes for n samples: floor(n * frac) for train and
+    val, the remainder to test."""
+    n_train = int(np.floor(n * train_frac))
+    n_val = int(np.floor(n * val_frac))
+    return n_train, n_val, n - n_train - n_val
+
+
 def split_dataset(
     data: Dataset, train_frac: float, val_frac: float, seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
@@ -208,9 +216,7 @@ def split_dataset(
             f"train_frac + val_frac must be < 1, got {train_frac + val_frac}"
         )
     n = len(data)
-    n_train = int(np.floor(n * train_frac))
-    n_val = int(np.floor(n * val_frac))
-    n_test = n - n_train - n_val
+    n_train, n_val, n_test = _split_sizes(n, train_frac, val_frac)
     if n_train < 1 or n_val < 1 or n_test < 1:
         raise ValidationError(
             f"split of {n} samples gives sizes ({n_train}, {n_val}, {n_test}); "

@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _require_finite, split_dataset
+from .core import ActionGrid, ValidationError, _require_finite, _split_sizes, split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
@@ -66,6 +66,12 @@ class ExperimentConfig:
         for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        sizes = _split_sizes(self.n_samples, self.train_frac, self.val_frac)
+        if min(sizes) < 1:
+            raise ValidationError(
+                f"n_samples {self.n_samples} with train_frac {self.train_frac} and val_frac "
+                f"{self.val_frac} gives split sizes {sizes}; every split must be non-empty"
+            )
 
 
 @dataclass(frozen=True)

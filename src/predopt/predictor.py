@@ -8,7 +8,12 @@ and finite-difference checks all see one layout:
     mlp1:   [W1 ((d+1) x h, row-major by hidden unit), b1 (h), w2 (h), b2]
 
 For mlp1 the input is u = [x; z] and the forward pass is
-w2 . tanh(W1 u + b1) + b2.
+w2 . tanh(W1 u + b1) + b2. Over the grid, the tanh activations form one
+(m, K, h) tensor T for m inputs, K actions and h hidden units; an mlp1 fit
+allocates it once and every grid pass writes into it. The task gradient
+backpropagates through T with two batched matmuls: C @ T for the w2 term,
+then, with T overwritten in place by 1 - T*T, [C, C*z] @ (1 - T*T) for every
+W1 and b1 term, where C is the (m, K) matrix of cost derivatives.
 """
 
 from __future__ import annotations
@@ -154,9 +159,8 @@ def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None, out
         d, h = arch.feature_dim, arch.hidden_units
         if out is None:
             out = np.empty((X.shape[0], points.shape[0], h))
-        # A[j, k, i] = x_j . W1[i, :d] + z_k * W1[i, d] + b1[i], then T = tanh(A)
-        np.add((X @ W1[:, :d].T)[:, None, :], np.outer(points, W1[:, d])[None, :, :], out=out)
-        np.add(out, b1, out=out)
+        # A[j, k, i] = (x_j . W1[i, :d] + b1[i]) + z_k * W1[i, d], then T = tanh(A)
+        np.add((X @ W1[:, :d].T + b1)[:, None, :], np.outer(points, W1[:, d])[None, :, :], out=out)
         T = np.tanh(out, out=out)
         P = T @ w2 + b2
     G = None if task_cost is None else task_cost(points[None, :], P)
@@ -251,33 +255,32 @@ def task_grad(
     return float(probs @ values), grad_at(probs)
 
 
-def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buffers=(None, None)):
+def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buffer=None):
     """The model cost profile at weights w, and its task gradient.
 
     Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
     and grad_at(probs) is the flat gradient of probs @ values with probs held
     fixed. A linear model on a problem with a separable kernel takes the
     kernel, P[j, k] = a[j] + c[k], and never forms the (m, K) matrices;
-    everything else takes one grid pass. `buffers` comes from _fit_buffers.
+    everything else takes one grid pass. `buffer` comes from _fit_buffers.
+    Call grad_at at most once per _profile call: for mlp1 it overwrites the
+    activations it backpropagates through.
     """
     if arch.kind == "linear" and problem.separable_kernel is not None:
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(points, X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
-    T_out, work = buffers
-    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost, out=T_out)
-    return G.mean(axis=0), lambda probs: _task_grad_body(
-        arch, w, X, points, P, T, probs, problem, work
-    )
+    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost, out=buffer)
+    return G.mean(axis=0), lambda probs: _task_grad_body(arch, w, X, points, P, T, probs, problem)
 
 
-def _fit_buffers(arch: Architecture, m: int, n_points: int, with_task_grad: bool):
-    """The (m, K, h) arrays an mlp1 fit reuses in every _profile call: the
-    activations and, when it takes task gradients, two work arrays."""
+def _fit_buffers(arch: Architecture, m: int, n_points: int):
+    """The one (m, K, h) array an mlp1 fit reuses in every _profile call: each
+    grid pass writes the activations into it, and each task gradient then
+    overwrites them with 1 - T*T. None for a linear model."""
     if arch.kind != "mlp1":
-        return None, None
-    shape = (m, n_points, arch.hidden_units)
-    return np.empty(shape), ((np.empty(shape), np.empty(shape)) if with_task_grad else None)
+        return None
+    return np.empty((m, n_points, arch.hidden_units))
 
 
 def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
@@ -292,12 +295,11 @@ def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
     return grad
 
 
-def _task_grad_body(
-    arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem, work=None
-):
+def _task_grad_body(arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem):
     """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w.
 
-    For mlp1, `work` is an optional pair of (m, K, h) arrays to compute in.
+    For mlp1 the sums over actions are batched matmuls over T, which this
+    overwrites in place with 1 - T*T.
     """
     m = X.shape[0]
     C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
@@ -308,18 +310,16 @@ def _task_grad_body(
     d = arch.feature_dim
     _, _, w2, _ = _unpack_mlp1(arch, w)
     h = arch.hidden_units
-    U, V = work if work is not None else (np.empty_like(T), np.empty_like(T))
-    # S = C[:, :, None] * w2 * (1 - T * T), backprop through tanh, (m, K, h)
-    np.multiply(C[:, :, None], w2, out=U)
-    np.multiply(T, T, out=V)
-    np.subtract(1.0, V, out=V)
-    S = np.multiply(U, V, out=U)
-    gW1 = np.empty((h, d + 1))
-    gW1[:, :d] = np.einsum("jkh,jd->hd", S, X)
-    gW1[:, d] = np.einsum("jkh,k->h", S, points)
-    grad[: (d + 1) * h] = gW1.ravel()
-    grad[(d + 1) * h : (d + 1) * h + h] = S.sum(axis=(0, 1))
-    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = np.einsum("jkh,jk->h", T, C)
+    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = np.matmul(C[:, None, :], T).sum(axis=(0, 1))
+    # backprop through tanh: D = 1 - T*T, formed explicitly because
+    # sum C - sum C*T*T cancels where |tanh| is near 1
+    D = np.subtract(1.0, np.multiply(T, T, out=T), out=T)
+    # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by z_k
+    M = np.matmul(np.stack([C, C * points], axis=1), D)  # (m, 2, h)
+    gW1 = grad[: (d + 1) * h].reshape(h, d + 1)  # a view: rows are hidden units
+    gW1[:, :d] = w2[:, None] * (M[:, 0].T @ X)
+    gW1[:, d] = w2 * M[:, 1].sum(axis=0)
+    grad[(d + 1) * h : (d + 1) * h + h] = w2 * M[:, 0].sum(axis=0)
     grad[-1] = C.sum()
     return grad
 

@@ -149,7 +149,7 @@ def _fit(
     full_batch = (train.X, train.z_obs, train.y)
 
     task_enabled = use_joint_weights and wc.task_term_enabled
-    buffers = _fit_buffers(arch, len(val), grid.n_points, task_enabled)
+    buffer = _fit_buffers(arch, len(val), grid.n_points)
 
     while True:
         it = len(history) + 1
@@ -159,7 +159,7 @@ def _fit(
             batch = tuple(column[idx] for column in full_batch)
 
         if use_joint_weights:
-            values, grad_at = _profile(arch, w, val.X, points, problem, buffers)
+            values, grad_at = _profile(arch, w, val.X, points, problem, buffer)
             if not np.all(np.isfinite(values)):
                 _abort("model cost profile", it)
             probs = _soft_min(values, wc.tau)
@@ -192,7 +192,7 @@ def _fit(
         if check_termination(history, config):
             break
 
-    values = _profile(arch, w, val.X, points, problem, buffers)[0]
+    values = _profile(arch, w, val.X, points, problem, buffer)[0]
     if not np.all(np.isfinite(values)):
         _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)

@@ -193,6 +193,22 @@ def test_negative_seed_flag_exits_2(config_path, tmp_path, capsys, command):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "evaluate", "compare"])
+def test_empty_split_exits_2_at_load(tmp_path, capsys, command):
+    # 4 samples split 0.6 / 0.2 give sizes (2, 0, 2): every command rejects
+    # the config when it loads, generate included, and names the split keys
+    blob = copy.deepcopy(SMALL_CONFIG)
+    blob["problem"]["n_samples"] = 4
+    path = _write(tmp_path, blob)
+    extra = {"train": ["--method", "simpo"], "evaluate": ["--checkpoint", str(tmp_path / "c.json")]}
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", str(path), "--out", str(out)] + extra.get(command, [])) == 2
+    err = capsys.readouterr().err
+    assert all(key in err for key in ("n_samples", "train_frac", "val_frac")), err
+    assert "(2, 0, 2)" in err
+    assert not (tmp_path / "new").exists()
+
+
 # Every leaf of SMALL_CONFIG takes each of these values in turn.
 FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308, 10**400]
 

@@ -8,6 +8,12 @@ from predopt.objective import action_distribution, model_profile
 from predopt.predictor import (
     Architecture,
     PredictorParams,
+    _fit_buffers,
+    _grid_pass,
+    _linear_task_grad,
+    _profile,
+    _task_grad_body,
+    _unpack_mlp1,
     init_params,
     load_checkpoint,
     loss_and_grad,
@@ -303,6 +309,88 @@ def test_task_grad_matches_finite_differences(arch, problem, kink_gap):
         checked += 1
         nonzero += bool(np.any(analytic != 0.0))
     assert nonzero >= 10
+
+
+# --- the mlp1 task gradient against the einsum reference ---------------------------
+
+
+def _einsum_task_grad_body(
+    arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem, work=None
+):
+    """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w.
+
+    For mlp1, `work` is an optional pair of (m, K, h) arrays to compute in.
+    """
+    m = X.shape[0]
+    C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
+    if arch.kind == "linear":
+        return _linear_task_grad(w, X, points, C.sum(axis=1), C.sum(axis=0), C.sum())
+
+    grad = np.empty_like(w)
+    d = arch.feature_dim
+    _, _, w2, _ = _unpack_mlp1(arch, w)
+    h = arch.hidden_units
+    U, V = work if work is not None else (np.empty_like(T), np.empty_like(T))
+    # S = C[:, :, None] * w2 * (1 - T * T), backprop through tanh, (m, K, h)
+    np.multiply(C[:, :, None], w2, out=U)
+    np.multiply(T, T, out=V)
+    np.subtract(1.0, V, out=V)
+    S = np.multiply(U, V, out=U)
+    gW1 = np.empty((h, d + 1))
+    gW1[:, :d] = np.einsum("jkh,jd->hd", S, X)
+    gW1[:, d] = np.einsum("jkh,k->h", S, points)
+    grad[: (d + 1) * h] = gW1.ravel()
+    grad[(d + 1) * h : (d + 1) * h + h] = S.sum(axis=(0, 1))
+    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = np.einsum("jkh,jk->h", T, C)
+    grad[-1] = C.sum()
+    return grad
+
+
+MLP38 = Architecture("mlp1", feature_dim=3, hidden_units=8)
+
+
+# The einsum body above is the elementwise backprop S = C * w2 * (1 - T*T)
+# reduced three times; the package reduces over actions with batched matmuls.
+# Both form 1 - T*T elementwise, so where |tanh| is near 1 they differ only by
+# summation order. The saturated case scales the hidden weights until most
+# |tanh| > 0.995, where sum C - sum C*T*T loses most of its digits.
+@pytest.mark.parametrize("problem", [NEWSVENDOR, PRICING], ids=["newsvendor", "pricing"])
+@pytest.mark.parametrize("hidden_scale", [0.7, 30.0], ids=["moderate", "saturated"])
+def test_mlp1_task_grad_body_matches_einsum_reference(problem, hidden_scale):
+    rng = np.random.default_rng(11)
+    arch, points = MLP38, GRID.points
+    d, h = arch.feature_dim, arch.hidden_units
+    for _ in range(5):
+        w = rng.normal(scale=0.7, size=arch.n_weights)
+        w[: (d + 1) * h + h] *= hidden_scale / 0.7  # W1 and b1
+        X = rng.normal(size=(30, d))
+        probs = rng.dirichlet(np.ones(GRID.n_points))
+        P, _, T = _grid_pass(arch, w, X, points, problem.task_cost)
+        if hidden_scale > 1:
+            assert np.mean(np.abs(T) > 0.995) > 0.9
+        want = _einsum_task_grad_body(arch, w, X, points, P, T, probs, problem)
+        got = _task_grad_body(arch, w, X, points, P, T, probs, problem)
+        assert np.any(want != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("problem", [NEWSVENDOR, PRICING], ids=["newsvendor", "pricing"])
+def test_mlp1_task_grad_repeats_and_matches_model_profile(problem):
+    # the task gradient overwrites the activations it reads, so each call must
+    # start from a fresh grid pass; a fit's reused buffer gives the same bits
+    rng = np.random.default_rng(12)
+    p = _random_params(MLP38, rng)
+    X = rng.normal(size=(25, MLP38.feature_dim))
+    probs = rng.dirichlet(np.ones(GRID.n_points))
+    loss, grad = task_grad(p, X, GRID, probs, problem)
+    loss2, grad2 = task_grad(p, X, GRID, probs, problem)
+    assert loss2 == loss and np.array_equal(grad2, grad)
+    assert loss == probs @ model_profile(p, X, GRID, problem).values
+    buffer = _fit_buffers(MLP38, len(X), GRID.n_points)
+    for _ in range(2):
+        values, grad_at = _profile(MLP38, p.weights, X, GRID.points, problem, buffer)
+        assert probs @ values == loss
+        assert np.array_equal(grad_at(probs), grad)
 
 
 # --- checkpoints -----------------------------------------------------------------
