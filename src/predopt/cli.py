@@ -1,7 +1,9 @@
 """Command-line entry point: generate / train / evaluate / compare.
 
-One JSON config fully determines an experiment. Parsing is strict: unknown
-keys are rejected by name (and line, when it can be located in the file).
+One JSON config fully determines an experiment. Its keys are the fields of
+the dataclasses it builds, in the sections that _LAYOUT gives, and a field
+without a default is a required key. Parsing is strict: unknown keys are
+rejected by name (and line, when it can be located in the file).
 Exit codes: 0 success, 2 usage, config, checkpoint or file-system error or
 arrays too large to allocate, 3 training abort.
 All output files are written to a temporary name and atomically renamed.
@@ -18,11 +20,12 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
-from .core import ValidationError, WeightConfig, make_grid, save_dataset_csv
+from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv
 from .evaluation import (
     METHOD_ORDER,
     ExperimentConfig,
@@ -44,87 +47,63 @@ class ConfigError(ValueError):
     """A config file failed strict validation."""
 
 
-# key -> (required, expected type(s)); nested dicts hold their own schema
 _NUMBER = (int, float)
 # The largest value of an int key; numpy's conversion of a larger size overflows.
 _INT_MAX = 2**31 - 1
-_SCHEMA = {
-    "seed": (True, int),
-    "problem": (
-        True,
-        {
-            "kind": (True, str),
-            "base_weights": (True, list),
-            "intercept": (True, _NUMBER),
-            "action_effect": (True, _NUMBER),
-            "nonlinearity": (True, _NUMBER),
-            "noise_sd": (True, _NUMBER),
-            "feature_sd": (True, _NUMBER),
-            "cost_params": (
-                True,
-                {
-                    "c_h": (False, _NUMBER),
-                    "c_s": (False, _NUMBER),
-                    "capacity": (False, _NUMBER),
-                },
-            ),
-            "logging": (
-                True,
-                {
-                    "policy": (True, str),
-                    "center": (False, _NUMBER),
-                    "width": (False, _NUMBER),
-                },
-            ),
-            "grid": (
-                True,
-                {
-                    "z_min": (True, _NUMBER),
-                    "z_max": (True, _NUMBER),
-                    "n_points": (True, int),
-                },
-            ),
-            "n_samples": (True, int),
-            "train_frac": (True, _NUMBER),
-            "val_frac": (True, _NUMBER),
-        },
-    ),
-    "model": (
-        True,
-        {
-            "kind": (True, str),
-            "hidden_units": (False, int),
-        },
-    ),
-    "train": (
-        True,
-        {
-            "learning_rate": (True, _NUMBER),
-            "batch_size": (False, int),
-            "max_iters": (True, int),
-            "tol": (False, _NUMBER),
-            "patience": (False, int),
-            "weights": (
-                True,
-                {
-                    "alpha": (True, _NUMBER),
-                    "beta": (True, _NUMBER),
-                    "tau": (True, _NUMBER),
-                    "task_term_enabled": (False, bool),
-                },
-            ),
-        },
-    ),
-    "eval": (
-        True,
-        {
-            "n_mc": (True, int),
-            "n_seeds": (True, int),
-        },
-    ),
-    # Optional and empty; kept so configs that carry "io": {} still load.
-    "io": (False, {}),
+# The JSON type(s) a key takes, by the annotation of its dataclass field
+_JSON_TYPES = {str: str, int: int, bool: bool, float: _NUMBER, tuple: list}
+# Where each class's fields sit in the file, as a dotted section ("" is the top
+# level), and the fields that sit elsewhere; None keeps a field out of the file.
+_LAYOUT = {
+    "TrueModel": "problem",
+    "ActionGrid": "problem.grid",
+    "Architecture": "model",
+    "Architecture.feature_dim": None,  # the length of problem.base_weights
+    "TrainConfig": "train",
+    "TrainConfig.seed": None,  # the top-level seed
+    "WeightConfig": "train.weights",
+    "ExperimentConfig": "eval",
+    "ExperimentConfig.n_samples": "problem",
+    "ExperimentConfig.train_frac": "problem",
+    "ExperimentConfig.val_frac": "problem",
+    "ExperimentConfig.seed": "",
 }
+# Objects whose keys depend on the problem kind or logging policy; TrueModel checks which
+_OBJECTS = {
+    "cost_params": {
+        "c_h": (False, _NUMBER),
+        "c_s": (False, _NUMBER),
+        "capacity": (False, _NUMBER),
+    },
+    "logging": {
+        "policy": (True, str),
+        "center": (False, _NUMBER),
+        "width": (False, _NUMBER),
+    },
+}
+
+
+def _build_schema() -> dict:
+    """key -> (required, expected type(s)) from the dataclass fields; a nested
+    dict holds a section's own schema."""
+    # Optional and empty; kept so configs that carry "io": {} still load.
+    schema = {"io": (False, {})}
+    for cls in (TrueModel, ActionGrid, Architecture, TrainConfig, WeightConfig, ExperimentConfig):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            where = _LAYOUT.get(f"{cls.__name__}.{f.name}", _LAYOUT[cls.__name__])
+            if where is None or not f.init or is_dataclass(hints[f.name]):
+                continue  # a dataclass field is the section of its class
+            node = schema
+            for section in filter(None, where.split(".")):
+                node = node.setdefault(section, (True, {}))[1]
+            required = f.default is MISSING and f.default_factory is MISSING
+            expected = _OBJECTS[f.name] if f.name in _OBJECTS else _JSON_TYPES[hints[f.name]]
+            node[f.name] = (required, expected)
+    return schema
+
+
+_SCHEMA = _build_schema()
 
 
 def _find_line(raw_text: str, key: str):

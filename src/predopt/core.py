@@ -175,9 +175,9 @@ class WeightConfig:
     temperature for the action distribution.
     """
 
-    alpha: float = 2.0
-    beta: float = 20.0
-    tau: float = 0.5
+    alpha: float
+    beta: float
+    tau: float
     task_term_enabled: bool = True
 
     def __post_init__(self):

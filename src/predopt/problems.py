@@ -23,7 +23,7 @@ cost_draws pass, exact under a shared (seed, n_mc).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "oracle_action",
 ]
 
-_KINDS = ("newsvendor", "pricing")
 _POLICIES = ("uniform", "biased")
 
 
@@ -62,7 +61,7 @@ class TrueModel:
     noise_sd: float
     feature_sd: float
     cost_params: dict
-    logging: dict = field(default_factory=lambda: {"policy": "uniform"})
+    logging: dict
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -79,7 +78,10 @@ class TrueModel:
             raise ValidationError("base_weights must have at least one entry")
         object.__setattr__(self, "base_weights", bw)
         cp = dict(self.cost_params)
+        uses = ("c_h", "c_s") if self.kind == "newsvendor" else ("capacity",)
         for key, v in cp.items():
+            if key not in uses:
+                raise ValidationError(f"{self.kind} does not use cost_params key {key!r}")
             _require_finite(f"cost_params[{key!r}]", v)
         if self.kind == "newsvendor":
             c_h, c_s = cp.get("c_h"), cp.get("c_s")
@@ -229,10 +231,15 @@ def pricing_problem(grid: ActionGrid, capacity: float) -> Problem:
     )
 
 
+# kind -> (cost function, problem builder); both take the kind's cost_params by name
+_KINDS = {
+    "newsvendor": (newsvendor_cost, newsvendor_problem),
+    "pricing": (pricing_cost, pricing_problem),
+}
+
+
 def problem_from_model(model: TrueModel, grid: ActionGrid) -> Problem:
-    if model.kind == "newsvendor":
-        return newsvendor_problem(grid, model.cost_params["c_h"], model.cost_params["c_s"])
-    return pricing_problem(grid, model.cost_params["capacity"])
+    return _KINDS[model.kind][1](grid, **model.cost_params)
 
 
 def mean_outcome(model: TrueModel, base, z):
@@ -279,18 +286,10 @@ def world_draws(model: TrueModel, n_mc: int, seed: int):
     return X @ np.asarray(model.base_weights) + model.intercept, eps
 
 
-def _true_cost_fn(model: TrueModel):
-    if model.kind == "newsvendor":
-        c_h, c_s = model.cost_params["c_h"], model.cost_params["c_s"]
-        return lambda z, y: newsvendor_cost(z, y, c_h, c_s)
-    cap = model.cost_params["capacity"]
-    return lambda z, y: pricing_cost(z, y, cap)
-
-
 def cost_draws(model: TrueModel, z: float, base: np.ndarray, eps: np.ndarray):
     """Per-draw cost of action z under shared world draws (one value per draw)."""
     y = mean_outcome(model, base, z) + eps
-    return _true_cost_fn(model)(z, y)
+    return _KINDS[model.kind][0](z, y, **model.cost_params)
 
 
 def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> float:

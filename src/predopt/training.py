@@ -61,8 +61,8 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     weight_config: WeightConfig
     learning_rate: float
+    max_iters: int
     batch_size: int = 0  # 0 means full batch
-    max_iters: int = 500
     tol: float = 1e-6
     patience: int = 10
     seed: int = 0

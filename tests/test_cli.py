@@ -1,12 +1,18 @@
 import copy
+import hashlib
 import json
 import os
+import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from predopt.cli import ConfigError, load_config, main
+from predopt.cli import _SCHEMA, ConfigError, load_config, main
+from test_golden import GOLDEN, INTEGER_LITERALS
+
+ROOT = Path(__file__).parents[1]
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -50,6 +56,23 @@ def _write(tmp_path, blob, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(blob, indent=2))
     return path
+
+
+def _parent(blob, key):
+    """The object that holds dotted `key` in `blob`, and the key's last name."""
+    *parents, leaf = key.split(".")
+    for name in parents:
+        blob = blob[name]
+    return blob, leaf
+
+
+def _schema_keys(schema=_SCHEMA, prefix=""):
+    """(dotted key, required, expected type) of every key the loader accepts,
+    sections included."""
+    for key, (required, expected) in schema.items():
+        yield prefix + key, required, expected
+        if isinstance(expected, dict):
+            yield from _schema_keys(expected, prefix + key + ".")
 
 
 # --- config parsing ------------------------------------------------------------
@@ -96,6 +119,58 @@ def test_every_shipped_config_loads():
         assert cfg.n_seeds == blob["eval"]["n_seeds"], path.name
 
 
+def _loaded_fields(value, name):
+    """(dotted field name, type name, repr) of every leaf field of a loaded config."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _loaded_fields(getattr(value, f.name), f"{name}.{f.name}")
+    else:
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        yield name, type(value).__name__, repr(shown)
+
+
+# The load result of every shipped config, benchmark workload and test config,
+# compared field by field, value by value and type by type. Fields are sorted
+# by name, so reordering a dataclass's fields leaves the hash alone.
+LOADED = {
+    "configs/compare_default.json":
+        "ee7c35a1126e5b3272a7249f4769eb78b7e266d70bef9133fa4eaee7c298cf2f",
+    "configs/newsvendor_wellspec.json":
+        "d6ea8c0513ad4e7d795088bcb5d7888cf7339e26e76916075416f1a4a68a6df3",
+    "configs/pricing_demo.json":
+        "b76f68c1a9e74014477ad0c86b462f7f6455ddee43d9bedcf7fe89f5be1826b9",
+    "perfbench/workloads/newsvendor_linear.json":
+        "d7a7b8dbd77b74bfea515052a2c984d6876f46570c6da2ac188afe2b054ee4c8",
+    "perfbench/workloads/newsvendor_mlp1.json":
+        "e927d21ba851dddfa156b6f672907adef70ca9e0c8cf61cbe627f41fd7e50712",
+    "perfbench/workloads/pricing_oracle.json":
+        "b5c349b202d2f9e7269d820cd7fb13ef3def4b1884db8f11f1dd4c0d6f428442",
+    "SMALL_CONFIG":
+        "7b6821db10bca566836ec09a7fa569ec704e09822b496b25b53361d66e1cb155",
+    "golden-newsvendor_linear":
+        "dfd488b73a5b7a0020effff20ae5b2938a7486f4277190ef3d8a9c51f64d91ef",
+    "golden-newsvendor_mlp1":
+        "f9d5420ead4b322a3c07fbf7c48e5bc75817f71ee8ca8e2afc947a268ad075ee",
+    "golden-pricing":
+        "c564ffb57826985d8c535f92d2fc69bbb9a3d8f973187c422b471f5beb1193d8",
+    "golden-integer_literals":
+        "cbbf6dfdbfbbbbf267974232a9c5e3b92cb16cb11bddd716dc80044a7db17203",
+}
+_TEST_CONFIGS = {
+    "SMALL_CONFIG": SMALL_CONFIG,
+    "golden-integer_literals": INTEGER_LITERALS,
+    **{f"golden-{p.id}": p.values[0] for p in GOLDEN},
+}
+
+
+@pytest.mark.parametrize("name, sha256", LOADED.items(), ids=list(LOADED))
+def test_load_result_is_pinned(tmp_path, name, sha256):
+    path = ROOT / name if name.endswith(".json") else _write(tmp_path, _TEST_CONFIGS[name])
+    rows = sorted(_loaded_fields(load_config(path), "config"))
+    text = "\n".join(" ".join(row) for row in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha256, text
+
+
 def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
     blob = copy.deepcopy(SMALL_CONFIG)
     blob["train"]["weights"]["alpah"] = 2.0
@@ -114,11 +189,94 @@ def test_unknown_top_level_key_rejected(tmp_path):
         load_config(_write(tmp_path, blob))
 
 
-def test_missing_required_key_rejected(tmp_path):
+# Every required key: a key is required exactly when its dataclass field has no default.
+REQUIRED = [
+    "seed",
+    "problem",
+    "problem.kind",
+    "problem.base_weights",
+    "problem.intercept",
+    "problem.action_effect",
+    "problem.nonlinearity",
+    "problem.noise_sd",
+    "problem.feature_sd",
+    "problem.cost_params",
+    "problem.logging",
+    "problem.logging.policy",
+    "problem.grid",
+    "problem.grid.z_min",
+    "problem.grid.z_max",
+    "problem.grid.n_points",
+    "problem.n_samples",
+    "problem.train_frac",
+    "problem.val_frac",
+    "model",
+    "model.kind",
+    "train",
+    "train.learning_rate",
+    "train.max_iters",
+    "train.weights",
+    "train.weights.alpha",
+    "train.weights.beta",
+    "train.weights.tau",
+    "eval",
+    "eval.n_mc",
+    "eval.n_seeds",
+]
+# (optional key, where its value lands in ExperimentConfig, the default, as the README writes it)
+OPTIONAL = [
+    ("model.hidden_units", "arch.hidden_units", 0, "0"),
+    ("train.batch_size", "train.batch_size", 0, "0"),
+    ("train.tol", "train.tol", 1e-6, "1e-6"),
+    ("train.patience", "train.patience", 10, "10"),
+    ("train.weights.task_term_enabled", "train.weight_config.task_term_enabled", True, "true"),
+]
+# Optional keys without a default: `io` is always empty, and which of the others
+# a world needs depends on its kind or logging policy
+NO_DEFAULT = [
+    "io",
+    "problem.cost_params.c_h",
+    "problem.cost_params.c_s",
+    "problem.cost_params.capacity",
+    "problem.logging.center",
+    "problem.logging.width",
+]
+
+
+@pytest.mark.parametrize("key", REQUIRED)
+def test_missing_required_key_rejected(tmp_path, key):
     blob = copy.deepcopy(SMALL_CONFIG)
-    del blob["problem"]["grid"]
-    with pytest.raises(ConfigError, match="grid"):
+    section, leaf = _parent(blob, key)
+    del section[leaf]
+    with pytest.raises(ConfigError) as err:
         load_config(_write(tmp_path, blob))
+    assert str(err.value) == f"missing config key '{key}'"
+
+
+@pytest.mark.parametrize("key, field, default, text", OPTIONAL, ids=[o[0] for o in OPTIONAL])
+def test_missing_optional_key_loads_its_default(tmp_path, key, field, default, text):
+    blob = copy.deepcopy(SMALL_CONFIG)
+    section, leaf = _parent(blob, key)
+    section.pop(leaf, None)
+    value = load_config(_write(tmp_path, blob))
+    for name in field.split("."):
+        value = getattr(value, name)
+    assert value == default and type(value) is type(default)
+    readme = (ROOT / "README.md").read_text()
+    assert re.search(rf"`{leaf}`[^`]*optional[^`]*default `{re.escape(text)}`", readme), key
+
+
+def test_every_key_is_pinned_required_or_optional():
+    keys = {key: required for key, required, _expected in _schema_keys()}
+    assert {key for key, required in keys.items() if required} == set(REQUIRED)
+    assert set(keys) == set(REQUIRED) | {o[0] for o in OPTIONAL} | set(NO_DEFAULT)
+
+
+def test_readme_config_reference_names_every_key():
+    readme = (ROOT / "README.md").read_text()
+    reference = readme.split("### Config reference")[1].split("\n### ")[0]
+    names = {key.rsplit(".", 1)[-1] for key, _required, _expected in _schema_keys()}
+    assert sorted(name for name in names if f"`{name}`" not in reference) == []
 
 
 def test_invalid_json_is_config_error(tmp_path, capsys):
@@ -139,47 +297,86 @@ def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
 
 NAN = float("nan")
 
-# (dotted config key, bad value): degenerate, non-numeric or non-finite; JSON
-# as read by Python may carry NaN and Infinity
+# (dotted config key, bad value, the whole error message): unknown, degenerate,
+# of the wrong type, non-numeric, non-finite or too large; JSON as read by
+# Python may carry NaN and Infinity
+FINITE = "config key '{}' must be finite"
+TOO_LARGE = "config key '{}' must be <= 2147483647"
 BAD_VALUES = [
-    pytest.param("problem.grid.n_points", 1, id="problem.grid.n_points"),
-    pytest.param("train.weights.alpha", NAN, id="train.weights.alpha"),
-    pytest.param("train.weights.beta", NAN, id="train.weights.beta"),
-    pytest.param("problem.base_weights", [2.0, NAN], id="problem.base_weights"),
-    pytest.param("problem.base_weights", ["a"], id="problem.base_weights-text"),
-    pytest.param("problem.intercept", NAN, id="problem.intercept"),
-    pytest.param("problem.action_effect", NAN, id="problem.action_effect"),
-    pytest.param("problem.nonlinearity", NAN, id="problem.nonlinearity"),
-    pytest.param("problem.cost_params.c_h", NAN, id="problem.cost_params.c_h"),
-    pytest.param("problem.cost_params.c_s", float("inf"), id="problem.cost_params.c_s"),
-    pytest.param("train.weights.tau", 10**400, id="train.weights.tau-huge-int"),
-    pytest.param("problem.base_weights", [2.0, 10**400], id="problem.base_weights-huge-int"),
-    pytest.param("eval.n_mc", 0, id="eval.n_mc"),
-    pytest.param("seed", -1, id="seed"),
-    pytest.param("problem.n_samples", 0, id="problem.n_samples"),
-    pytest.param("problem.grid.n_points", 10**400, id="problem.grid.n_points-huge-int"),
-    pytest.param("problem.n_samples", 10**400, id="problem.n_samples-huge-int"),
-    pytest.param("eval.n_mc", 10**400, id="eval.n_mc-huge-int"),
-    pytest.param("train.max_iters", 2**31, id="train.max_iters-2**31"),
-    pytest.param("problem.train_frac", -1, id="problem.train_frac-negative"),
-    pytest.param("problem.val_frac", 0, id="problem.val_frac-zero"),
-    pytest.param("problem.val_frac", 0.5, id="problem.val_frac-sum-1"),
+    pytest.param(
+        "problem.grid.n_points", 1, "grid needs an integer n_points >= 2, got 1",
+        id="problem.grid.n_points",
+    ),
+    pytest.param("train.weights.alpha", NAN, FINITE, id="train.weights.alpha"),
+    pytest.param("train.weights.beta", NAN, FINITE, id="train.weights.beta"),
+    pytest.param("problem.base_weights", [2.0, NAN], FINITE, id="problem.base_weights"),
+    pytest.param(
+        "problem.base_weights", ["a"], "config key '{}' must be numeric",
+        id="problem.base_weights-text",
+    ),
+    pytest.param("problem.intercept", NAN, FINITE, id="problem.intercept"),
+    pytest.param("problem.action_effect", NAN, FINITE, id="problem.action_effect"),
+    pytest.param("problem.nonlinearity", NAN, FINITE, id="problem.nonlinearity"),
+    pytest.param("problem.cost_params.c_h", NAN, FINITE, id="problem.cost_params.c_h"),
+    pytest.param("problem.cost_params.c_s", float("inf"), FINITE, id="problem.cost_params.c_s"),
+    pytest.param("train.weights.tau", 10**400, FINITE, id="train.weights.tau-huge-int"),
+    pytest.param(
+        "problem.base_weights", [2.0, 10**400], FINITE, id="problem.base_weights-huge-int"
+    ),
+    pytest.param("eval.n_mc", 0, "n_mc must be >= 1, got 0", id="eval.n_mc"),
+    pytest.param("seed", -1, "seed must be >= 0, got -1", id="seed"),
+    pytest.param("problem.n_samples", 0, "n_samples must be >= 1, got 0", id="problem.n_samples"),
+    pytest.param(
+        "problem.grid.n_points", 10**400, TOO_LARGE, id="problem.grid.n_points-huge-int"
+    ),
+    pytest.param("problem.n_samples", 10**400, TOO_LARGE, id="problem.n_samples-huge-int"),
+    pytest.param("eval.n_mc", 10**400, TOO_LARGE, id="eval.n_mc-huge-int"),
+    pytest.param("train.max_iters", 2**31, TOO_LARGE, id="train.max_iters-2**31"),
+    pytest.param(
+        "problem.train_frac", -1, "train_frac must be > 0, got -1.0",
+        id="problem.train_frac-negative",
+    ),
+    pytest.param(
+        "problem.val_frac", 0, "val_frac must be > 0, got 0.0", id="problem.val_frac-zero"
+    ),
+    pytest.param(
+        "problem.val_frac", 0.5, "train_frac + val_frac must be < 1, got 1.1",
+        id="problem.val_frac-sum-1",
+    ),
+    pytest.param(
+        "problem.cost_params.capacity", 5.0, "newsvendor does not use cost_params key 'capacity'",
+        id="problem.cost_params.capacity-newsvendor",
+    ),
+    pytest.param(
+        "train.weights.alpah", 2.0, "unknown config key '{}' (line 44)",
+        id="train.weights.alpah-unknown",
+    ),
+    pytest.param(
+        "train.weights", 1, "config key '{}' must be an object", id="train.weights-not-an-object"
+    ),
+    pytest.param("model.kind", 1, "config key '{}' has the wrong type", id="model.kind-wrong-type"),
+    pytest.param(
+        "problem.grid.n_points", 2.5, "config key '{}' has the wrong type",
+        id="problem.grid.n_points-float",
+    ),
+    pytest.param(
+        "train.max_iters", True, "config key '{}' must be an integer", id="train.max_iters-bool"
+    ),
 ]
 
 
-@pytest.mark.parametrize("key, value", BAD_VALUES)
-def test_bad_value_is_config_error(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, message", BAD_VALUES)
+def test_bad_value_is_config_error(tmp_path, capsys, key, value, message):
     blob = copy.deepcopy(SMALL_CONFIG)
-    *parents, leaf = key.split(".")
-    section = blob
-    for name in parents:
-        section = section[name]
+    section, leaf = _parent(blob, key)
     section[leaf] = value
     path = _write(tmp_path, blob)
-    with pytest.raises(ConfigError, match=leaf):
+    message = message.format(key)
+    with pytest.raises(ConfigError) as err:
         load_config(path)
+    assert str(err.value) == message
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
-    assert leaf in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -209,30 +406,23 @@ def test_empty_split_exits_2_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "new").exists()
 
 
-# Every leaf of SMALL_CONFIG takes each of these values in turn.
+# Every key the loader accepts that holds no keys of its own takes each of
+# these values in turn, in SMALL_CONFIG.
 FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308, 10**400]
+LEAF_KEYS = [
+    key for key, _, expected in _schema_keys() if not isinstance(expected, dict) or not expected
+]
 
 
-def _leaf_keys(blob, prefix=""):
-    for key, value in blob.items():
-        if isinstance(value, dict) and value:
-            yield from _leaf_keys(value, prefix + key + ".")
-        else:
-            yield prefix + key
-
-
-@pytest.mark.parametrize("key", list(_leaf_keys(SMALL_CONFIG)))
+@pytest.mark.parametrize("key", LEAF_KEYS)
 def test_any_leaf_value_exits_0_2_or_3(tmp_path, key):
     # the documented exit codes hold for every value: nothing escapes main, a
     # failed run leaves no temporary file or directory behind, and a value
     # rejected at load time is rejected by name
-    *parents, leaf = key.split(".")
     for i, value in enumerate(FUZZ_VALUES):
         blob = copy.deepcopy(SMALL_CONFIG)
         blob["train"]["max_iters"] = 5
-        section = blob
-        for name in parents:
-            section = section[name]
+        section, leaf = _parent(blob, key)
         section[leaf] = value
         case = tmp_path / str(i)
         case.mkdir()

@@ -186,7 +186,8 @@ _WORLD = dict(
 
 
 def _train(**kw):
-    return TrainConfig(weight_config=WeightConfig(), **{"learning_rate": 1e-3, **kw})
+    weights = WeightConfig(alpha=2.0, beta=20.0, tau=0.5)
+    return TrainConfig(weight_config=weights, **{"learning_rate": 1e-3, "max_iters": 500, **kw})
 
 
 def _world(**kw):
@@ -199,9 +200,15 @@ def _split(**kw):
 
 # (constructor, bad keyword arguments, the field the error must name)
 NON_FINITE = [
-    pytest.param(WeightConfig, {"alpha": NAN, "beta": NAN}, "alpha", id="WeightConfig.alpha"),
-    pytest.param(WeightConfig, {"beta": INF}, "beta", id="WeightConfig.beta"),
-    pytest.param(WeightConfig, {"tau": INF}, "tau", id="WeightConfig.tau"),
+    pytest.param(
+        WeightConfig, {"alpha": NAN, "beta": NAN, "tau": 0.5}, "alpha", id="WeightConfig.alpha"
+    ),
+    pytest.param(
+        WeightConfig, {"alpha": 2.0, "beta": INF, "tau": 0.5}, "beta", id="WeightConfig.beta"
+    ),
+    pytest.param(
+        WeightConfig, {"alpha": 2.0, "beta": 20.0, "tau": INF}, "tau", id="WeightConfig.tau"
+    ),
     pytest.param(_train, {"learning_rate": INF}, "learning_rate", id="TrainConfig.learning_rate"),
     pytest.param(_train, {"tol": INF}, "tol", id="TrainConfig.tol"),
     pytest.param(_world, {"intercept": NAN}, "intercept", id="TrueModel.intercept"),

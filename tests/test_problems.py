@@ -93,7 +93,21 @@ def test_true_model_rejects_bad_costs():
             noise_sd=1.0,
             feature_sd=1.0,
             cost_params={"capacity": 0.0},
+            logging={"policy": "uniform"},
         )
+
+
+@pytest.mark.parametrize(
+    "kind, cost_params, key",
+    [
+        ("newsvendor", {"c_h": 1.0, "c_s": 3.0, "capacity": 5.0}, "capacity"),
+        ("pricing", {"capacity": 50.0, "c_h": 1.0}, "c_h"),
+    ],
+)
+def test_true_model_rejects_cost_params_the_kind_does_not_use(kind, cost_params, key):
+    with pytest.raises(ValidationError) as err:
+        _newsvendor_world(kind=kind, cost_params=cost_params)
+    assert str(err.value) == f"{kind} does not use cost_params key {key!r}"
 
 
 def test_true_model_rejects_bad_logging():
@@ -206,6 +220,7 @@ def test_oracle_pricing_vertex():
         noise_sd=1e-12,
         feature_sd=1e-12,
         cost_params={"capacity": 50.0},
+        logging={"policy": "uniform"},
     )
     grid = make_grid(0.0, 6.0, 61)
     action, cost = oracle_action(m, grid, n_mc=200, seed=5)
@@ -439,6 +454,7 @@ def _oracle_cases(draw):
         noise_sd=draw(st.floats(0.1, 3.0)),
         feature_sd=1.0,
         cost_params=cost_params,
+        logging={"policy": "uniform"},
     )
     z_min = draw(st.floats(0.0, 5.0))
     grid = make_grid(z_min, z_min + draw(st.floats(1.0, 10.0)), draw(st.integers(2, 61)))
