@@ -274,11 +274,6 @@ def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
     return 0
 
 
-def _layout(arch: Architecture) -> tuple:
-    # hidden_units only shapes an mlp1, so a linear config may carry any value
-    return (arch.kind, arch.feature_dim, arch.n_weights)
-
-
 def _describe(arch: Architecture) -> str:
     hidden = f", hidden_units={arch.hidden_units}" if arch.kind == "mlp1" else ""
     return f"{arch.kind} (feature_dim={arch.feature_dim}{hidden})"
@@ -286,7 +281,7 @@ def _describe(arch: Architecture) -> str:
 
 def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) -> int:
     params = load_checkpoint(checkpoint_path)
-    if _layout(params.architecture) != _layout(config.arch):
+    if params.architecture != config.arch:
         raise ConfigError(
             f"checkpoint {checkpoint_path} holds a {_describe(params.architecture)} model, "
             f"but the config describes a {_describe(config.arch)} model"

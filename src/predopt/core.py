@@ -193,10 +193,24 @@ class WeightConfig:
 
 def _split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:
     """(train, val, test) sizes for n samples: floor(n * frac) for train and
-    val, the remainder to test."""
+    val, the remainder to test. Raises unless both fractions are finite and
+    > 0 with a sum < 1, and every split is non-empty."""
+    train_frac = _require_finite("train_frac", train_frac)
+    val_frac = _require_finite("val_frac", val_frac)
+    for name, value in (("train_frac", train_frac), ("val_frac", val_frac)):
+        if not value > 0:
+            raise ValidationError(f"{name} must be > 0, got {value}")
+    if train_frac + val_frac >= 1:
+        raise ValidationError(f"train_frac + val_frac must be < 1, got {train_frac + val_frac}")
     n_train = int(np.floor(n * train_frac))
     n_val = int(np.floor(n * val_frac))
-    return n_train, n_val, n - n_train - n_val
+    sizes = (n_train, n_val, n - n_train - n_val)
+    if min(sizes) < 1:
+        raise ValidationError(
+            f"n_samples {n} with train_frac {train_frac} and val_frac {val_frac} "
+            f"gives split sizes {sizes}; every split must be non-empty"
+        )
+    return sizes
 
 
 def split_dataset(
@@ -205,24 +219,10 @@ def split_dataset(
     """Shuffle-split into (train, val, test); deterministic in seed.
 
     Sizes are floor(n * frac) for train and val, remainder to test. Raises if
-    any split would be empty.
+    any split would be empty; see _split_sizes.
     """
-    train_frac = _require_finite("train_frac", train_frac)
-    val_frac = _require_finite("val_frac", val_frac)
-    if train_frac <= 0 or val_frac <= 0:
-        raise ValidationError("train_frac and val_frac must be positive")
-    if train_frac + val_frac >= 1:
-        raise ValidationError(
-            f"train_frac + val_frac must be < 1, got {train_frac + val_frac}"
-        )
-    n = len(data)
-    n_train, n_val, n_test = _split_sizes(n, train_frac, val_frac)
-    if n_train < 1 or n_val < 1 or n_test < 1:
-        raise ValidationError(
-            f"split of {n} samples gives sizes ({n_train}, {n_val}, {n_test}); "
-            "every split must be non-empty"
-        )
-    perm = np.random.default_rng(seed).permutation(n)
+    n_train, n_val, _ = _split_sizes(len(data), train_frac, val_frac)
+    perm = np.random.default_rng(seed).permutation(len(data))
     return (
         data.take(perm[:n_train]),
         data.take(perm[n_train : n_train + n_val]),

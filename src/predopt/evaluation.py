@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _require_finite, _split_sizes, split_dataset
+from .core import ActionGrid, ValidationError, _split_sizes, split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
@@ -54,24 +54,12 @@ class ExperimentConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("train_frac", "val_frac"):
-            value = _require_finite(name, getattr(self, name))
-            if not value > 0:
-                raise ValidationError(f"{name} must be > 0, got {value}")
-            object.__setattr__(self, name, value)
-        if self.train_frac + self.val_frac >= 1:
-            raise ValidationError(
-                f"train_frac + val_frac must be < 1, got {self.train_frac + self.val_frac}"
-            )
         for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        sizes = _split_sizes(self.n_samples, self.train_frac, self.val_frac)
-        if min(sizes) < 1:
-            raise ValidationError(
-                f"n_samples {self.n_samples} with train_frac {self.train_frac} and val_frac "
-                f"{self.val_frac} gives split sizes {sizes}; every split must be non-empty"
-            )
+        _split_sizes(self.n_samples, self.train_frac, self.val_frac)
+        for name in ("train_frac", "val_frac"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

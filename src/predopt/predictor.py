@@ -8,12 +8,15 @@ and finite-difference checks all see one layout:
     mlp1:   [W1 ((d+1) x h, row-major by hidden unit), b1 (h), w2 (h), b2]
 
 For mlp1 the input is u = [x; z] and the forward pass is
-w2 . tanh(W1 u + b1) + b2. Over the grid, the tanh activations form one
-(m, K, h) tensor T for m inputs, K actions and h hidden units; an mlp1 fit
-allocates it once and every grid pass writes into it. The task gradient
-backpropagates through T with two batched matmuls: C @ T for the w2 term,
-then, with T overwritten in place by 1 - T*T, [C, C*z] @ (1 - T*T) for every
-W1 and b1 term, where C is the (m, K) matrix of cost derivatives.
+w2 . tanh(W1 u + b1) + b2. _grid_pass is the one forward pass: its actions Z
+broadcast against the m inputs, a (1, K) grid row for the model profile or an
+(n, 1) column for the predictive loss's paired rows. For mlp1 the tanh
+activations form an (m, K, h) tensor T; an mlp1 fit allocates the grid's once
+and every grid pass writes into it. _mlp1_grad is the one backprop, of
+sum_jk C[j, k] * h(x_j, Z[j, k]) through T: one matmul C @ T for the w2 term,
+then, with T overwritten in place by 1 - T*T, one batched matmul
+[C, C*Z] @ (1 - T*T) for every W1 and b1 term. C holds the task term's cost
+derivatives (m, K) or the predictive loss's squared-error derivatives (n, 1).
 """
 
 from __future__ import annotations
@@ -52,11 +55,10 @@ class Architecture:
             raise ValidationError(f"unknown architecture kind {self.kind!r}")
         if self.feature_dim < 1:
             raise ValidationError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.kind == "mlp1":
-            if self.hidden_units < 1:
-                raise ValidationError(
-                    f"mlp1 needs hidden_units >= 1, got {self.hidden_units}"
-                )
+        if self.kind == "mlp1" and self.hidden_units < 1:
+            raise ValidationError(f"mlp1 needs hidden_units >= 1, got {self.hidden_units}")
+        if self.kind == "linear" and self.hidden_units != 0:
+            raise ValidationError(f"linear does not use hidden_units, got {self.hidden_units}")
 
     @property
     def n_weights(self) -> int:
@@ -129,41 +131,33 @@ def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.n
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or X.shape[1] != params.architecture.feature_dim:
         raise ValidationError("X must be (n, feature_dim)")
-    return _predict_batch(params.architecture, params.weights, X, Z)
+    if Z.shape != X.shape[:1]:
+        raise ValidationError("Z must be (n,): one action per row of X")
+    return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
 
 
-def _predict_batch(arch: Architecture, w: np.ndarray, X: np.ndarray, Z: np.ndarray):
-    if arch.kind == "linear":
-        w_x, w_z, b = _unpack_linear(arch, w)
-        return X @ w_x + w_z * Z + b
-    W1, b1, w2, b2 = _unpack_mlp1(arch, w)
-    d = arch.feature_dim
-    A = X @ W1[:, :d].T + np.outer(Z, W1[:, d]) + b1
-    return np.tanh(A) @ w2 + b2
-
-
-def _grid_pass(arch: Architecture, w: np.ndarray, X, points, task_cost=None, out=None):
-    """One forward pass over every input crossed with every action.
+def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, task_cost=None, out=None):
+    """One forward pass over the inputs X (m, d) and the actions Z, which
+    broadcast against the rows of X: a (1, K) row crosses every input with
+    every action, an (m, 1) column gives each input its own action.
 
     Returns (P, G, T): the (m, K) predictions, the (m, K) costs
-    task_cost(points, P) (None without task_cost), and for mlp1 the (m, K, h)
-    hidden activations (None for linear), which task-gradient backprop reuses.
-    For mlp1, `out` is an optional (m, K, h) array that T is written into.
+    task_cost(Z, P) (None without task_cost), and for mlp1 the (m, K, h)
+    hidden activations (None for linear), which _mlp1_grad backpropagates
+    through. For mlp1, `out` is an optional (m, K, h) array that T is written into.
     """
     if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
-        P = (X @ w_x)[:, None] + w_z * points[None, :] + b
+        P = (X @ w_x)[:, None] + w_z * Z + b
         T = None
     else:
         W1, b1, w2, b2 = _unpack_mlp1(arch, w)
-        d, h = arch.feature_dim, arch.hidden_units
-        if out is None:
-            out = np.empty((X.shape[0], points.shape[0], h))
-        # A[j, k, i] = (x_j . W1[i, :d] + b1[i]) + z_k * W1[i, d], then T = tanh(A)
-        np.add((X @ W1[:, :d].T + b1)[:, None, :], np.outer(points, W1[:, d])[None, :, :], out=out)
-        T = np.tanh(out, out=out)
+        d = arch.feature_dim
+        # A[j, k, i] = (x_j . W1[i, :d] + b1[i]) + Z[j, k] * W1[i, d], then T = tanh(A)
+        A = np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d], out=out)
+        T = np.tanh(A, out=A)
         P = T @ w2 + b2
-    G = None if task_cost is None else task_cost(points[None, :], P)
+    G = None if task_cost is None else task_cost(Z, P)
     return P, G, T
 
 
@@ -173,7 +167,7 @@ def predict_on_grid(
     """Predictions for every input crossed with every action: (m, K)."""
     X = np.asarray(X, dtype=float)
     points = np.asarray(points, dtype=float)
-    return _grid_pass(params.architecture, params.weights, X, points)[0]
+    return _grid_pass(params.architecture, params.weights, X, points[None, :])[0]
 
 
 def loss_and_grad(
@@ -197,6 +191,8 @@ def loss_and_grad(
     n = Z.shape[0]
     if n == 0:
         raise ValidationError("batch must be non-empty")
+    if not X.shape[0] == Y.shape[0] == weights.shape[0] == n:
+        raise ValidationError("X, Z, Y and weights must have one entry per sample")
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValidationError("sample weights must be finite and nonnegative")
 
@@ -205,26 +201,14 @@ def loss_and_grad(
 
 def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
     n = Z.shape[0]
-    diff = _predict_batch(arch, w, X, Z) - Y
+    P, _, T = _grid_pass(arch, w, X, Z[:, None])
+    diff = P[:, 0] - Y
     loss = float(np.mean(weights * (diff * diff)))
     # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
     c = weights * (2.0 * diff) / n
-
     if arch.kind == "linear":
         return loss, _linear_task_grad(w, X, Z, c, c, c.sum())
-
-    grad = np.empty_like(w)
-    d = arch.feature_dim
-    W1, b1, w2, _ = _unpack_mlp1(arch, w)
-    h = arch.hidden_units
-    U = np.column_stack([X, Z])
-    T = np.tanh(U @ W1.T + b1)
-    S = (c[:, None] * w2) * (1.0 - T * T)  # (n, h) backprop through tanh
-    grad[: (d + 1) * h] = (S.T @ U).ravel()
-    grad[(d + 1) * h : (d + 1) * h + h] = S.sum(axis=0)
-    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = T.T @ c
-    grad[-1] = c.sum()
-    return loss, grad
+    return loss, _mlp1_grad(arch, w, X, Z[:, None], T, c[:, None])
 
 
 def task_grad(
@@ -270,7 +254,7 @@ def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buf
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(points, X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
-    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost, out=buffer)
+    P, G, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost, out=buffer)
     return G.mean(axis=0), lambda probs: _task_grad_body(arch, w, X, points, P, T, probs, problem)
 
 
@@ -297,29 +281,32 @@ def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
 
 def _task_grad_body(arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem):
     """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w.
-
-    For mlp1 the sums over actions are batched matmuls over T, which this
-    overwrites in place with 1 - T*T.
-    """
+    For mlp1 it overwrites T; see _mlp1_grad."""
     m = X.shape[0]
     C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
     if arch.kind == "linear":
         return _linear_task_grad(w, X, points, C.sum(axis=1), C.sum(axis=0), C.sum())
+    return _mlp1_grad(arch, w, X, points[None, :], T, C)
 
+
+def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C):
+    """Flat gradient of sum_jk C[j, k] * h(x_j, Z[j, k]) given the activations T
+    of _grid_pass(arch, w, X, Z), which this overwrites in place with 1 - T*T.
+    The task term passes C = dg/dy * p_k / m, (m, K); the predictive loss
+    passes C = c[:, None], (n, 1)."""
     grad = np.empty_like(w)
     d = arch.feature_dim
     _, _, w2, _ = _unpack_mlp1(arch, w)
     h = arch.hidden_units
-    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = np.matmul(C[:, None, :], T).sum(axis=(0, 1))
+    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = C.ravel() @ T.reshape(-1, h)
     # backprop through tanh: D = 1 - T*T, formed explicitly because
     # sum C - sum C*T*T cancels where |tanh| is near 1
     D = np.subtract(1.0, np.multiply(T, T, out=T), out=T)
-    # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by z_k
-    M = np.matmul(np.stack([C, C * points], axis=1), D)  # (m, 2, h)
+    # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by Z[j, k]
+    M = np.matmul(np.stack([C, C * Z], axis=1), D)  # (m, 2, h)
     gW1 = grad[: (d + 1) * h].reshape(h, d + 1)  # a view: rows are hidden units
     gW1[:, :d] = w2[:, None] * (M[:, 0].T @ X)
-    gW1[:, d] = w2 * M[:, 1].sum(axis=0)
-    grad[(d + 1) * h : (d + 1) * h + h] = w2 * M[:, 0].sum(axis=0)
+    grad[(d + 1) * h : (d + 1) * h + h], gW1[:, d] = w2 * M.sum(axis=0)  # b1, z column
     grad[-1] = C.sum()
     return grad
 

@@ -98,6 +98,10 @@ class TrueModel:
         policy = lg.get("policy")
         if policy not in _POLICIES:
             raise ValidationError(f"unknown logging policy {policy!r}")
+        uses = ("policy",) if policy == "uniform" else ("policy", "center", "width")
+        for key in lg:
+            if key not in uses:
+                raise ValidationError(f"{policy} logging does not use key {key!r}")
         if policy == "biased":
             for key in ("center", "width"):
                 if key in lg:

@@ -201,7 +201,9 @@ def _fit(
         z_star=z_star,
         g_star=g_star,
         iters_run=len(history),
-        converged=len(history) < config.max_iters,
+        # the tolerance stop fired, and F did not rise over the patience window
+        converged=len(history) < config.max_iters
+        and history[-1].total <= history[-config.patience - 1].total,
         history=tuple(history),
         z_star_train=z_star_train,
     )

@@ -348,6 +348,14 @@ BAD_VALUES = [
         id="problem.cost_params.capacity-newsvendor",
     ),
     pytest.param(
+        "model.hidden_units", -7, "linear does not use hidden_units, got -7",
+        id="model.hidden_units-linear",
+    ),
+    pytest.param(
+        "problem.logging.center", 5.0, "uniform logging does not use key 'center'",
+        id="problem.logging.center-uniform",
+    ),
+    pytest.param(
         "train.weights.alpah", 2.0, "unknown config key '{}' (line 44)",
         id="train.weights.alpah-unknown",
     ),
@@ -574,6 +582,23 @@ def test_train_diverging_step_exits_3(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_train_with_rising_F_is_not_converged(tmp_path, capsys):
+    # F grows about 8x per iteration: the tolerance stop ends the fit after
+    # `patience` iterations without improvement, but not as converged
+    blob = copy.deepcopy(INTEGER_LITERALS)
+    blob["train"]["learning_rate"] = 0.02
+    blob["train"]["max_iters"] = 400
+    path = _write(tmp_path, blob)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(path), "--method", "simpo", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("iters=21 converged=False\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["iters_run"], summary["converged"]) == (21, False)
+    log = (out / "training_log.csv").read_text().splitlines()[1:]
+    F = [float(line.split(",")[1]) for line in log]
+    assert all(b > a for a, b in zip(F, F[1:]))
+
+
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_out_of_memory_exits_2_and_leaves_nothing(
     config_path, tmp_path, capsys, monkeypatch, command
@@ -698,6 +723,10 @@ def _failing_run(kind, config_path, tmp_path):
         arch = {"kind": "linear", "feature_dim": 3}
         ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 5}))
         return _evaluate_argv(config_path, tmp_path, ckpt), "feature_dim=3"
+    if kind == "linear-with-hidden-units":
+        arch = {"kind": "linear", "feature_dim": 2, "hidden_units": 3}
+        ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 4}))
+        return _evaluate_argv(config_path, tmp_path, ckpt), "linear does not use hidden_units"
     if kind == "activation-not-tanh":
         arch = {"kind": "mlp1", "feature_dim": 2, "hidden_units": 1, "activation": "relu"}
         ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 6}))
@@ -720,6 +749,7 @@ def _failing_run(kind, config_path, tmp_path):
     [
         "no-architecture",
         "feature-dim-mismatch",
+        "linear-with-hidden-units",
         "activation-not-tanh",
         "missing-checkpoint",
         "out-is-a-file",

@@ -12,6 +12,7 @@ from predopt.predictor import (
     _grid_pass,
     _linear_task_grad,
     _profile,
+    _unpack_linear,
     _task_grad_body,
     _unpack_mlp1,
     init_params,
@@ -136,6 +137,12 @@ def test_predict_dimension_mismatch():
         predict(p, [1.0, 2.0], 0.0)
 
 
+@pytest.mark.parametrize("Z", [np.zeros(3), np.float64(0.0), np.zeros((4, 1))])
+def test_predict_batch_needs_one_action_per_row(Z):
+    with pytest.raises(ValidationError):
+        predict_batch(init_params(LINEAR3, 0), np.zeros((4, 3)), Z)
+
+
 def test_predict_batch_matches_scalar():
     rng = np.random.default_rng(0)
     p = _random_params(MLP24, rng)
@@ -144,6 +151,15 @@ def test_predict_batch_matches_scalar():
     singles = [predict(p, X[i], Z[i]) for i in range(len(Z))]
     # one-row and many-row matmuls may take different BLAS paths
     assert np.allclose(batch, singles, rtol=1e-12, atol=0)
+
+
+def test_linear_predict_batch_is_the_affine_map_bit_for_bit():
+    # the paired rows go through the grid pass with one action per row
+    rng = np.random.default_rng(3)
+    p = _random_params(LINEAR3, rng)
+    X, Z, _, _ = _random_batch(LINEAR3, rng, n=50)
+    w_x, w_z, b = _unpack_linear(LINEAR3, p.weights)
+    assert np.array_equal(predict_batch(p, X, Z), X @ w_x + w_z * Z + b)
 
 
 def test_predict_on_grid_matches_scalar():
@@ -204,6 +220,17 @@ def test_loss_rejects_empty_or_negative_weights():
         loss_and_grad(p, np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0), NEWSVENDOR)
     with pytest.raises(ValidationError):
         loss_and_grad(p, np.zeros((1, 3)), np.zeros(1), np.zeros(1), np.array([-1.0]), NEWSVENDOR)
+
+
+@pytest.mark.parametrize("arch", [LINEAR3, MLP24], ids=["linear", "mlp1"])
+@pytest.mark.parametrize("short", ["Z", "Y", "weights"])
+def test_loss_rejects_columns_of_different_lengths(arch, short):
+    # a one-entry column would broadcast against the others
+    rng = np.random.default_rng(5)
+    batch = dict(zip(["X", "Z", "Y", "weights"], _random_batch(arch, rng, n=5)))
+    batch[short] = batch[short][:1]
+    with pytest.raises(ValidationError):
+        loss_and_grad(_random_params(arch, rng), **batch, problem=NEWSVENDOR)
 
 
 @pytest.mark.parametrize("arch", [LINEAR3, MLP24], ids=["linear", "mlp1"])
@@ -365,12 +392,72 @@ def test_mlp1_task_grad_body_matches_einsum_reference(problem, hidden_scale):
         w[: (d + 1) * h + h] *= hidden_scale / 0.7  # W1 and b1
         X = rng.normal(size=(30, d))
         probs = rng.dirichlet(np.ones(GRID.n_points))
-        P, _, T = _grid_pass(arch, w, X, points, problem.task_cost)
+        P, _, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost)
         if hidden_scale > 1:
             assert np.mean(np.abs(T) > 0.995) > 0.9
         want = _einsum_task_grad_body(arch, w, X, points, P, T, probs, problem)
         got = _task_grad_body(arch, w, X, points, P, T, probs, problem)
         assert np.any(want != 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+# --- the mlp1 predictive gradient against the paired-row reference -----------------
+
+
+def _paired_predict_batch(arch: Architecture, w: np.ndarray, X: np.ndarray, Z: np.ndarray):
+    if arch.kind == "linear":
+        w_x, w_z, b = _unpack_linear(arch, w)
+        return X @ w_x + w_z * Z + b
+    W1, b1, w2, b2 = _unpack_mlp1(arch, w)
+    d = arch.feature_dim
+    A = X @ W1[:, :d].T + np.outer(Z, W1[:, d]) + b1
+    return np.tanh(A) @ w2 + b2
+
+
+def _paired_loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
+    n = Z.shape[0]
+    diff = _paired_predict_batch(arch, w, X, Z) - Y
+    loss = float(np.mean(weights * (diff * diff)))
+    # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
+    c = weights * (2.0 * diff) / n
+
+    if arch.kind == "linear":
+        return loss, _linear_task_grad(w, X, Z, c, c, c.sum())
+
+    grad = np.empty_like(w)
+    d = arch.feature_dim
+    W1, b1, w2, _ = _unpack_mlp1(arch, w)
+    h = arch.hidden_units
+    U = np.column_stack([X, Z])
+    T = np.tanh(U @ W1.T + b1)
+    S = (c[:, None] * w2) * (1.0 - T * T)  # (n, h) backprop through tanh
+    grad[: (d + 1) * h] = (S.T @ U).ravel()
+    grad[(d + 1) * h : (d + 1) * h + h] = S.sum(axis=0)
+    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = T.T @ c
+    grad[-1] = c.sum()
+    return loss, grad
+
+
+# The reference above is the paired-row forward pass and backprop that the
+# predictive loss used before it became a grid pass with one action per row
+# and shared _mlp1_grad with the task term. Both form 1 - T*T elementwise, so
+# they differ only by summation order, saturated units included.
+@pytest.mark.parametrize("hidden_scale", [0.7, 30.0], ids=["moderate", "saturated"])
+def test_mlp1_loss_and_grad_matches_paired_reference(hidden_scale):
+    rng = np.random.default_rng(13)
+    arch = MLP38
+    d, h = arch.feature_dim, arch.hidden_units
+    for _ in range(5):
+        w = rng.normal(scale=0.7, size=arch.n_weights)
+        w[: (d + 1) * h + h] *= hidden_scale / 0.7  # W1 and b1
+        X, Z, Y, W = _random_batch(arch, rng, n=40)
+        if hidden_scale > 1:
+            T = _grid_pass(arch, w, X, Z[:, None])[2]
+            assert np.mean(np.abs(T) > 0.995) > 0.9
+        want_loss, want = _paired_loss_and_grad(arch, w, X, Z, Y, W)
+        got_loss, got = loss_and_grad(PredictorParams(arch, w), X, Z, Y, W, NEWSVENDOR)
+        assert np.any(want != 0.0)
+        np.testing.assert_allclose(got_loss, want_loss, rtol=1e-9, atol=0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
 

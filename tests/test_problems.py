@@ -110,6 +110,21 @@ def test_true_model_rejects_cost_params_the_kind_does_not_use(kind, cost_params,
     assert str(err.value) == f"{kind} does not use cost_params key {key!r}"
 
 
+@pytest.mark.parametrize(
+    "logging, key",
+    [
+        ({"policy": "uniform", "center": 5, "width": -3}, "center"),
+        ({"policy": "uniform", "width": 5.0}, "width"),
+        ({"policy": "biased", "center": 5.0, "width": 5.0, "shape": 1.0}, "shape"),
+    ],
+    ids=["uniform-center", "uniform-width", "biased-shape"],
+)
+def test_true_model_rejects_logging_keys_the_policy_does_not_use(logging, key):
+    with pytest.raises(ValidationError) as err:
+        _newsvendor_world(logging=logging)
+    assert str(err.value) == f"{logging['policy']} logging does not use key {key!r}"
+
+
 def test_true_model_rejects_bad_logging():
     with pytest.raises(ValidationError):
         _newsvendor_world(logging={"policy": "greedy"})
@@ -272,7 +287,7 @@ RTOL, ATOL = 1e-9, 1e-12
 
 def _dense_reference(params, X, problem, probs):
     arch, w, points = params.architecture, params.weights, problem.grid.points
-    P, G, T = _grid_pass(arch, w, X, points, problem.task_cost)
+    P, G, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost)
     values = G.mean(axis=0)
     return values, float(probs @ values), _task_grad_body(arch, w, X, points, P, T, probs, problem)
 

@@ -395,7 +395,9 @@ def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides)
 
 
 def _dense_model_profile(params, X, grid, problem):
-    _, G, _ = _grid_pass(params.architecture, params.weights, X, grid.points, problem.task_cost)
+    _, G, _ = _grid_pass(
+        params.architecture, params.weights, X, grid.points[None, :], problem.task_cost
+    )
     return CostProfile(grid, G.mean(axis=0), "model")
 
 
@@ -492,14 +494,16 @@ def test_two_stage_decision_matches_least_squares_on_default_world():
 
 
 def _count_grid_passes(monkeypatch):
+    """The shape of the actions Z at each _grid_pass call: a (1, K) row for a
+    pass over the grid, an (n, 1) column for the predictive loss's paired rows."""
     import predopt.predictor
 
     calls = []
     kernel = predopt.predictor._grid_pass
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counting(arch, w, X, Z, *args, **kwargs):
+        calls.append(Z.shape)
+        return kernel(arch, w, X, Z, *args, **kwargs)
 
     monkeypatch.setattr(predopt.predictor, "_grid_pass", counting)
     return calls
@@ -534,7 +538,10 @@ def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, fin
     assert cfg.weight_config.task_term_enabled
     res = fit(problem, train, val, arch, cfg)
     assert res.iters_run == n
-    assert len(calls) == passes_per_iter * n + final_passes
+    assert calls.count((1, GRID.n_points)) == passes_per_iter * n + final_passes
+    # and one paired pass per iteration, over the full batch
+    assert calls.count((len(train), 1)) == n
+    assert len(calls) == calls.count((1, GRID.n_points)) + n
 
 
 def test_linear_two_stage_fit_matches_closed_form_least_squares():
