@@ -3,10 +3,11 @@
 One JSON config fully determines an experiment. Its keys are the fields of
 the dataclasses it builds, in the sections that _LAYOUT gives, and a field
 without a default is a required key. Parsing is strict: unknown keys are
-rejected by name (and line, when it can be located in the file).
+rejected by name (and line, when it can be located in the file). The config
+and the checkpoint are both read and checked by core._read_json, and every
+output file is written by core._write_atomic.
 Exit codes: 0 success, 2 usage, config, checkpoint or file-system error or
 arrays too large to allocate, 3 training abort.
-All output files are written to a temporary name and atomically renamed.
 """
 
 from __future__ import annotations
@@ -14,18 +15,16 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import shutil
 import sys
-import tempfile
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
-from typing import get_type_hints
+from dataclasses import asdict, is_dataclass, replace
 
 import numpy as np
 
 from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv
+from .core import _JSON_TYPES, _NUMBER, _json_keys, _read_json, _write_atomic
 from .evaluation import (
     METHOD_ORDER,
     ExperimentConfig,
@@ -47,11 +46,6 @@ class ConfigError(ValueError):
     """A config file failed strict validation."""
 
 
-_NUMBER = (int, float)
-# The largest value of an int key; numpy's conversion of a larger size overflows.
-_INT_MAX = 2**31 - 1
-# The JSON type(s) a key takes, by the annotation of its dataclass field
-_JSON_TYPES = {str: str, int: int, bool: bool, float: _NUMBER, tuple: list}
 # Where each class's fields sit in the file, as a dotted section ("" is the top
 # level), and the fields that sit elsewhere; None keeps a field out of the file.
 _LAYOUT = {
@@ -89,86 +83,29 @@ def _build_schema() -> dict:
     # Optional and empty; kept so configs that carry "io": {} still load.
     schema = {"io": (False, {})}
     for cls in (TrueModel, ActionGrid, Architecture, TrainConfig, WeightConfig, ExperimentConfig):
-        hints = get_type_hints(cls)
-        for f in fields(cls):
-            where = _LAYOUT.get(f"{cls.__name__}.{f.name}", _LAYOUT[cls.__name__])
-            if where is None or not f.init or is_dataclass(hints[f.name]):
+        for name, required, hint in _json_keys(cls):
+            where = _LAYOUT.get(f"{cls.__name__}.{name}", _LAYOUT[cls.__name__])
+            if where is None or is_dataclass(hint):
                 continue  # a dataclass field is the section of its class
             node = schema
             for section in filter(None, where.split(".")):
                 node = node.setdefault(section, (True, {}))[1]
-            required = f.default is MISSING and f.default_factory is MISSING
-            expected = _OBJECTS[f.name] if f.name in _OBJECTS else _JSON_TYPES[hints[f.name]]
-            node[f.name] = (required, expected)
+            node[name] = (required, _OBJECTS[name] if name in _OBJECTS else _JSON_TYPES[hint])
     return schema
 
 
 _SCHEMA = _build_schema()
 
 
-def _find_line(raw_text: str, key: str):
-    needle = f'"{key}"'
-    for lineno, line in enumerate(raw_text.split("\n"), start=1):
-        if needle in line:
-            return lineno
-    return None
-
-
-def _check_keys(blob: dict, schema: dict, raw_text: str, path: str = "") -> None:
-    for key, value in blob.items():
-        where = f"{path}{key}"
-        if key not in schema:
-            lineno = _find_line(raw_text, key)
-            at = f" (line {lineno})" if lineno else ""
-            raise ConfigError(f"unknown config key '{where}'{at}")
-        _required, expected = schema[key]
-        if isinstance(expected, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{where}' must be an object")
-            _check_keys(value, expected, raw_text, path=where + ".")
-        else:
-            if expected is int and isinstance(value, bool):
-                raise ConfigError(f"config key '{where}' must be an integer")
-            if not isinstance(value, expected):
-                raise ConfigError(f"config key '{where}' has the wrong type")
-            if expected is int and value > _INT_MAX:
-                raise ConfigError(f"config key '{where}' must be <= {_INT_MAX}")
-            if expected in (_NUMBER, list):
-                numbers = value if isinstance(value, list) else [value]
-                if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in numbers):
-                    raise ConfigError(f"config key '{where}' must be numeric")
-                try:
-                    finite = all(math.isfinite(v) for v in numbers)
-                except OverflowError:  # an integer literal too large for a float
-                    finite = False
-                if not finite:
-                    raise ConfigError(f"config key '{where}' must be finite")
-    for key, (required, _expected) in schema.items():
-        if required and key not in blob:
-            raise ConfigError(f"missing config key '{path}{key}'")
-
-
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
-            raw_text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    try:
-        blob = json.loads(raw_text)
-    except ValueError as err:  # a JSONDecodeError, or an integer with too many digits
-        raise ConfigError(f"{path} is not valid JSON: {err}") from err
-    if not isinstance(blob, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(blob, _SCHEMA, raw_text)
-
-    # config keys are field names: each section builds its class by keyword, with its defaults
-    problem = dict(blob["problem"])
-    grid = problem.pop("grid")
-    split = {key: problem.pop(key) for key in ("n_samples", "train_frac", "val_frac")}
-    train = dict(blob["train"])
-    weights = train.pop("weights")
-    try:
+        blob = _read_json(path, _SCHEMA, "config")
+        # config keys are field names: each section builds its class by keyword, with its defaults
+        problem = dict(blob["problem"])
+        grid = problem.pop("grid")
+        split = {key: problem.pop(key) for key in ("n_samples", "train_frac", "val_frac")}
+        train = dict(blob["train"])
+        weights = train.pop("weights")
         model = TrueModel(**problem)
         return ExperimentConfig(
             model_spec=model,
@@ -183,40 +120,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(str(err)) from err
 
 
-def _atomic_via_tmp(path, writer) -> None:
-    """Run writer(tmp_path) next to `path`, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path, text: str) -> None:
-    def writer(tmp):
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-
-    _atomic_via_tmp(path, writer)
-
-
-def _sidecar_path(out_path: str) -> str:
-    stem, _ext = os.path.splitext(out_path)
-    return stem + ".meta.json"
-
-
 def cmd_generate(config: ExperimentConfig, out_path: str) -> int:
     data_seed, _, _, _ = derive_seeds(config.seed)
     data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
-    _atomic_via_tmp(out_path, lambda tmp: save_dataset_csv(data, tmp))
+    save_dataset_csv(data, out_path)
     meta = {"model": asdict(config.model_spec), "seed": config.seed, "data_seed": data_seed}
-    _atomic_write_text(_sidecar_path(out_path), json.dumps(meta, indent=2) + "\n")
+    sidecar = os.path.splitext(out_path)[0] + ".meta.json"
+    _write_atomic(sidecar, json.dumps(meta, indent=2) + "\n")
     print(f"wrote {len(data)} samples to {out_path}")
     return 0
 
@@ -249,14 +159,8 @@ def _output_dir(path):
 def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
     with _output_dir(run_dir):
         result = _fit_once(config, method)
-    _atomic_via_tmp(
-        os.path.join(run_dir, "checkpoint.json"),
-        lambda tmp: save_checkpoint(result.params_star, tmp),
-    )
-    _atomic_via_tmp(
-        os.path.join(run_dir, "training_log.csv"),
-        lambda tmp: save_history_csv(result.history, tmp),
-    )
+    save_checkpoint(result.params_star, os.path.join(run_dir, "checkpoint.json"))
+    save_history_csv(result.history, os.path.join(run_dir, "training_log.csv"))
     summary = {
         "method": method,
         "z_star": result.z_star,
@@ -264,9 +168,7 @@ def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
         "converged": result.converged,
         "iters_run": result.iters_run,
     }
-    _atomic_write_text(
-        os.path.join(run_dir, "summary.json"), json.dumps(summary, indent=2) + "\n"
-    )
+    _write_atomic(os.path.join(run_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(
         f"{method}: z_star={result.z_star:g} g_star={result.g_star:g} "
         f"iters={result.iters_run} converged={result.converged}"
@@ -291,7 +193,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) 
     action = argmin_profile(profile)
     cost, regret = evaluate_decision(config.model_spec, action, config.grid, config.n_mc, mc_seed)
     report = {"chosen_action": action, "expected_cost": cost, "regret": regret}
-    _atomic_write_text(out_path, json.dumps(report, indent=2) + "\n")
+    _write_atomic(out_path, json.dumps(report, indent=2) + "\n")
     print(f"action={action:g} expected_cost={cost:g} regret={regret:g}")
     return 0
 
@@ -301,7 +203,7 @@ def cmd_compare(config: ExperimentConfig, out_path: str, jobs: int) -> int:
         raise IsADirectoryError(errno.EISDIR, "output path is a directory", out_path)
     with _output_dir(os.path.dirname(os.path.abspath(out_path))):
         reports = compare_methods(config, jobs)
-    _atomic_via_tmp(out_path, lambda tmp: write_results_csv(reports, tmp))
+    write_results_csv(reports, out_path)
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
     for method in METHOD_ORDER:
         rows = [r for r in reports if r.method == method]

@@ -2,13 +2,18 @@
 
 Everything here is an immutable value after construction; arrays are stored
 read-only so instances can be shared across concurrent experiment runs.
+predopt reads every file, config or checkpoint, through _read_json, and
+writes every file through _write_atomic.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+import os
+import tempfile
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -240,5 +245,105 @@ def save_dataset_csv(data: Dataset, path) -> None:
         cells.append(repr(float(data.z_obs[i])))
         cells.append(repr(float(data.y[i])))
         lines.append(",".join(cells))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+_NUMBER = (int, float)
+# The largest value of an int key; numpy's conversion of a larger size overflows.
+_INT_MAX = 2**31 - 1
+# The JSON type(s) a key takes, by the annotation of its dataclass field
+_JSON_TYPES = {str: str, int: int, bool: bool, float: _NUMBER, tuple: list}
+
+
+def _json_keys(cls):
+    """(name, required, type hint) of each init field of dataclass `cls`; a
+    field without a default is a required key."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.init:
+            yield f.name, f.default is MISSING and f.default_factory is MISSING, hints[f.name]
+
+
+def _read_json(path, schema: dict, what: str) -> dict:
+    """The JSON object in UTF-8 file `path`, checked against `schema`: key ->
+    (required, expected JSON type(s)), where a nested dict is an object's own
+    schema. Every failure is a ValidationError that names the file or the key;
+    `what` ("config", "checkpoint") names the kind of file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw_text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ValidationError(f"cannot read {what} {path}: {err}") from err
+    try:
+        blob = json.loads(raw_text)
+    except (ValueError, RecursionError) as err:  # also an integer with too many digits
+        raise ValidationError(f"{path} is not valid JSON: {err}") from err
+    if not isinstance(blob, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object")
+    _check_keys(blob, schema, raw_text, what)
+    return blob
+
+
+def _find_line(raw_text: str, where: str):
+    """The line of dotted key `where`, each part searched for from where the
+    part before it was found; None if a part is not found."""
+    pos = -1
+    for key in where.split("."):
+        pos = raw_text.find(f'"{key}"', pos + 1)
+        if pos < 0:
+            return None
+    return raw_text.count("\n", 0, pos) + 1
+
+
+def _check_keys(blob: dict, schema: dict, raw_text: str, what: str, path: str = "") -> None:
+    for key, value in blob.items():
+        where = f"{path}{key}"
+        if key not in schema:
+            lineno = _find_line(raw_text, where)
+            at = f" (line {lineno})" if lineno else ""
+            raise ValidationError(f"unknown {what} key '{where}'{at}")
+        _required, expected = schema[key]
+        if isinstance(expected, dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"{what} key '{where}' must be an object")
+            _check_keys(value, expected, raw_text, what, path=where + ".")
+        else:
+            if expected is int and isinstance(value, bool):
+                raise ValidationError(f"{what} key '{where}' must be an integer")
+            if not isinstance(value, expected):
+                raise ValidationError(f"{what} key '{where}' has the wrong type")
+            if expected is int and value > _INT_MAX:
+                raise ValidationError(f"{what} key '{where}' must be <= {_INT_MAX}")
+            if expected in (_NUMBER, list):
+                numbers = value if isinstance(value, list) else [value]
+                if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in numbers):
+                    raise ValidationError(f"{what} key '{where}' must be numeric")
+                try:
+                    finite = all(math.isfinite(v) for v in numbers)
+                except OverflowError:  # an integer literal too large for a float
+                    finite = False
+                if not finite:
+                    raise ValidationError(f"{what} key '{where}' must be finite")
+    for key, (required, _expected) in schema.items():
+        if required and key not in blob:
+            raise ValidationError(f"missing {what} key '{path}{key}'")
+
+
+def _write_atomic(path, text: str) -> None:
+    """Write `text` to `path` through a temporary file next to it that is
+    renamed into place, so `path` never holds a partial file. Creates missing
+    parent directories; the file's mode is 0o666 less the umask."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        umask = os.umask(0)  # mkstemp creates the file 0o600; read the umask to undo that
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -13,7 +13,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _split_sizes, split_dataset
+from .core import ActionGrid, ValidationError, _split_sizes, _write_atomic, split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
@@ -218,5 +218,4 @@ def write_results_csv(reports, path) -> None:
     """Results CSV: one column per DecisionReport field, floats to 17 significant digits."""
     lines = [",".join(RESULTS_COLUMNS)]
     lines += [",".join(_fmt(v) for v in astuple(r)) for r in reports]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")

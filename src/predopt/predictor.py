@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionGrid, Problem, ValidationError
+from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
 
 __all__ = [
     "Architecture",
@@ -93,10 +94,9 @@ def init_params(arch: Architecture, seed: int) -> PredictorParams:
     output layer. Deterministic in seed."""
     w = np.zeros(arch.n_weights)
     if arch.kind == "mlp1":
-        d, h = arch.feature_dim, arch.hidden_units
-        s = 1.0 / np.sqrt(d + 1)
-        rng = np.random.default_rng(seed)
-        w[: (d + 1) * h] = rng.uniform(-s, s, size=(d + 1) * h)
+        s = 1.0 / np.sqrt(arch.feature_dim + 1)
+        W1, _, _, _ = _unpack_mlp1(arch, w)  # a view into w
+        W1[:] = np.random.default_rng(seed).uniform(-s, s, size=W1.shape)
     return PredictorParams(arch, w)
 
 
@@ -295,19 +295,18 @@ def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C):
     The task term passes C = dg/dy * p_k / m, (m, K); the predictive loss
     passes C = c[:, None], (n, 1)."""
     grad = np.empty_like(w)
-    d = arch.feature_dim
+    gW1, gb1, gw2, _ = _unpack_mlp1(arch, grad)  # views into grad
     _, _, w2, _ = _unpack_mlp1(arch, w)
-    h = arch.hidden_units
-    grad[(d + 1) * h + h : (d + 1) * h + 2 * h] = C.ravel() @ T.reshape(-1, h)
+    d = arch.feature_dim
+    gw2[:] = C.ravel() @ T.reshape(-1, arch.hidden_units)
     # backprop through tanh: D = 1 - T*T, formed explicitly because
     # sum C - sum C*T*T cancels where |tanh| is near 1
     D = np.subtract(1.0, np.multiply(T, T, out=T), out=T)
     # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by Z[j, k]
     M = np.matmul(np.stack([C, C * Z], axis=1), D)  # (m, 2, h)
-    gW1 = grad[: (d + 1) * h].reshape(h, d + 1)  # a view: rows are hidden units
     gW1[:, :d] = w2[:, None] * (M[:, 0].T @ X)
-    grad[(d + 1) * h : (d + 1) * h + h], gW1[:, d] = w2 * M.sum(axis=0)  # b1, z column
-    grad[-1] = C.sum()
+    gb1[:], gW1[:, d] = w2 * M.sum(axis=0)  # b1, z column
+    grad[-1] = C.sum()  # b2
     return grad
 
 
@@ -316,43 +315,17 @@ def save_checkpoint(params: PredictorParams, path) -> None:
     blob: dict = {"kind": arch.kind, "feature_dim": arch.feature_dim}
     if arch.kind == "mlp1":
         blob["hidden_units"] = arch.hidden_units
-    with open(path, "w") as fh:
-        json.dump({"architecture": blob, "weights": list(params.weights)}, fh)
-        fh.write("\n")
-
-
-_CHECKPOINT_ARCH_KEYS = {"kind": str, "feature_dim": int, "hidden_units": int, "activation": str}
+    text = json.dumps({"architecture": blob, "weights": list(params.weights)})
+    _write_atomic(path, text + "\n")
 
 
 def load_checkpoint(path) -> PredictorParams:
-    """Read a checkpoint written by save_checkpoint, checking its schema."""
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"checkpoint {path} is not valid JSON: {err}") from err
-    if not isinstance(raw, dict) or set(raw) != {"architecture", "weights"}:
-        raise ValidationError(
-            f"checkpoint {path} must hold exactly the keys 'architecture' and 'weights'"
-        )
-    blob, weights = raw["architecture"], raw["weights"]
-    if not isinstance(blob, dict) or not {"kind", "feature_dim"} <= set(blob):
-        raise ValidationError(
-            f"checkpoint {path}: 'architecture' must be an object with 'kind' and 'feature_dim'"
-        )
-    for key, value in blob.items():
-        expected = _CHECKPOINT_ARCH_KEYS.get(key)
-        if expected is None:
-            raise ValidationError(f"checkpoint {path}: unknown architecture key {key!r}")
-        if not isinstance(value, expected) or isinstance(value, bool):
-            raise ValidationError(
-                f"checkpoint {path}: architecture key {key!r} must be {expected.__name__}"
-            )
-    if not isinstance(weights, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in weights
-    ):
-        raise ValidationError(f"checkpoint {path}: 'weights' must be a list of numbers")
-    # Older checkpoints name the activation; tanh is the only one.
+    """Read a checkpoint written by save_checkpoint, checked like a config: its
+    architecture keys are Architecture's fields."""
+    keys = {name: (required, _JSON_TYPES[t]) for name, required, t in _json_keys(Architecture)}
+    keys["activation"] = (False, str)  # older checkpoints name it; tanh is the only one
+    raw = _read_json(path, {"architecture": (True, keys), "weights": (True, list)}, "checkpoint")
+    blob = raw["architecture"]
     if blob.pop("activation", "tanh") != "tanh":
         raise ValidationError(f"checkpoint {path}: architecture key 'activation' must be 'tanh'")
-    return PredictorParams(Architecture(**blob), np.asarray(weights, dtype=float))
+    return PredictorParams(Architecture(**blob), np.asarray(raw["weights"], dtype=float))

@@ -23,6 +23,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite
+from .core import _write_atomic
 from .objective import _soft_min, argmin_profile, empirical_profile, gamma_weight, omega_weight
 from .predictor import (
     Architecture,
@@ -238,5 +239,4 @@ def save_history_csv(history, path) -> None:
     for row in history:
         it, *values = astuple(row)
         lines.append(",".join([str(it), *map(repr, values)]))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")

@@ -1,15 +1,23 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import re
+import stat
+import tempfile
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predopt.cli import _SCHEMA, ConfigError, load_config, main
+from predopt.evaluation import ExperimentConfig, write_results_csv
+from predopt.predictor import Architecture, PredictorParams, save_checkpoint
 from test_golden import GOLDEN, INTEGER_LITERALS
 
 ROOT = Path(__file__).parents[1]
@@ -295,6 +303,37 @@ def test_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, expect",
+    [
+        pytest.param(b'{"seed": "\xff"}', "cannot read config", id="not-utf8"),
+        # deeper than the interpreter's recursion limit
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "is not valid JSON", id="too-deep"),
+    ],
+)
+def test_unparsable_config_exits_2(tmp_path, capsys, content, expect):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    out = tmp_path / "new" / "run"
+    assert main(["train", "--config", str(path), "--method", "simpo", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and expect in err
+    assert not (tmp_path / "new").exists()
+    assert list(tmp_path.rglob(".tmp-*")) == []
+
+
+def test_unknown_key_line_follows_the_dotted_path(tmp_path):
+    # a seed inside train: the line reported is its own, not the top-level seed's
+    lines = (ROOT / "configs" / "compare_default.json").read_text().split("\n")
+    train = next(i for i, line in enumerate(lines) if line.startswith('  "train"'))
+    lines.insert(train + 1, '    "seed": 3,')
+    path = tmp_path / "cfg.json"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value) == f"unknown config key 'train.seed' (line {train + 2})"
+
+
 NAN = float("nan")
 
 # (dotted config key, bad value, the whole error message): unknown, degenerate,
@@ -488,6 +527,23 @@ def test_no_temp_files_left_behind(config_path, tmp_path):
     main(["generate", "--config", str(config_path), "--out", str(tmp_path / "d.csv")])
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_output_files_follow_the_umask(config_path, tmp_path, umask):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert main(["generate", "--config", str(config_path), "--out", str(out / "d.csv")]) == 0
+        argv = ["train", "--config", str(config_path), "--method", "simpo"]
+        assert main(argv + ["--out", str(out / "run")]) == 0
+        write_results_csv([], out / "library.csv")  # a writer called from Python, not the CLI
+    finally:
+        os.umask(previous)
+    modes = {str(p.relative_to(out)): stat.S_IMODE(p.stat().st_mode) for p in out.rglob("*.*")}
+    names = ["d.csv", "d.meta.json", "library.csv"]
+    names += [f"run/{name}" for name in ("checkpoint.json", "training_log.csv", "summary.json")]
+    assert modes == dict.fromkeys(names, 0o666 & ~umask)
 
 
 # --- train ----------------------------------------------------------------------
@@ -733,6 +789,19 @@ def _failing_run(kind, config_path, tmp_path):
         return _evaluate_argv(config_path, tmp_path, ckpt), "'activation'"
     if kind == "missing-checkpoint":
         return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    linear = '{"architecture": {"kind": "linear", "feature_dim": 2}, "weights": '
+    if kind == "checkpoint-not-utf8":
+        ckpt.write_bytes(linear.encode() + b'[0, 0, 0, "\xff"]}')
+        return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    if kind == "checkpoint-too-deep":
+        # deeper than the interpreter's recursion limit
+        ckpt.write_text(linear + "[" * 100_000 + "]" * 100_000 + "}")
+        return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    if kind == "checkpoint-weight-too-large":
+        # an integer literal too large for a float
+        ckpt.write_text(linear + "[0, 0, 0, 1" + "0" * 400 + "]}")
+        expect = "checkpoint key 'weights' must be finite"
+        return _evaluate_argv(config_path, tmp_path, ckpt), expect
     if kind == "compare-out-is-a-directory":
         return ["compare", "--config", str(config_path), "--out", str(tmp_path)], str(tmp_path)
     taken = tmp_path / "taken"
@@ -752,6 +821,9 @@ def _failing_run(kind, config_path, tmp_path):
         "linear-with-hidden-units",
         "activation-not-tanh",
         "missing-checkpoint",
+        "checkpoint-not-utf8",
+        "checkpoint-too-deep",
+        "checkpoint-weight-too-large",
         "out-is-a-file",
         "compare-parent-is-a-file",
         "compare-out-is-a-directory",
@@ -772,3 +844,63 @@ def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monk
     assert err.startswith("error: ") and expect in err
     assert not (tmp_path / "report.json").exists()
     assert list(tmp_path.rglob(".tmp-*")) == []
+
+
+# --- mutated files ----------------------------------------------------------------
+
+# Up to three byte edits of a valid file: replace, insert or delete one byte.
+# Three edits lengthen an integer by at most three digits, so SMALL_CONFIG's
+# grid, the one array allocated at load, stays under 10**5 points.
+# The bytes are JSON's own, and one that is never valid UTF-8.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "insert", "delete"]),
+        st.integers(0, 10**6),
+        st.sampled_from(b'0123456789-+.eE"{}[],: \nantrufl\xff'),
+    ),
+    min_size=1,
+    max_size=3,
+)
+FUZZ = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, at, byte in edits:
+        at %= len(data)
+        data = data[:at] + bytes([byte]) * (op != "delete") + data[at + (op != "insert") :]
+    return data
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_config_loads_or_is_config_error(edits):
+    # load_config only: a mutated config never reaches a fit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_bytes(_mutate(json.dumps(SMALL_CONFIG, indent=2).encode(), edits))
+        try:
+            assert isinstance(load_config(path), ExperimentConfig)
+        except ConfigError:
+            pass
+
+
+CHECKPOINT = PredictorParams(Architecture("linear", 2), [2.0, -1.0, 0.25, 12.0])
+
+
+@FUZZ
+@given(edits=EDITS)
+def test_mutated_checkpoint_evaluates_or_exits_2(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        config = _write(root, SMALL_CONFIG)
+        ckpt = root / "ckpt.json"
+        save_checkpoint(CHECKPOINT, ckpt)
+        ckpt.write_bytes(_mutate(ckpt.read_bytes(), edits))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with np.errstate(all="ignore"):
+                rc = main(_evaluate_argv(config, root, ckpt))
+        assert rc in (0, 2), err.getvalue()
+        assert (rc == 2) == err.getvalue().startswith("error: ")
+        assert (root / "report.json").exists() == (rc == 0)
+        assert list(root.rglob(".tmp-*")) == []

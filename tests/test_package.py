@@ -1,5 +1,6 @@
 """The package namespace carries what the demos import, every demo runs to
-completion, and every name in a module's __all__ resolves."""
+completion, every name in a module's __all__ resolves, and only core's one
+reader and one writer open files."""
 
 import ast
 import importlib
@@ -56,3 +57,35 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"predopt.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+# Calls that open a file: open() itself, and os.open, os.fdopen, Path.open, ...
+FILE_CALLS = {"open", "fdopen", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_calls(node, where):
+    """(function, called name) of each call under `node` that opens a file;
+    `where` names the innermost function around it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _file_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                yield where, name
+        yield from _file_calls(child, where)
+
+
+def test_only_core_reader_and_writer_open_files():
+    # every file predopt reads goes through core._read_json, and every file it
+    # writes through core._write_atomic
+    found = set()
+    for module in MODULES:
+        path = ROOT / "src" / "predopt" / f"{module}.py"
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found |= {(module, where, name) for where, name in _file_calls(tree, "<module>")}
+    assert found == {("core", "_read_json", "open"), ("core", "_write_atomic", "open")}
+    core = importlib.import_module("predopt.core")
+    assert {"_read_json", "_write_atomic"}.isdisjoint(core.__all__)
