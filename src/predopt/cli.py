@@ -24,7 +24,7 @@ from dataclasses import asdict, is_dataclass, replace
 import numpy as np
 
 from .core import ActionGrid, ValidationError, WeightConfig, make_grid, save_dataset_csv
-from .core import _JSON_TYPES, _NUMBER, _json_keys, _read_json, _write_atomic
+from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
 from .evaluation import (
     METHOD_ORDER,
     ExperimentConfig,
@@ -36,7 +36,7 @@ from .evaluation import (
 )
 from .objective import argmin_profile, model_profile
 from .predictor import Architecture, load_checkpoint, save_checkpoint
-from .problems import TrueModel, gen_dataset
+from .problems import _PARAM_SCHEMAS, TrueModel, gen_dataset
 from .training import TrainConfig, TrainingError, save_history_csv, simpo_fit, two_stage_fit
 
 __all__ = ["main", "ConfigError", "load_config"]
@@ -62,24 +62,11 @@ _LAYOUT = {
     "ExperimentConfig.val_frac": "problem",
     "ExperimentConfig.seed": "",
 }
-# Objects whose keys depend on the problem kind or logging policy; TrueModel checks which
-_OBJECTS = {
-    "cost_params": {
-        "c_h": (False, _NUMBER),
-        "c_s": (False, _NUMBER),
-        "capacity": (False, _NUMBER),
-    },
-    "logging": {
-        "policy": (True, str),
-        "center": (False, _NUMBER),
-        "width": (False, _NUMBER),
-    },
-}
 
 
 def _build_schema() -> dict:
     """key -> (required, expected type(s)) from the dataclass fields; a nested
-    dict holds a section's own schema."""
+    dict holds a section's own schema, from problems for the kind's and policy's keys."""
     # Optional and empty; kept so configs that carry "io": {} still load.
     schema = {"io": (False, {})}
     for cls in (TrueModel, ActionGrid, Architecture, TrainConfig, WeightConfig, ExperimentConfig):
@@ -90,7 +77,7 @@ def _build_schema() -> dict:
             node = schema
             for section in filter(None, where.split(".")):
                 node = node.setdefault(section, (True, {}))[1]
-            node[name] = (required, _OBJECTS[name] if name in _OBJECTS else _JSON_TYPES[hint])
+            node[name] = (required, _PARAM_SCHEMAS.get(name) or _JSON_TYPES[hint])
     return schema
 
 

@@ -17,6 +17,7 @@ from .core import ActionGrid, ValidationError, _split_sizes, _write_atomic, spli
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
+    _logging_probs,
     _oracle_cost_draws,
     cost_draws,
     gen_dataset,
@@ -58,6 +59,7 @@ class ExperimentConfig:
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
         _split_sizes(self.n_samples, self.train_frac, self.val_frac)
+        _logging_probs(self.model_spec, self.grid)  # the logging policy puts mass on the grid
         for name in ("train_frac", "val_frac"):
             object.__setattr__(self, name, float(getattr(self, name)))
 

@@ -10,24 +10,26 @@ is what makes a linear predictor class misspecified. Historical actions come
 from an explicit logging policy over the grid, because an action-conditioned
 predictor is only identifiable if logged actions vary.
 
-Oracles evaluate actions against the true process by Monte Carlo with common
-random numbers across grid actions. Both costs are hinge functions of the
-outcome, and the true outcome (base + eps)[i] + m(z[k]) is separable in
-(draw, action) just as a linear model's prediction a[j] + c[k] is in (input,
-action). So one sorted prefix-sum kernel per cost (Problem.separable_kernel)
-gives a linear model's profile and the oracle profile alike, with no
-(inputs, actions) array and no loop over actions. The oracle scan only picks
-the oracle action; every reported oracle value is the mean of one dense
-cost_draws pass, exact under a shared (seed, n_mc).
+Each problem kind and logging policy is one entry of _KINDS or _POLICIES: the
+builders, TrueModel, the oracles and the config schema all read those tables.
+
+Oracles evaluate actions by Monte Carlo, with common random numbers across
+actions. The true outcome (base + eps)[i] + m(z[k]) is separable like a linear
+model's prediction a[j] + c[k], so the kind's sorted prefix-sum kernel (see
+Problem.separable_kernel) scans every action at once. The scan only picks the
+oracle action; every reported oracle value is the mean of one dense cost_draws
+pass, exact under a shared (seed, n_mc).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import ActionGrid, Dataset, Problem, ValidationError, _require_finite
+from .core import _NUMBER, ActionGrid, Dataset, Problem, ValidationError, _require_finite
 
 __all__ = [
     "TrueModel",
@@ -46,9 +48,6 @@ __all__ = [
     "oracle_action",
 ]
 
-_POLICIES = ("uniform", "biased")
-
-
 @dataclass(frozen=True)
 class TrueModel:
     """Ground-truth data-generating process for one synthetic world."""
@@ -64,7 +63,7 @@ class TrueModel:
     logging: dict
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValidationError(f"unknown problem kind {self.kind!r}")
         for name in ("intercept", "action_effect", "nonlinearity", "noise_sd", "feature_sd"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
@@ -77,38 +76,16 @@ class TrueModel:
         if len(bw) < 1:
             raise ValidationError("base_weights must have at least one entry")
         object.__setattr__(self, "base_weights", bw)
-        cp = dict(self.cost_params)
-        uses = ("c_h", "c_s") if self.kind == "newsvendor" else ("capacity",)
-        for key, v in cp.items():
-            if key not in uses:
-                raise ValidationError(f"{self.kind} does not use cost_params key {key!r}")
-            _require_finite(f"cost_params[{key!r}]", v)
-        if self.kind == "newsvendor":
-            c_h, c_s = cp.get("c_h"), cp.get("c_s")
-            if c_h is None or c_s is None or c_h < 0 or c_s < 0 or c_h + c_s <= 0:
-                raise ValidationError(
-                    "newsvendor needs cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}"
-                )
-        else:
-            cap = cp.get("capacity")
-            if cap is None or not cap > 0:
-                raise ValidationError("pricing needs cost_params {capacity > 0}")
-        object.__setattr__(self, "cost_params", cp)
-        lg = dict(self.logging)
-        policy = lg.get("policy")
-        if policy not in _POLICIES:
+        object.__setattr__(self, "cost_params", dict(self.cost_params))
+        _check_params(
+            self.cost_params, _KINDS[self.kind], "cost_params", self.kind, "cost_params key"
+        )
+        object.__setattr__(self, "logging", dict(self.logging))
+        params = dict(self.logging)
+        policy = params.pop("policy", None)
+        if not isinstance(policy, str) or policy not in _POLICIES:
             raise ValidationError(f"unknown logging policy {policy!r}")
-        uses = ("policy",) if policy == "uniform" else ("policy", "center", "width")
-        for key in lg:
-            if key not in uses:
-                raise ValidationError(f"{policy} logging does not use key {key!r}")
-        if policy == "biased":
-            for key in ("center", "width"):
-                if key in lg:
-                    _require_finite(f"logging[{key!r}]", lg[key])
-            if "center" not in lg or not lg.get("width", 0) > 0:
-                raise ValidationError("biased logging needs center and width > 0")
-        object.__setattr__(self, "logging", lg)
+        _check_params(params, _POLICIES[policy], "logging", f"{policy} logging", "key")
 
     @property
     def feature_dim(self) -> int:
@@ -215,35 +192,71 @@ def _pricing_separable(z, a, c, capacity: float):
     return values, gradient_sums
 
 
-def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
-    return Problem(
-        grid=grid,
-        task_cost=lambda z, y: newsvendor_cost(z, y, c_h, c_s),
-        name="newsvendor",
-        task_cost_grad_y=lambda z, y: newsvendor_cost_grad_y(z, y, c_h, c_s),
-        separable_kernel=lambda z, a, c: _newsvendor_separable(z, a, c, c_h, c_s),
-    )
-
-
-def pricing_problem(grid: ActionGrid, capacity: float) -> Problem:
-    return Problem(
-        grid=grid,
-        task_cost=lambda z, y: pricing_cost(z, y, capacity),
-        name="pricing",
-        task_cost_grad_y=lambda z, y: pricing_cost_grad_y(z, y, capacity),
-        separable_kernel=lambda z, a, c: _pricing_separable(z, a, c, capacity),
-    )
-
-
-# kind -> (cost function, problem builder); both take the kind's cost_params by name
+# A problem kind: its cost_params keys, their condition (a predicate, and its text as the
+# error states it), its cost, the cost's outcome derivative and its separable kernel.
+_Kind = namedtuple("_Kind", "keys ok needs cost grad_y separable")
+# A logging policy: its keys besides `policy`, their condition, its grid weights.
+_Policy = namedtuple("_Policy", "keys ok needs weights")
 _KINDS = {
-    "newsvendor": (newsvendor_cost, newsvendor_problem),
-    "pricing": (pricing_cost, pricing_problem),
+    "newsvendor": _Kind(
+        ("c_h", "c_s"), lambda c_h, c_s: c_h >= 0 and c_s >= 0 and c_h + c_s > 0,
+        "cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}",
+        newsvendor_cost, newsvendor_cost_grad_y, _newsvendor_separable,
+    ),
+    "pricing": _Kind(
+        ("capacity",), lambda capacity: capacity > 0, "cost_params {capacity > 0}",
+        pricing_cost, pricing_cost_grad_y, _pricing_separable,
+    ),
+}
+_POLICIES = {
+    "uniform": _Policy((), lambda: True, "", np.ones_like),
+    "biased": _Policy(
+        ("center", "width"), lambda center, width: width > 0, "center and width > 0",
+        lambda points, center, width: np.maximum(0.0, 1.0 - np.abs(points - center) / width),
+    ),
+}
+# The config schema (core._read_json) of cost_params and logging: every entry's keys
+_PARAM_SCHEMAS = {
+    "cost_params": {key: (False, _NUMBER) for kind in _KINDS.values() for key in kind.keys},
+    "logging": {"policy": (True, str)}
+    | {key: (False, _NUMBER) for policy in _POLICIES.values() for key in policy.keys},
 }
 
 
+def _check_params(params: dict, entry, field: str, subject: str, key_noun: str) -> None:
+    """Raise a ValidationError unless `params` holds only keys of table `entry`, each
+    finite, that meet its condition; `field`, `subject` and `key_noun` word the errors."""
+    for key, value in params.items():
+        if key not in entry.keys:
+            raise ValidationError(f"{subject} does not use {key_noun} {key!r}")
+        _require_finite(f"{field}[{key!r}]", value)
+    if not (set(entry.keys) <= params.keys() and entry.ok(**params)):
+        raise ValidationError(f"{subject} needs {entry.needs}")
+
+
+def _problem(kind: str, grid: ActionGrid, cost_params: dict) -> Problem:
+    """The Problem of `kind` on `grid`; its cost_params are checked as TrueModel checks them."""
+    entry = _KINDS[kind]
+    _check_params(cost_params, entry, "cost_params", kind, "cost_params key")
+    return Problem(
+        grid=grid,
+        task_cost=partial(entry.cost, **cost_params),
+        name=kind,
+        task_cost_grad_y=partial(entry.grad_y, **cost_params),
+        separable_kernel=partial(entry.separable, **cost_params),
+    )
+
+
+def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
+    return _problem("newsvendor", grid, {"c_h": c_h, "c_s": c_s})
+
+
+def pricing_problem(grid: ActionGrid, capacity: float) -> Problem:
+    return _problem("pricing", grid, {"capacity": capacity})
+
+
 def problem_from_model(model: TrueModel, grid: ActionGrid) -> Problem:
-    return _KINDS[model.kind][1](grid, **model.cost_params)
+    return _problem(model.kind, grid, model.cost_params)
 
 
 def mean_outcome(model: TrueModel, base, z):
@@ -254,10 +267,8 @@ def mean_outcome(model: TrueModel, base, z):
 
 
 def _logging_probs(model: TrueModel, grid: ActionGrid) -> np.ndarray:
-    if model.logging["policy"] == "uniform":
-        return np.full(grid.n_points, 1.0 / grid.n_points)
-    center, width = model.logging["center"], model.logging["width"]
-    w = np.maximum(0.0, 1.0 - np.abs(grid.points - center) / width)
+    params = dict(model.logging)
+    w = _POLICIES[params.pop("policy")].weights(grid.points, **params)
     if w.sum() <= 0:
         raise ValidationError(
             "biased logging puts no mass on the grid; widen it or move the center"
@@ -293,7 +304,7 @@ def world_draws(model: TrueModel, n_mc: int, seed: int):
 def cost_draws(model: TrueModel, z: float, base: np.ndarray, eps: np.ndarray):
     """Per-draw cost of action z under shared world draws (one value per draw)."""
     y = mean_outcome(model, base, z) + eps
-    return _KINDS[model.kind][0](z, y, **model.cost_params)
+    return _KINDS[model.kind].cost(z, y, **model.cost_params)
 
 
 def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> float:
@@ -317,9 +328,8 @@ def oracle_profile(
     cost_draws(...).mean(), so values agree with oracle_expected_cost up to
     rounding; they do not depend on the order of the draws.
     """
-    points = grid.points
-    kernel = problem_from_model(model, grid).separable_kernel
-    return kernel(points, base + eps, mean_outcome(model, 0.0, points))[0]
+    points, kernel = grid.points, _KINDS[model.kind].separable
+    return kernel(points, base + eps, mean_outcome(model, 0.0, points), **model.cost_params)[0]
 
 
 def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, base: np.ndarray, eps: np.ndarray):

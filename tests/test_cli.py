@@ -453,6 +453,29 @@ def test_empty_split_exits_2_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "new").exists()
 
 
+NO_MASS = "biased logging puts no mass on the grid; widen it or move the center"
+
+
+def _off_grid_logging(tmp_path):
+    """The shipped default config with biased logging centred far off its grid."""
+    blob = json.loads((ROOT / "configs" / "compare_default.json").read_text())
+    blob["problem"]["logging"] = {"policy": "biased", "center": 100.0, "width": 1.0}
+    return _write(tmp_path, blob)
+
+
+def test_biased_logging_off_the_grid_is_config_error_at_load(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(_off_grid_logging(tmp_path))
+    assert str(err.value) == NO_MASS
+
+
+def test_generate_with_biased_logging_off_the_grid_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = _off_grid_logging(tmp_path)
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "data.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {NO_MASS}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 # Every key the loader accepts that holds no keys of its own takes each of
 # these values in turn, in SMALL_CONFIG.
 FUZZ_VALUES = [None, "x", True, [], {}, -1, 0, 1, 2.5, NAN, 1e308, 10**400]

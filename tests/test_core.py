@@ -231,6 +231,24 @@ NON_FINITE = [
         "logging['center']",
         id="TrueModel.logging.center",
     ),
+    pytest.param(
+        newsvendor_problem,
+        {"grid": make_grid(0, 10, 11), "c_h": NAN, "c_s": 3.0},
+        "cost_params['c_h']",
+        id="newsvendor_problem.c_h",
+    ),
+    pytest.param(
+        newsvendor_problem,
+        {"grid": make_grid(0, 10, 11), "c_h": 1.0, "c_s": INF},
+        "cost_params['c_s']",
+        id="newsvendor_problem.c_s",
+    ),
+    pytest.param(
+        pricing_problem,
+        {"grid": make_grid(0, 10, 11), "capacity": NAN},
+        "cost_params['capacity']",
+        id="pricing_problem.capacity",
+    ),
     pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
     pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),
 ]

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
     METHOD_ORDER,
@@ -13,9 +15,10 @@ from predopt.evaluation import (
     write_results_csv,
 )
 from predopt.predictor import Architecture
-from predopt.problems import TrueModel, oracle_action
+from predopt.problems import TrueModel, cost_draws, oracle_action, oracle_profile, world_draws
 from predopt.training import TrainConfig
 
+ROOT = Path(__file__).parents[1]
 GRID = make_grid(0.0, 20.0, 101)
 
 
@@ -265,3 +268,63 @@ def test_pred_mse_two_stage_not_worse_on_well_specified_world():
         if rows["two_stage"].pred_mse <= rows["simpo"].pred_mse + 1e-9
     )
     assert wins >= 8
+
+
+# --- the closed-form expected cost as an independent oracle reference ---------
+#
+# The outcome at action z is Y ~ N(mu(z), s^2), with mu(z) = intercept + e*z +
+# q*e*z^2 and s^2 = noise_sd^2 + feature_sd^2 * |base_weights|^2, so both costs
+# have closed-form expectations through E[(Y - a)+] = (mu - a) Phi((mu - a)/s)
+# + s phi((mu - a)/s).
+
+_PHI = np.vectorize(lambda u: 0.5 * (1.0 + math.erf(u / math.sqrt(2.0))))
+
+
+def _expected_excess(mu, a, s):
+    """E[(Y - a)+] for Y ~ N(mu, s^2)."""
+    u = (mu - a) / s
+    return (mu - a) * _PHI(u) + s * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+
+
+def _exact_expected_cost(model, z):
+    z = np.asarray(z, dtype=float)
+    e, q = model.action_effect, model.nonlinearity
+    mu = model.intercept + e * z + q * e * z * z
+    s = math.sqrt(model.noise_sd**2 + model.feature_sd**2 * sum(w * w for w in model.base_weights))
+    params = model.cost_params
+    if model.kind == "newsvendor":
+        c_h, c_s = params["c_h"], params["c_s"]
+        return (c_h + c_s) * _expected_excess(mu, z, s) - c_h * (mu - z)
+    capacity = params["capacity"]
+    return -z * (_expected_excess(mu, 0.0, s) - _expected_excess(mu, capacity, s))
+
+
+SHIPPED = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_monte_carlo_oracle_matches_the_closed_form(name):
+    # each shipped config with its own n_mc and MC seed: every Monte Carlo
+    # value lies within 5 standard errors of the exact one (the largest |z|
+    # seen is below 2)
+    config = load_config(ROOT / "configs" / name)
+    model, grid, n_mc = config.model_spec, config.grid, config.n_mc
+    mc_seed = derive_seeds(config.seed)[3]
+    base, eps = world_draws(model, n_mc, mc_seed)
+    exact = _exact_expected_cost(model, grid.points)
+    draws_at = [cost_draws(model, float(z), base, eps) for z in grid.points]
+    se = np.array([d.std(ddof=1) for d in draws_at]) / math.sqrt(n_mc)
+    profile = oracle_profile(model, grid, base, eps)
+    # a zero se is an action whose cost is the same on every draw (price 0)
+    assert np.all(np.abs(profile - exact) <= 5.0 * se + 1e-12 * np.abs(exact).max())
+
+    action, _cost = oracle_action(model, grid, n_mc, mc_seed)
+    best = int(np.argmin(exact))
+    assert abs(action - grid.points[best]) <= grid.step * (1.0 + 1e-9)
+
+    k_action = grid.index_of(action)
+    for k in np.linspace(0, grid.n_points - 1, 5).astype(int):
+        _cost, regret = evaluate_decision(model, float(grid.points[k]), grid, n_mc, mc_seed)
+        diffs = draws_at[k] - draws_at[k_action]
+        se_regret = diffs.std(ddof=1) / math.sqrt(n_mc)
+        assert regret == 0.0 or abs(regret - (exact[k] - exact[best])) <= 5.0 * se_regret

@@ -1,6 +1,7 @@
 """The package namespace carries what the demos import, every demo runs to
-completion, every name in a module's __all__ resolves, and only core's one
-reader and one writer open files."""
+completion, every name in a module's __all__ resolves, only core's one
+reader and one writer open files, and only problems names a problem kind, a
+logging policy or one of their keys."""
 
 import ast
 import importlib
@@ -89,3 +90,23 @@ def test_only_core_reader_and_writer_open_files():
     assert found == {("core", "_read_json", "open"), ("core", "_write_atomic", "open")}
     core = importlib.import_module("predopt.core")
     assert {"_read_json", "_write_atomic"}.isdisjoint(core.__all__)
+
+
+def test_only_problems_names_a_kind_a_policy_or_their_keys():
+    # each kind and policy is one entry of problems._KINDS or _POLICIES, and
+    # the config schema of their keys comes from problems._PARAM_SCHEMAS
+    problems = importlib.import_module("predopt.problems")
+    names = set(problems._KINDS) | set(problems._POLICIES)
+    names |= {key for schema in problems._PARAM_SCHEMAS.values() for key in schema}
+    assert names == {
+        "newsvendor", "pricing", "uniform", "biased",
+        "c_h", "c_s", "capacity", "policy", "center", "width",
+    }  # fmt: skip
+    found = []
+    for module in MODULES:
+        path = ROOT / "src" / "predopt" / f"{module}.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value in names and module != "problems":
+                    found.append((module, node.lineno, node.value))
+    assert found == []

@@ -80,6 +80,12 @@ def test_pricing_grad_clamps():
 # --- model validation and serialization --------------------------------------
 
 
+def test_true_model_rejects_an_unknown_or_unhashable_kind():
+    for kind in ("retail", ["pricing"]):
+        with pytest.raises(ValidationError, match="unknown problem kind"):
+            _newsvendor_world(kind=kind)
+
+
 def test_true_model_rejects_bad_costs():
     with pytest.raises(ValidationError):
         _newsvendor_world(cost_params={"c_h": 0.0, "c_s": 0.0})
@@ -95,6 +101,29 @@ def test_true_model_rejects_bad_costs():
             cost_params={"capacity": 0.0},
             logging={"policy": "uniform"},
         )
+
+
+NEWSVENDOR_NEEDS = "newsvendor needs cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}"
+
+
+@pytest.mark.parametrize(
+    "kind, cost_params, message",
+    [
+        ("newsvendor", {"c_h": -1.0, "c_s": 3.0}, NEWSVENDOR_NEEDS),
+        ("newsvendor", {"c_h": -1.0, "c_s": -3.0}, NEWSVENDOR_NEEDS),
+        ("newsvendor", {"c_h": 0.0, "c_s": 0.0}, NEWSVENDOR_NEEDS),
+        ("pricing", {"capacity": 0}, "pricing needs cost_params {capacity > 0}"),
+        ("pricing", {"capacity": -5.0}, "pricing needs cost_params {capacity > 0}"),
+    ],
+    ids=["negative-c_h", "negative-both", "zero-both", "capacity-0", "negative-capacity"],
+)
+def test_builders_reject_bad_costs_as_true_model_does(kind, cost_params, message):
+    build = {"newsvendor": newsvendor_problem, "pricing": pricing_problem}[kind]
+    with pytest.raises(ValidationError) as from_model:
+        _newsvendor_world(kind=kind, cost_params=cost_params)
+    with pytest.raises(ValidationError) as from_builder:
+        build(make_grid(0, 10, 11), **cost_params)
+    assert str(from_model.value) == str(from_builder.value) == message
 
 
 @pytest.mark.parametrize(
@@ -128,6 +157,8 @@ def test_true_model_rejects_logging_keys_the_policy_does_not_use(logging, key):
 def test_true_model_rejects_bad_logging():
     with pytest.raises(ValidationError):
         _newsvendor_world(logging={"policy": "greedy"})
+    with pytest.raises(ValidationError, match="unknown logging policy"):
+        _newsvendor_world(logging={"policy": ["biased"]})
     with pytest.raises(ValidationError):
         _newsvendor_world(logging={"policy": "biased", "center": 5.0})
 
