@@ -6,6 +6,10 @@ without a default is a required key. Parsing is strict: unknown keys are
 rejected by name (and line, when it can be located in the file). The config
 and the checkpoint are both read and checked by core._read_json, and every
 output file is written by core._write_atomic.
+
+Every command takes --config, --out and --seed, and argparse dispatches to
+its cmd_* function by keyword. Bad input is a core.ValidationError here as
+in the library, and the methods are training's fits.
 Exit codes: 0 success, 2 usage, config, checkpoint or file-system error or
 arrays too large to allocate, 3 training abort.
 """
@@ -37,14 +41,9 @@ from .evaluation import (
 from .objective import argmin_profile, model_profile
 from .predictor import Architecture, load_checkpoint, save_checkpoint
 from .problems import _PARAM_SCHEMAS, TrueModel, gen_dataset
-from .training import TrainConfig, TrainingError, save_history_csv, simpo_fit, two_stage_fit
+from .training import _FITS, TrainConfig, TrainingError, save_history_csv
 
-__all__ = ["main", "ConfigError", "load_config"]
-
-
-class ConfigError(ValueError):
-    """A config file failed strict validation."""
-
+__all__ = ["main", "load_config"]
 
 # Where each class's fields sit in the file, as a dotted section ("" is the top
 # level), and the fields that sit elsewhere; None keeps a field out of the file.
@@ -85,43 +84,39 @@ _SCHEMA = _build_schema()
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        blob = _read_json(path, _SCHEMA, "config")
-        # config keys are field names: each section builds its class by keyword, with its defaults
-        problem = dict(blob["problem"])
-        grid = problem.pop("grid")
-        split = {key: problem.pop(key) for key in ("n_samples", "train_frac", "val_frac")}
-        train = dict(blob["train"])
-        weights = train.pop("weights")
-        model = TrueModel(**problem)
-        return ExperimentConfig(
-            model_spec=model,
-            grid=make_grid(**grid),
-            arch=Architecture(feature_dim=model.feature_dim, **blob["model"]),
-            train=TrainConfig(weight_config=WeightConfig(**weights), seed=blob["seed"], **train),
-            seed=blob["seed"],
-            **split,
-            **blob["eval"],
-        )
-    except ValidationError as err:
-        raise ConfigError(str(err)) from err
+    blob = _read_json(path, _SCHEMA, "config")
+    # config keys are field names: each section builds its class by keyword, with its defaults
+    problem = dict(blob["problem"])
+    grid = problem.pop("grid")
+    split = {key: problem.pop(key) for key in ("n_samples", "train_frac", "val_frac")}
+    train = dict(blob["train"])
+    weights = train.pop("weights")
+    model = TrueModel(**problem)
+    return ExperimentConfig(
+        model_spec=model,
+        grid=make_grid(**grid),
+        arch=Architecture(feature_dim=model.feature_dim, **blob["model"]),
+        train=TrainConfig(weight_config=WeightConfig(**weights), seed=blob["seed"], **train),
+        seed=blob["seed"],
+        **split,
+        **blob["eval"],
+    )
 
 
-def cmd_generate(config: ExperimentConfig, out_path: str) -> int:
+def cmd_generate(config: ExperimentConfig, out: str) -> int:
     data_seed, _, _, _ = derive_seeds(config.seed)
     data = gen_dataset(config.model_spec, config.n_samples, config.grid, data_seed)
-    save_dataset_csv(data, out_path)
+    save_dataset_csv(data, out)
     meta = {"model": asdict(config.model_spec), "seed": config.seed, "data_seed": data_seed}
-    sidecar = os.path.splitext(out_path)[0] + ".meta.json"
+    sidecar = os.path.splitext(out)[0] + ".meta.json"
     _write_atomic(sidecar, json.dumps(meta, indent=2) + "\n")
-    print(f"wrote {len(data)} samples to {out_path}")
+    print(f"wrote {len(data)} samples to {out}")
     return 0
 
 
 def _fit_once(config: ExperimentConfig, method: str):
     problem, (train, val, _test), cfg, _mc_seed = _seed_setup(config, config.seed)
-    fit = simpo_fit if method == "simpo" else two_stage_fit
-    return fit(problem, train, val, config.arch, cfg)
+    return _FITS[method](problem, train, val, config.arch, cfg)
 
 
 @contextmanager
@@ -143,11 +138,12 @@ def _output_dir(path):
         raise
 
 
-def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
-    with _output_dir(run_dir):
+def cmd_train(config: ExperimentConfig, method: str, out: str) -> int:
+    method = method.replace("-", "_")  # the command line spells the method names with "-"
+    with _output_dir(out):
         result = _fit_once(config, method)
-    save_checkpoint(result.params_star, os.path.join(run_dir, "checkpoint.json"))
-    save_history_csv(result.history, os.path.join(run_dir, "training_log.csv"))
+    save_checkpoint(result.params_star, os.path.join(out, "checkpoint.json"))
+    save_history_csv(result.history, os.path.join(out, "training_log.csv"))
     summary = {
         "method": method,
         "z_star": result.z_star,
@@ -155,7 +151,7 @@ def cmd_train(config: ExperimentConfig, method: str, run_dir: str) -> int:
         "converged": result.converged,
         "iters_run": result.iters_run,
     }
-    _write_atomic(os.path.join(run_dir, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _write_atomic(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
     print(
         f"{method}: z_star={result.z_star:g} g_star={result.g_star:g} "
         f"iters={result.iters_run} converged={result.converged}"
@@ -168,11 +164,11 @@ def _describe(arch: Architecture) -> str:
     return f"{arch.kind} (feature_dim={arch.feature_dim}{hidden})"
 
 
-def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) -> int:
-    params = load_checkpoint(checkpoint_path)
+def cmd_evaluate(config: ExperimentConfig, checkpoint: str, out: str) -> int:
+    params = load_checkpoint(checkpoint)
     if params.architecture != config.arch:
-        raise ConfigError(
-            f"checkpoint {checkpoint_path} holds a {_describe(params.architecture)} model, "
+        raise ValidationError(
+            f"checkpoint {checkpoint} holds a {_describe(params.architecture)} model, "
             f"but the config describes a {_describe(config.arch)} model"
         )
     problem, (_train, val, _test), _cfg, mc_seed = _seed_setup(config, config.seed)
@@ -180,17 +176,17 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint_path: str, out_path: str) 
     action = argmin_profile(profile)
     cost, regret = evaluate_decision(config.model_spec, action, config.grid, config.n_mc, mc_seed)
     report = {"chosen_action": action, "expected_cost": cost, "regret": regret}
-    _write_atomic(out_path, json.dumps(report, indent=2) + "\n")
+    _write_atomic(out, json.dumps(report, indent=2) + "\n")
     print(f"action={action:g} expected_cost={cost:g} regret={regret:g}")
     return 0
 
 
-def cmd_compare(config: ExperimentConfig, out_path: str, jobs: int) -> int:
-    if os.path.isdir(out_path):
-        raise IsADirectoryError(errno.EISDIR, "output path is a directory", out_path)
-    with _output_dir(os.path.dirname(os.path.abspath(out_path))):
+def cmd_compare(config: ExperimentConfig, out: str, jobs: int) -> int:
+    if os.path.isdir(out):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", out)
+    with _output_dir(os.path.dirname(os.path.abspath(out))):
         reports = compare_methods(config, jobs)
-    write_results_csv(reports, out_path)
+    write_results_csv(reports, out)
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
     for method in METHOD_ORDER:
         rows = [r for r in reports if r.method == method]
@@ -208,57 +204,40 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="predopt",
         description="Joint prediction-and-optimization experiments on synthetic decision problems.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", required=True)
+    shared.add_argument("--out", required=True, help="output file (train: output directory)")
+    shared.add_argument("--seed", type=int, default=None, help="override the config seed")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("generate", help="write a dataset CSV plus a provenance sidecar")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=None, help="override the config seed")
-
-    train = sub.add_parser("train", help="fit one method and write checkpoint/log/summary")
-    train.add_argument("--config", required=True)
-    train.add_argument("--method", required=True, choices=["simpo", "two-stage"])
-    train.add_argument("--out", required=True, help="output directory")
-    train.add_argument("--seed", type=int, default=None)
-
-    ev = sub.add_parser("evaluate", help="score a saved checkpoint's decision against the oracle")
-    ev.add_argument("--config", required=True)
-    ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--out", required=True)
-    ev.add_argument("--seed", type=int, default=None)
-
-    cmp_ = sub.add_parser("compare", help="run the multi-seed method comparison")
-    cmp_.add_argument("--config", required=True)
-    cmp_.add_argument("--out", required=True)
-    cmp_.add_argument("--jobs", type=int, default=1)
-    cmp_.add_argument("--seed", type=int, default=None)
+    for name, run, text in (
+        ("generate", cmd_generate, "write a dataset CSV plus a provenance sidecar"),
+        ("train", cmd_train, "fit one method and write checkpoint/log/summary"),
+        ("evaluate", cmd_evaluate, "score a saved checkpoint's decision against the oracle"),
+        ("compare", cmd_compare, "run the multi-seed method comparison"),
+    ):
+        sub.add_parser(name, parents=[shared], help=text).set_defaults(run=run)
+    methods = [method.replace("_", "-") for method in _FITS]
+    sub.choices["train"].add_argument("--method", required=True, choices=methods)
+    sub.choices["evaluate"].add_argument("--checkpoint", required=True)
+    sub.choices["compare"].add_argument("--jobs", type=int, default=1)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    del args["command"]
+    run, config_path, seed = args.pop("run"), args.pop("config"), args.pop("seed")
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.command == "generate":
-            return cmd_generate(config, args.out)
-        if args.command == "train":
-            method = "simpo" if args.method == "simpo" else "two_stage"
-            return cmd_train(config, method, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.checkpoint, args.out)
-        if args.command == "compare":
-            return cmd_compare(config, args.out, args.jobs)
-        parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValidationError, OSError, MemoryError) as err:
+        config = load_config(config_path)
+        if seed is not None:
+            config = replace(config, seed=seed)
+        return run(config, **args)
+    except (ValidationError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TrainingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

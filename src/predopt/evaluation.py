@@ -24,7 +24,7 @@ from .problems import (
     problem_from_model,
     world_draws,
 )
-from .training import TrainConfig, TrainingError, simpo_fit, two_stage_fit
+from .training import _FITS, TrainConfig, TrainingError
 
 __all__ = [
     "ExperimentConfig",
@@ -36,7 +36,7 @@ __all__ = [
     "derive_seeds",
 ]
 
-METHOD_ORDER = ("simpo", "two_stage", "oracle")
+METHOD_ORDER = (*_FITS, "oracle")
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
 
     fits = []
-    for method, fit in (("simpo", simpo_fit), ("two_stage", two_stage_fit)):
+    for method, fit in _FITS.items():
         try:
             fits.append((method, fit(problem, train, val, config.arch, cfg)))
         except TrainingError as err:

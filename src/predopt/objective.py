@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionGrid, Problem, ValidationError
-from .predictor import PredictorParams, _profile
+from .predictor import PredictorParams, _inputs, _profile
 
 __all__ = [
     "CostProfile",
@@ -68,9 +68,9 @@ def model_profile(
     params: PredictorParams, inputs, grid: ActionGrid, problem: Problem
 ) -> CostProfile:
     """Average task cost of each grid action over the model's predictions."""
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValidationError("inputs must be a non-empty (m, d) array")
+    X = _inputs(params.architecture, inputs)
+    if X.shape[0] == 0:
+        raise ValidationError("inputs must be non-empty")
     values, _ = _profile(params.architecture, params.weights, X, grid.points, problem)
     return CostProfile(grid, values, "model")
 

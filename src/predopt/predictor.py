@@ -114,23 +114,24 @@ def _unpack_mlp1(arch: Architecture, w: np.ndarray):
     return W1, b1, w2, b2
 
 
+def _inputs(arch: Architecture, X) -> np.ndarray:
+    """X as a float array, checked to be (n, d) for the architecture's d."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != arch.feature_dim:
+        raise ValidationError(f"inputs must be (n, {arch.feature_dim}), got shape {X.shape}")
+    return X
+
+
 def predict(params: PredictorParams, x, z: float) -> float:
     """Forward pass for a single (x, z)."""
     x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != params.architecture.feature_dim:
-        raise ValidationError(
-            f"x has dimension {x.shape[0]}, architecture expects "
-            f"{params.architecture.feature_dim}"
-        )
     return float(predict_batch(params, x[None, :], np.array([z]))[0])
 
 
 def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Predictions for paired rows: X (n, d) with actions Z (n,) -> (n,)."""
-    X = np.asarray(X, dtype=float)
+    X = _inputs(params.architecture, X)
     Z = np.asarray(Z, dtype=float)
-    if X.ndim != 2 or X.shape[1] != params.architecture.feature_dim:
-        raise ValidationError("X must be (n, feature_dim)")
     if Z.shape != X.shape[:1]:
         raise ValidationError("Z must be (n,): one action per row of X")
     return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
@@ -165,7 +166,7 @@ def predict_on_grid(
     params: PredictorParams, X: np.ndarray, points: np.ndarray
 ) -> np.ndarray:
     """Predictions for every input crossed with every action: (m, K)."""
-    X = np.asarray(X, dtype=float)
+    X = _inputs(params.architecture, X)
     points = np.asarray(points, dtype=float)
     return _grid_pass(params.architecture, params.weights, X, points[None, :])[0]
 
@@ -184,7 +185,7 @@ def loss_and_grad(
     d(loss)/d(theta) over the flat weight vector. The loss is the same for
     every problem; `problem` is accepted so this call mirrors task_grad.
     """
-    X = np.asarray(X, dtype=float)
+    X = _inputs(params.architecture, X)
     Z = np.asarray(Z, dtype=float).ravel()
     Y = np.asarray(Y, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
@@ -224,7 +225,7 @@ def task_grad(
     The probabilities are treated as constants; the gradient flows only through
     the predictions, using the problem's outcome-derivative of g (0 at kinks).
     """
-    X = np.asarray(X, dtype=float)
+    X = _inputs(params.architecture, X)
     probs = np.asarray(action_probs, dtype=float).ravel()
     if probs.shape[0] != grid.n_points:
         raise ValidationError("action_probs length must match the grid")
@@ -323,9 +324,6 @@ def load_checkpoint(path) -> PredictorParams:
     """Read a checkpoint written by save_checkpoint, checked like a config: its
     architecture keys are Architecture's fields."""
     keys = {name: (required, _JSON_TYPES[t]) for name, required, t in _json_keys(Architecture)}
-    keys["activation"] = (False, str)  # older checkpoints name it; tanh is the only one
     raw = _read_json(path, {"architecture": (True, keys), "weights": (True, list)}, "checkpoint")
     blob = raw["architecture"]
-    if blob.pop("activation", "tanh") != "tanh":
-        raise ValidationError(f"checkpoint {path}: architecture key 'activation' must be 'tanh'")
     return PredictorParams(Architecture(**blob), np.asarray(raw["weights"], dtype=float))

@@ -233,6 +233,10 @@ def two_stage_fit(
     return _fit(problem, train, val, arch, config, use_joint_weights=False)
 
 
+# Each method's name and fit, in the results' order; every other module reads the names here.
+_FITS = {"simpo": simpo_fit, "two_stage": two_stage_fit}
+
+
 def save_history_csv(history, path) -> None:
     """Training log: HISTORY_COLUMNS, then one line per HistoryRow, floats by repr."""
     lines = [",".join(HISTORY_COLUMNS)]

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predopt.cli import _SCHEMA, ConfigError, load_config, main
+from predopt.cli import _SCHEMA, load_config, main
+from predopt.core import ValidationError
 from predopt.evaluation import ExperimentConfig, write_results_csv
 from predopt.predictor import Architecture, PredictorParams, save_checkpoint
 from test_golden import GOLDEN, INTEGER_LITERALS
@@ -193,7 +194,7 @@ def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
 def test_unknown_top_level_key_rejected(tmp_path):
     blob = copy.deepcopy(SMALL_CONFIG)
     blob["problems"] = {}
-    with pytest.raises(ConfigError, match="problems"):
+    with pytest.raises(ValidationError, match="problems"):
         load_config(_write(tmp_path, blob))
 
 
@@ -256,7 +257,7 @@ def test_missing_required_key_rejected(tmp_path, key):
     blob = copy.deepcopy(SMALL_CONFIG)
     section, leaf = _parent(blob, key)
     del section[leaf]
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         load_config(_write(tmp_path, blob))
     assert str(err.value) == f"missing config key '{key}'"
 
@@ -329,7 +330,7 @@ def test_unknown_key_line_follows_the_dotted_path(tmp_path):
     lines.insert(train + 1, '    "seed": 3,')
     path = tmp_path / "cfg.json"
     path.write_text("\n".join(lines))
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         load_config(path)
     assert str(err.value) == f"unknown config key 'train.seed' (line {train + 2})"
 
@@ -419,7 +420,7 @@ def test_bad_value_is_config_error(tmp_path, capsys, key, value, message):
     section[leaf] = value
     path = _write(tmp_path, blob)
     message = message.format(key)
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         load_config(path)
     assert str(err.value) == message
     assert main(["compare", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
@@ -464,7 +465,7 @@ def _off_grid_logging(tmp_path):
 
 
 def test_biased_logging_off_the_grid_is_config_error_at_load(tmp_path):
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValidationError) as err:
         load_config(_off_grid_logging(tmp_path))
     assert str(err.value) == NO_MASS
 
@@ -505,7 +506,7 @@ def test_any_leaf_value_exits_0_2_or_3(tmp_path, key):
             assert os.listdir(case) == [path.name], value
         try:
             load_config(path)
-        except ConfigError as err:
+        except ValidationError as err:
             assert leaf in str(err), (value, str(err))
 
 
@@ -809,7 +810,8 @@ def _failing_run(kind, config_path, tmp_path):
     if kind == "activation-not-tanh":
         arch = {"kind": "mlp1", "feature_dim": 2, "hidden_units": 1, "activation": "relu"}
         ckpt.write_text(json.dumps({"architecture": arch, "weights": [0.0] * 6}))
-        return _evaluate_argv(config_path, tmp_path, ckpt), "'activation'"
+        expect = "unknown checkpoint key 'architecture.activation' (line 1)"
+        return _evaluate_argv(config_path, tmp_path, ckpt), expect
     if kind == "missing-checkpoint":
         return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
     linear = '{"architecture": {"kind": "linear", "feature_dim": 2}, "weights": '
@@ -903,7 +905,7 @@ def test_mutated_config_loads_or_is_config_error(edits):
         path.write_bytes(_mutate(json.dumps(SMALL_CONFIG, indent=2).encode(), edits))
         try:
             assert isinstance(load_config(path), ExperimentConfig)
-        except ConfigError:
+        except ValidationError:
             pass
 
 

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +279,7 @@ def test_pred_mse_two_stage_not_worse_on_well_specified_world():
 # have closed-form expectations through E[(Y - a)+] = (mu - a) Phi((mu - a)/s)
 # + s phi((mu - a)/s).
 
-_PHI = np.vectorize(lambda u: 0.5 * (1.0 + math.erf(u / math.sqrt(2.0))))
+_PHI = np.vectorize(lambda u: 0.5 * (1.0 + math.erf(u / math.sqrt(2.0))), otypes=[float])
 
 
 def _expected_excess(mu, a, s):
@@ -286,11 +288,18 @@ def _expected_excess(mu, a, s):
     return (mu - a) * _PHI(u) + s * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
-def _exact_expected_cost(model, z):
+def _outcome_moments(model, z):
+    """mu(z) and s of the outcome Y ~ N(mu(z), s^2) at actions z."""
     z = np.asarray(z, dtype=float)
     e, q = model.action_effect, model.nonlinearity
     mu = model.intercept + e * z + q * e * z * z
     s = math.sqrt(model.noise_sd**2 + model.feature_sd**2 * sum(w * w for w in model.base_weights))
+    return mu, s
+
+
+def _exact_expected_cost(model, z):
+    z = np.asarray(z, dtype=float)
+    mu, s = _outcome_moments(model, z)
     params = model.cost_params
     if model.kind == "newsvendor":
         c_h, c_s = params["c_h"], params["c_s"]
@@ -302,12 +311,22 @@ def _exact_expected_cost(model, z):
 SHIPPED = sorted(p.name for p in (ROOT / "configs").glob("*.json"))
 
 
-@pytest.mark.parametrize("name", SHIPPED)
+def _capacity_binds():
+    # no shipped world lets the capacity bind; at capacity 4 the exact optimum
+    # is z = 4.0, where about half the draws sell the full capacity
+    config = load_config(ROOT / "configs" / "pricing_demo.json")
+    return replace(config, model_spec=replace(config.model_spec, cost_params={"capacity": 4.0}))
+
+
+CLOSED_FORM_CASES = {name: partial(load_config, ROOT / "configs" / name) for name in SHIPPED}
+CLOSED_FORM_CASES["pricing_demo.json-capacity-4"] = _capacity_binds
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_monte_carlo_oracle_matches_the_closed_form(name):
-    # each shipped config with its own n_mc and MC seed: every Monte Carlo
-    # value lies within 5 standard errors of the exact one (the largest |z|
-    # seen is below 2)
-    config = load_config(ROOT / "configs" / name)
+    # each config with its own n_mc and MC seed: every Monte Carlo value lies
+    # within 5 standard errors of the exact one (the largest |z| seen is 2.71)
+    config = CLOSED_FORM_CASES[name]()
     model, grid, n_mc = config.model_spec, config.grid, config.n_mc
     mc_seed = derive_seeds(config.seed)[3]
     base, eps = world_draws(model, n_mc, mc_seed)
@@ -315,8 +334,19 @@ def test_monte_carlo_oracle_matches_the_closed_form(name):
     draws_at = [cost_draws(model, float(z), base, eps) for z in grid.points]
     se = np.array([d.std(ddof=1) for d in draws_at]) / math.sqrt(n_mc)
     profile = oracle_profile(model, grid, base, eps)
+    # Where every draw sells the full capacity, the draws' cost is -z * capacity
+    # with a zero se, and the closed form differs from it by the tail below
+    # the capacity that no draw reached: fewer than one draw is expected there.
+    full = np.zeros(grid.n_points, dtype=bool)
+    if model.kind == "pricing":
+        capacity = model.cost_params["capacity"]
+        full = np.array([z > 0 and np.all(d == -z * capacity) for z, d in zip(grid.points, draws_at)])
+        mu, s = _outcome_moments(model, grid.points[full])
+        assert np.all(n_mc * _PHI((capacity - mu) / s) < 1.0)
+        assert np.allclose(profile[full], -grid.points[full] * capacity, rtol=1e-12, atol=1e-12)
     # a zero se is an action whose cost is the same on every draw (price 0)
-    assert np.all(np.abs(profile - exact) <= 5.0 * se + 1e-12 * np.abs(exact).max())
+    off = np.abs(profile - exact)[~full]
+    assert np.all(off <= 5.0 * se[~full] + 1e-12 * np.abs(exact).max())
 
     action, _cost = oracle_action(model, grid, n_mc, mc_seed)
     best = int(np.argmin(exact))

@@ -1,9 +1,11 @@
 """The package namespace carries what the demos import, every demo runs to
 completion, every name in a module's __all__ resolves, only core's one
-reader and one writer open files, and only problems names a problem kind, a
-logging policy or one of their keys."""
+reader and one writer open files, only problems names a problem kind, a
+logging policy or one of their keys, only training names a fit method, and
+the package has one exception type for bad input and one for a training abort."""
 
 import ast
+import builtins
 import importlib
 import os
 import pkgutil
@@ -18,6 +20,22 @@ import predopt
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(predopt.__path__))
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _parse(module):
+    path = ROOT / "src" / "predopt" / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _named_outside(owner, names):
+    """(module, line, string) of each string constant in `names` in a module other than `owner`."""
+    return [
+        (module, node.lineno, node.value)
+        for module in MODULES
+        if module != owner
+        for node in ast.walk(_parse(module))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names
+    ]
 
 
 def _package_imports(path):
@@ -84,9 +102,7 @@ def test_only_core_reader_and_writer_open_files():
     # writes through core._write_atomic
     found = set()
     for module in MODULES:
-        path = ROOT / "src" / "predopt" / f"{module}.py"
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found |= {(module, where, name) for where, name in _file_calls(tree, "<module>")}
+        found |= {(module, where, name) for where, name in _file_calls(_parse(module), "<module>")}
     assert found == {("core", "_read_json", "open"), ("core", "_write_atomic", "open")}
     core = importlib.import_module("predopt.core")
     assert {"_read_json", "_write_atomic"}.isdisjoint(core.__all__)
@@ -102,11 +118,29 @@ def test_only_problems_names_a_kind_a_policy_or_their_keys():
         "newsvendor", "pricing", "uniform", "biased",
         "c_h", "c_s", "capacity", "policy", "center", "width",
     }  # fmt: skip
-    found = []
-    for module in MODULES:
-        path = ROOT / "src" / "predopt" / f"{module}.py"
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if node.value in names and module != "problems":
-                    found.append((module, node.lineno, node.value))
-    assert found == []
+    assert _named_outside("problems", names) == []
+
+
+def test_only_training_names_a_fit_method():
+    # training._FITS holds each method's name and fit; the command line's
+    # spelling with "-" and the results' method order are read from it
+    assert _named_outside("training", {"simpo", "two_stage", "two-stage"}) == []
+
+
+def _is_exception(base):
+    name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+    builtin = getattr(builtins, name, None)
+    is_builtin = isinstance(builtin, type) and issubclass(builtin, BaseException)
+    return is_builtin or name.endswith(("Error", "Exception"))
+
+
+def test_one_exception_type_for_bad_input_and_one_for_an_abort():
+    # every module reports bad input as core.ValidationError (exit 2) and a
+    # training abort as training.TrainingError (exit 3)
+    found = {
+        (module, node.name)
+        for module in MODULES
+        for node in ast.walk(_parse(module))
+        if isinstance(node, ast.ClassDef) and any(map(_is_exception, node.bases))
+    }
+    assert found == {("core", "ValidationError"), ("training", "TrainingError")}

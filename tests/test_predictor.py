@@ -137,6 +137,27 @@ def test_predict_dimension_mismatch():
         predict(p, [1.0, 2.0], 0.0)
 
 
+UNIFORM = np.full(GRID.n_points, 1.0 / GRID.n_points)
+# each public function that takes the (n, d) inputs, called with inputs X and valid other arguments
+INPUT_CALLS = {
+    "predict_on_grid": lambda p, X: predict_on_grid(p, X, GRID.points),
+    "loss_and_grad": lambda p, X: loss_and_grad(
+        p, X, np.zeros(4), np.zeros(4), np.ones(4), NEWSVENDOR
+    ),
+    "task_grad": lambda p, X: task_grad(p, X, GRID, UNIFORM, NEWSVENDOR),
+    "model_profile": lambda p, X: model_profile(p, X, GRID, NEWSVENDOR),
+}
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4,)], ids=["d=3", "1-d"])
+@pytest.mark.parametrize("arch", [Architecture("linear", 2), MLP24], ids=["linear", "mlp1"])
+@pytest.mark.parametrize("call", INPUT_CALLS.values(), ids=INPUT_CALLS.keys())
+def test_inputs_of_the_wrong_shape_are_rejected_by_name(call, arch, shape):
+    # a d = 2 model: the error names the expected shape, not numpy's matmul
+    with pytest.raises(ValidationError, match=r"inputs must be \(n, 2\), got shape"):
+        call(init_params(arch, 0), np.zeros(shape))
+
+
 @pytest.mark.parametrize("Z", [np.zeros(3), np.float64(0.0), np.zeros((4, 1))])
 def test_predict_batch_needs_one_action_per_row(Z):
     with pytest.raises(ValidationError):
@@ -495,7 +516,8 @@ def test_checkpoint_round_trip(tmp_path, arch):
     blob = json.loads(path.read_text())
     assert set(blob) == {"architecture", "weights"}
     assert "activation" not in blob["architecture"]
-    # older checkpoints name the activation; tanh, the only one, still loads
+    # tanh is the only activation, so a checkpoint that names one is rejected like any unknown key
     blob["architecture"]["activation"] = "tanh"
     path.write_text(json.dumps(blob))
-    assert load_checkpoint(path).architecture == p.architecture
+    with pytest.raises(ValidationError, match=r"unknown checkpoint key 'architecture\.activation'"):
+        load_checkpoint(path)
