@@ -7,7 +7,6 @@ oracle's own regret is exactly zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
 
@@ -111,15 +110,23 @@ def evaluate_decision(
 
 def _score(model, action, best_costs, base, eps) -> tuple[float, float]:
     """evaluate_decision's cost and regret, given the draws and the oracle
-    action's per-draw costs under them."""
-    costs_at_action = cost_draws(model, float(action), base, eps)
-    diffs = costs_at_action - best_costs
-    regret = float(diffs.mean())
-    n_mc = len(eps)
-    se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
-    if abs(regret) <= 3.0 * se:
-        regret = 0.0
-    return float(costs_at_action.mean()), regret
+    action's per-draw costs under them. One working array of n_mc holds the
+    action's per-draw costs, then their differences from best_costs."""
+    work = cost_draws(model, float(action), base, eps)
+    cost = float(work.mean())
+    regret, se = _mean_and_se(np.subtract(work, best_costs, out=work))
+    return cost, (0.0 if abs(regret) <= 3.0 * se else regret)
+
+
+def _mean_and_se(x: np.ndarray) -> tuple[float, float]:
+    """x.mean() and its standard error x.std(ddof=1) / sqrt(n), 0.0 for n = 1.
+    The centred squares overwrite x: numpy's own steps for std, so the same bits."""
+    n = len(x)
+    mean = x.mean()
+    if n == 1:
+        return float(mean), 0.0
+    squares = np.square(np.subtract(x, mean, out=x), out=x)
+    return float(mean), float(np.sqrt(squares.sum() / (n - 1)) / np.sqrt(n))
 
 
 def _seed_setup(config: ExperimentConfig, run_seed: int):
@@ -203,6 +210,8 @@ def compare_methods(config: ExperimentConfig, jobs: int = 1) -> list[DecisionRep
     workers = min(jobs, config.n_seeds)
     seeds = range(config.seed, config.seed + config.n_seeds)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_seed, repeat(config), seeds))
     else:

@@ -55,12 +55,20 @@ class CostProfile:
 
 
 def empirical_profile(train_labels, problem: Problem) -> CostProfile:
-    """Average task cost of each grid action over the historical labels."""
+    """Average task cost of each grid action over the historical labels.
+
+    The labels are outcomes y[j] + 0 at every action, separable like a linear
+    model's predictions, so a problem with a separable kernel takes it and
+    forms no (K, n) cost matrix; any other problem takes the dense mean.
+    """
     y = np.asarray(train_labels, dtype=float).ravel()
     if y.size == 0:
         raise ValidationError("train_labels must be non-empty")
     points = problem.grid.points
-    values = problem.task_cost(points[:, None], y[None, :]).mean(axis=1)
+    if problem.separable_kernel is not None:
+        values = problem.separable_kernel(points, y, np.zeros_like(points))[0]
+    else:
+        values = problem.task_cost(points[:, None], y[None, :]).mean(axis=1)
     return CostProfile(problem.grid, values, "empirical")
 
 

@@ -19,6 +19,14 @@ model's prediction a[j] + c[k], so the kind's sorted prefix-sum kernel (see
 Problem.separable_kernel) scans every action at once. The scan only picks the
 oracle action; every reported oracle value is the mean of one dense cost_draws
 pass, exact under a shared (seed, n_mc).
+
+Every pass over the n_mc draws works in place, in the same order of
+operations as the plain expression: world_draws reduces the features to base
+before it draws eps, the kernels sort and sum in one (m + 1) array, and
+cost_draws writes the outcomes and then the kind's cost into one array (a
+_KINDS cost takes the array to write into). So beside base and eps, the
+oracle scan holds two arrays of n_mc (base + eps and the kernel's) and a cost
+pass one, plus one temporary for a newsvendor cost.
 """
 
 from __future__ import annotations
@@ -94,9 +102,19 @@ class TrueModel:
 
 def newsvendor_cost(z, y, c_h: float, c_s: float):
     """Holding cost on leftover stock plus shortage cost on unmet outcome."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return c_h * np.maximum(z - y, 0.0) + c_s * np.maximum(y - z, 0.0)
+    return _new_cost(_newsvendor_cost, z, y, c_h=c_h, c_s=c_s)
+
+
+def _newsvendor_cost(out, z, y, c_h: float, c_s: float):
+    """newsvendor_cost written into `out`, which may be y itself; one temporary."""
+    short = np.subtract(y, z, out=np.empty_like(out))  # before out, maybe y, is overwritten
+    np.maximum(short, 0.0, out=short)
+    short *= c_s
+    np.subtract(z, y, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= c_h
+    out += short  # hold + short
+    return out
 
 
 def newsvendor_cost_grad_y(z, y, c_h: float, c_s: float):
@@ -108,9 +126,21 @@ def newsvendor_cost_grad_y(z, y, c_h: float, c_s: float):
 
 def pricing_cost(z, y, capacity: float):
     """Negative revenue at price z: sales are the outcome clamped to [0, capacity]."""
+    return _new_cost(_pricing_cost, z, y, capacity=capacity)
+
+
+def _pricing_cost(out, z, y, capacity: float):
+    """pricing_cost written into `out`, which may be y itself; no temporary."""
+    np.clip(y, 0.0, capacity, out=out)
+    return np.multiply(-z, out, out=out)
+
+
+def _new_cost(body, z, y, **cost_params):
+    """The cost `body` (a _KINDS cost) of actions z at outcomes y, in a new
+    array of their broadcast shape; a scalar when both are scalars."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
-    return -z * np.clip(y, 0.0, capacity)
+    return body(np.empty(np.broadcast_shapes(z.shape, y.shape)), z, y, **cost_params)[()]
 
 
 def pricing_cost_grad_y(z, y, capacity: float):
@@ -120,6 +150,17 @@ def pricing_cost_grad_y(z, y, capacity: float):
     return np.where((y > 0.0) & (y < capacity), -z, 0.0)
 
 
+def _sorted_buffer(a):
+    """A separable kernel's one (m + 1) array, 0 and then its inputs a sorted,
+    and the view of the sorted part; np.cumsum(view, out=view) then makes the
+    array the prefix sums. `a` itself is left as it was."""
+    prefix = np.empty(a.shape[0] + 1)
+    prefix[0] = 0.0
+    prefix[1:] = a
+    prefix[1:].sort()
+    return prefix, prefix[1:]
+
+
 def _newsvendor_separable(z, a, c, c_h: float, c_s: float):
     """Newsvendor profile and task-gradient sums for predictions a[j] + c[k].
 
@@ -127,16 +168,17 @@ def _newsvendor_separable(z, a, c, c_h: float, c_s: float):
     a[j] > t[k] = z[k] - c[k], so each action needs only the count and sum
     of the a[j] on either side of t[k], and each input only the probability
     mass of the t[k] on either side of a[j]. One sort of a, one argsort of t,
-    searchsorted and prefix sums: O((m + K) log m), no (m, K) array. Ties
-    a[j] == t[k] are kinks: no cost and gradient 0, as in newsvendor_cost_grad_y.
-    See core.Problem.separable_kernel for what is returned.
+    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array and no
+    (m, K) array. Ties a[j] == t[k] are kinks: no cost and gradient 0, as in
+    newsvendor_cost_grad_y. See core.Problem.separable_kernel for what is
+    returned.
     """
     m = a.shape[0]
     t = z - c
-    a_sorted = np.sort(a)
-    prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))  # prefix[i]: sum of the i smallest
+    prefix, a_sorted = _sorted_buffer(a)
     n_below = np.searchsorted(a_sorted, t, side="left")  # inputs with a[j] < t[k]
     n_upto = np.searchsorted(a_sorted, t, side="right")
+    np.cumsum(a_sorted, out=a_sorted)  # now prefix[i] is the sum of the i smallest
     n_above = m - n_upto  # inputs with a[j] > t[k]
     under = n_below * t - prefix[n_below]  # sum over a[j] < t[k] of t[k] - a[j]
     over = (prefix[m] - prefix[n_upto]) - n_above * t  # sum over a[j] > t[k] of a[j] - t[k]
@@ -164,16 +206,17 @@ def _pricing_separable(z, a, c, capacity: float):
     a[j] + c[k]. So each action needs only the count and sum of the a[j]
     between its hinges, and each input only the weight -z[k] * probs[k] of the
     actions whose hinges bracket it. One sort of a, one argsort of lo,
-    searchsorted and prefix sums: O((m + K) log m), no (m, K) array. Ties
-    a[j] == lo[k] and a[j] == hi[k] are kinks: gradient 0, as in
-    pricing_cost_grad_y. See core.Problem.separable_kernel for what is returned.
+    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array and no
+    (m, K) array. Ties a[j] == lo[k] and a[j] == hi[k] are kinks: gradient 0,
+    as in pricing_cost_grad_y. See core.Problem.separable_kernel for what is
+    returned.
     """
     m = a.shape[0]
     lo, hi = -c, capacity - c
-    a_sorted = np.sort(a)
-    prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))  # prefix[i]: sum of the i smallest
+    prefix, a_sorted = _sorted_buffer(a)
     n_upto_lo = np.searchsorted(a_sorted, lo, side="right")  # inputs with a[j] <= lo[k]
     n_below_hi = np.searchsorted(a_sorted, hi, side="left")  # inputs with a[j] < hi[k]
+    np.cumsum(a_sorted, out=a_sorted)  # now prefix[i] is the sum of the i smallest
     n_between = n_below_hi - n_upto_lo
     sales = prefix[n_below_hi] - prefix[n_upto_lo] + n_between * c + (m - n_below_hi) * capacity
     values = -z * sales / m
@@ -193,7 +236,8 @@ def _pricing_separable(z, a, c, capacity: float):
 
 
 # A problem kind: its cost_params keys, their condition (a predicate, and its text as the
-# error states it), its cost, the cost's outcome derivative and its separable kernel.
+# error states it), its cost (written into a given array: cost(out, z, y, **cost_params)),
+# the cost's outcome derivative and its separable kernel.
 _Kind = namedtuple("_Kind", "keys ok needs cost grad_y separable")
 # A logging policy: its keys besides `policy`, their condition, its grid weights.
 _Policy = namedtuple("_Policy", "keys ok needs weights")
@@ -201,11 +245,11 @@ _KINDS = {
     "newsvendor": _Kind(
         ("c_h", "c_s"), lambda c_h, c_s: c_h >= 0 and c_s >= 0 and c_h + c_s > 0,
         "cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}",
-        newsvendor_cost, newsvendor_cost_grad_y, _newsvendor_separable,
+        _newsvendor_cost, newsvendor_cost_grad_y, _newsvendor_separable,
     ),
     "pricing": _Kind(
         ("capacity",), lambda capacity: capacity > 0, "cost_params {capacity > 0}",
-        pricing_cost, pricing_cost_grad_y, _pricing_separable,
+        _pricing_cost, pricing_cost_grad_y, _pricing_separable,
     ),
 }
 _POLICIES = {
@@ -240,7 +284,7 @@ def _problem(kind: str, grid: ActionGrid, cost_params: dict) -> Problem:
     _check_params(cost_params, entry, "cost_params", kind, "cost_params key")
     return Problem(
         grid=grid,
-        task_cost=partial(entry.cost, **cost_params),
+        task_cost=partial(_new_cost, entry.cost, **cost_params),
         name=kind,
         task_cost_grad_y=partial(entry.grad_y, **cost_params),
         separable_kernel=partial(entry.separable, **cost_params),
@@ -263,7 +307,9 @@ def mean_outcome(model: TrueModel, base, z):
     """Noise-free outcome given the feature part `base = X . w + intercept`."""
     e, q = model.action_effect, model.nonlinearity
     z = np.asarray(z, dtype=float)
-    return base + e * z + q * e * z * z
+    out = base + e * z
+    out += q * e * z * z
+    return out
 
 
 def _logging_probs(model: TrueModel, grid: ActionGrid) -> np.ndarray:
@@ -296,15 +342,19 @@ def world_draws(model: TrueModel, n_mc: int, seed: int):
     if n_mc < 1:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
     rng = np.random.default_rng(seed)
-    X = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
-    eps = rng.normal(0.0, model.noise_sd, size=n_mc)
-    return X @ np.asarray(model.base_weights) + model.intercept, eps
+    # reduced to base before the noise is drawn: features and noise are never held at once
+    base = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
+    base = base @ np.asarray(model.base_weights)
+    base += model.intercept
+    return base, rng.normal(0.0, model.noise_sd, size=n_mc)
 
 
 def cost_draws(model: TrueModel, z: float, base: np.ndarray, eps: np.ndarray):
-    """Per-draw cost of action z under shared world draws (one value per draw)."""
-    y = mean_outcome(model, base, z) + eps
-    return _KINDS[model.kind].cost(z, y, **model.cost_params)
+    """Per-draw cost of action z under shared world draws (one value per draw),
+    computed in the one array that holds the outcomes."""
+    y = mean_outcome(model, base, z)
+    y += eps
+    return _KINDS[model.kind].cost(y, z, y, **model.cost_params)
 
 
 def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -11,13 +12,26 @@ from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
     METHOD_ORDER,
     ExperimentConfig,
+    _mean_and_se,
+    _run_seed,
+    _score,
     compare_methods,
     derive_seeds,
     evaluate_decision,
     write_results_csv,
 )
+from predopt.objective import empirical_profile
 from predopt.predictor import Architecture
-from predopt.problems import TrueModel, cost_draws, oracle_action, oracle_profile, world_draws
+from predopt.problems import (
+    TrueModel,
+    _oracle_cost_draws,
+    cost_draws,
+    newsvendor_problem,
+    oracle_action,
+    oracle_profile,
+    pricing_problem,
+    world_draws,
+)
 from predopt.training import TrainConfig
 
 ROOT = Path(__file__).parents[1]
@@ -178,7 +192,7 @@ def test_compare_methods_parallel_matches_serial(tmp_path):
 
 
 def test_compare_methods_starts_at_most_one_worker_per_seed(monkeypatch):
-    import predopt.evaluation
+    import concurrent.futures
 
     started = []
 
@@ -199,7 +213,8 @@ def test_compare_methods_starts_at_most_one_worker_per_seed(monkeypatch):
         _world(), _config(max_iters=5), n_seeds=2, n_samples=80, n_mc=500, seed=3
     )
     serial = compare_methods(experiment)
-    monkeypatch.setattr(predopt.evaluation, "ProcessPoolExecutor", SerialPool)
+    # compare_methods imports the pool only when it starts workers, from here
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     pooled = compare_methods(experiment, jobs=10**6)
     assert started == [2]
     assert list(map(repr, pooled)) == list(map(repr, serial))
@@ -245,6 +260,78 @@ def test_fit_abort_recorded_as_failed_row_not_crash():
         else:
             assert math.isnan(r.chosen_action) and math.isnan(r.regret)
             assert r.iters_run >= 1  # the iteration the abort was raised at
+
+
+def _reference_score(model, action, best_costs, base, eps):
+    """_score as it was, with fresh arrays for the costs, their differences and std."""
+    costs_at_action = cost_draws(model, float(action), base, eps)
+    diffs = costs_at_action - best_costs
+    regret = float(diffs.mean())
+    n_mc = len(eps)
+    se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
+    if abs(regret) <= 3.0 * se:
+        regret = 0.0
+    return float(costs_at_action.mean()), regret
+
+
+@pytest.mark.parametrize("n_mc", [1, 2, 10**5])
+def test_score_gives_the_reference_bits(n_mc):
+    model = _world(nonlinearity=-0.02)
+    base, eps = world_draws(model, n_mc, seed=4)
+    _, best_costs = _oracle_cost_draws(model, GRID, base, eps)
+    saved = best_costs.tobytes(), base.tobytes(), eps.tobytes()
+    clamped = set()
+    for action in GRID.points:
+        got = _score(model, action, best_costs, base, eps)
+        want = _reference_score(model, action, best_costs, base, eps)
+        assert [x.hex() for x in got] == [x.hex() for x in want], action
+        clamped.add(got[1] == 0.0)
+    assert (best_costs.tobytes(), base.tobytes(), eps.tobytes()) == saved
+    assert clamped == {True, False}  # actions inside and outside the 3-SE clamp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**5])
+def test_mean_and_se_is_numpys_mean_and_std_to_the_bit(n):
+    rng = np.random.default_rng(n)
+    for x in (rng.normal(3.0, 2.0, n), rng.exponential(size=n) * 1e6, np.full(n, 0.1)):
+        want = (float(x.mean()), float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0)
+        got = _mean_and_se(x.copy())
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+# --- memory -----------------------------------------------------------------------
+
+
+def _traced_peak(fn, *args) -> int:
+    """The most bytes fn(*args) held at once beyond what was held when it began."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_pricing_seed_holds_at_most_four_arrays_of_n_mc():
+    # base, eps, the oracle action's per-draw costs and one working array; the
+    # half array on top is the fits' own memory, which does not grow with n_mc
+    n_mc = 250_000
+    config = replace(load_config(ROOT / "configs" / "pricing_demo.json"), n_mc=n_mc)
+    _run_seed(replace(config, n_mc=1), 0)  # first calls allocate numpy's own caches
+    assert _traced_peak(_run_seed, config, 0) <= 4.5 * 8 * n_mc
+
+
+@pytest.mark.parametrize(
+    "build",
+    [partial(newsvendor_problem, c_h=1.0, c_s=3.0), partial(pricing_problem, capacity=12.0)],
+    ids=["newsvendor", "pricing"],
+)
+def test_empirical_profile_forms_no_cost_matrix(build):
+    # one sorted copy of the n labels, not a (K, n) cost matrix
+    labels = np.random.default_rng(0).normal(10.0, 2.0, size=200_000)
+    problem = build(make_grid(0.0, 20.0, 201))
+    assert _traced_peak(empirical_profile, labels, problem) <= 3 * 8 * labels.size
 
 
 def test_pred_mse_two_stage_not_worse_on_well_specified_world():

@@ -1,8 +1,9 @@
 """The package namespace carries what the demos import, every demo runs to
-completion, every name in a module's __all__ resolves, only core's one
-reader and one writer open files, only problems names a problem kind, a
-logging policy or one of their keys, only training names a fit method, and
-the package has one exception type for bad input and one for a training abort."""
+completion, importing the command line loads no process pool, every name in
+a module's __all__ resolves, only core's one reader and one writer open
+files, only problems names a problem kind, a logging policy or one of their
+keys, only training names a fit method, and the package has one exception
+type for bad input and one for a training abort."""
 
 import ast
 import builtins
@@ -69,6 +70,18 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    # compare imports the process pool only when it starts worker processes
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    code = f"import sys, predopt.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", MODULES)

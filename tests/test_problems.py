@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from predopt.core import ValidationError, make_grid, save_dataset_csv
-from predopt.objective import model_profile
+from predopt.objective import empirical_profile, model_profile
 from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_grad_body, task_grad
 from predopt.problems import (
     TrueModel,
@@ -521,3 +521,171 @@ def test_oracle_profile_matches_a_dense_loop_over_actions(case, perm_seed):
     assert grid.best(values)[0] == grid.best(dense)[0]
     perm = np.random.default_rng(perm_seed).permutation(len(eps))
     assert oracle_profile(model, grid, base[perm], eps[perm]).tobytes() == values.tobytes()
+
+
+
+@given(
+    k=st.integers(2, 80),
+    z_min=st.floats(-10.0, 10.0),
+    n=st.integers(1, 300),
+    spread=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_empirical_profile_matches_the_dense_mean(k, z_min, n, spread, seed, data):
+    # empirical_profile takes the kernel, with the labels as the inputs and no
+    # action term; the reference is the dense mean over the (K, n) cost matrix.
+    # Pricing capacities bind for some labels and not for others.
+    grid = make_grid(z_min, z_min + 20.0, k)
+    problem = data.draw(_problems(grid, _COST, st.floats(0.5, 30.0)))
+    labels = np.random.default_rng(seed).normal(z_min + 10.0, spread, size=n)
+    values = empirical_profile(labels, problem).values
+    dense = problem.task_cost(grid.points[:, None], labels[None, :]).mean(axis=1)
+    _assert_close(values, dense)
+    assert grid.best(values)[0] == grid.best(dense)[0]
+
+
+# --- the in-place forms against the expressions they replace ----------------------
+#
+# The Monte Carlo evaluation holds few arrays of n_mc because world_draws,
+# cost_draws, the costs and the kernels work in place. Each must give the bits
+# of the plain expression it replaced, kept here as the reference, and leave
+# its inputs as they were.
+
+
+def _reference_newsvendor_cost(z, y, c_h, c_s):
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    return c_h * np.maximum(z - y, 0.0) + c_s * np.maximum(y - z, 0.0)
+
+
+def _reference_pricing_cost(z, y, capacity):
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    return -z * np.clip(y, 0.0, capacity)
+
+
+# kind: (cost, its reference, cost params, problem builder)
+_COSTS = {
+    "newsvendor": (
+        newsvendor_cost, _reference_newsvendor_cost, {"c_h": 1.5, "c_s": 3.0}, newsvendor_problem
+    ),
+    "pricing": (pricing_cost, _reference_pricing_cost, {"capacity": 4.0}, pricing_problem),
+}  # fmt: skip
+
+
+def _reference_world_draws(model, n_mc, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
+    eps = rng.normal(0.0, model.noise_sd, size=n_mc)
+    return X @ np.asarray(model.base_weights) + model.intercept, eps
+
+
+def _reference_cost_draws(model, z, base, eps):
+    e, q = model.action_effect, model.nonlinearity
+    z = np.asarray(z, dtype=float)
+    y = base + e * z + q * e * z * z + eps
+    reference = _COSTS[model.kind][1]
+    return reference(z, y, **model.cost_params)
+
+
+def _reference_separable_values(kind, z, a, c, **cost_params):
+    """The profile values of both kernels as they were, from np.sort, np.cumsum
+    and np.concatenate: three arrays of m."""
+    m = a.shape[0]
+    a_sorted = np.sort(a)
+    prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))
+    if kind == "newsvendor":
+        t = z - c
+        n_below = np.searchsorted(a_sorted, t, side="left")
+        n_upto = np.searchsorted(a_sorted, t, side="right")
+        under = n_below * t - prefix[n_below]
+        over = (prefix[m] - prefix[n_upto]) - (m - n_upto) * t
+        return (cost_params["c_h"] * under + cost_params["c_s"] * over) / m
+    capacity = cost_params["capacity"]
+    n_upto_lo = np.searchsorted(a_sorted, -c, side="right")
+    n_below_hi = np.searchsorted(a_sorted, capacity - c, side="left")
+    n_between = n_below_hi - n_upto_lo
+    sales = prefix[n_below_hi] - prefix[n_upto_lo] + n_between * c + (m - n_below_hi) * capacity
+    return -z * sales / m
+
+
+def _same_bits(got, want):
+    """Equal type, shape and bytes: no tolerance, and 0.0 is not -0.0."""
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+# Both kinds with an outcome curved in the action (q != 0); the pricing world's
+# outcomes run from above its capacity to below 0 across the grid, so both
+# clamps bind.
+IN_PLACE_WORLDS = {
+    "newsvendor": dict(
+        base_weights=(2.0, -1.0), intercept=10.0, action_effect=0.9, nonlinearity=-0.04
+    ),
+    "pricing-capacity-binds": dict(
+        kind="pricing", base_weights=(0.5,), intercept=12.0, action_effect=-2.0,
+        nonlinearity=0.05, noise_sd=0.5, cost_params={"capacity": 8.0},
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
+def test_world_draws_and_cost_draws_give_the_reference_bits(world):
+    model = _newsvendor_world(**world)
+    base, eps = world_draws(model, 5000, seed=11)
+    ref_base, ref_eps = _reference_world_draws(model, 5000, seed=11)
+    assert _same_bits(base, ref_base) and _same_bits(eps, ref_eps)
+    saved = base.tobytes(), eps.tobytes()
+    for z in make_grid(0.0, 6.0, 25).points:
+        got = cost_draws(model, float(z), base, eps)
+        assert _same_bits(got, _reference_cost_draws(model, float(z), base, eps))
+    assert (base.tobytes(), eps.tobytes()) == saved
+    if model.kind == "pricing":  # some draws sell the capacity at z = 1, and none at z = 6
+        assert np.any(cost_draws(model, 1.0, base, eps) == -8.0)
+        assert np.any(cost_draws(model, 6.0, base, eps) == 0.0)
+
+
+@pytest.mark.parametrize("kind", _COSTS)
+def test_costs_give_the_reference_bits_and_leave_their_inputs(kind):
+    cost, reference, params, build = _COSTS[kind]
+    problem = build(make_grid(0.0, 8.0, 9), **params)
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.0, 8.0, size=(7, 1))
+    y = rng.uniform(-2.0, 10.0, size=(1, 50))
+    y[0, :7] = z[:, 0]  # kinks: the outcome equals the action
+    y[0, 7:9] = 0.0, params.get("capacity", 0.0)  # pricing's clamps
+    cases = {
+        "0-d": (2.5, 3.0),
+        "0-d arrays": (np.array(5.0), np.float64(1.0)),
+        "broadcast": (z, y),
+        "row": (z[0], y),
+        "aliased": (y, y),
+        "aliased views": (y[0, 1:], y[0, :-1]),
+    }
+    for name, (zz, yy) in cases.items():
+        saved = np.array(zz).tobytes(), np.array(yy).tobytes()
+        got, want = cost(zz, yy, **params), reference(zz, yy, **params)
+        assert _same_bits(got, want), name
+        assert _same_bits(problem.task_cost(zz, yy), want), name
+        assert (np.array(zz).tobytes(), np.array(yy).tobytes()) == saved, name
+
+
+@pytest.mark.parametrize("kind", _COSTS)
+@pytest.mark.parametrize("m", [1, 2, 7, 400])
+def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
+    _, _, params, build = _COSTS[kind]
+    grid = make_grid(-2.0, 6.0, 33)
+    rng = np.random.default_rng(m)
+    # a strided view with repeats and values on the hinges
+    X = rng.normal(1.0, 3.0, size=(m, 2))
+    X[: m // 2, 0] = rng.choice(grid.points, size=m // 2)
+    a, c = X[:, 0], rng.choice([0.0, 1.0, -0.5]) * grid.points
+    saved = a.tobytes()
+    values, gradient_sums = build(grid, **params).separable_kernel(grid.points, a, c)
+    want = _reference_separable_values(kind, grid.points, a, c, **params)
+    assert _same_bits(values, want)
+    gradient_sums(np.full(33, 1.0 / 33))
+    assert a.tobytes() == saved
