@@ -160,7 +160,7 @@ def cmd_train(config: ExperimentConfig, method: str, out: str) -> int:
 
 
 def _describe(arch: Architecture) -> str:
-    hidden = f", hidden_units={arch.hidden_units}" if arch.kind == "mlp1" else ""
+    hidden = f", hidden_units={arch.hidden_units}" if arch.hidden_units else ""
     return f"{arch.kind} (feature_dim={arch.feature_dim}{hidden})"
 
 

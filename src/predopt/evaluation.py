@@ -103,16 +103,16 @@ def evaluate_decision(
     """
     if not np.any(np.isclose(grid.points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
         raise ValidationError(f"action {action} is not a grid point")
-    base, eps = world_draws(model, n_mc, seed)
-    _, best_costs = _oracle_cost_draws(model, grid, base, eps)
-    return _score(model, action, best_costs, base, eps)
+    u = world_draws(model, n_mc, seed)
+    _, best_costs = _oracle_cost_draws(model, grid, u)
+    return _score(model, action, best_costs, u)
 
 
-def _score(model, action, best_costs, base, eps) -> tuple[float, float]:
-    """evaluate_decision's cost and regret, given the draws and the oracle
-    action's per-draw costs under them. One working array of n_mc holds the
-    action's per-draw costs, then their differences from best_costs."""
-    work = cost_draws(model, float(action), base, eps)
+def _score(model, action, best_costs, u) -> tuple[float, float]:
+    """evaluate_decision's cost and regret, given the world draws u and the
+    oracle action's per-draw costs under them. One working array of n_mc holds
+    the action's per-draw costs, then their differences from best_costs."""
+    work = cost_draws(model, float(action), u)
     cost = float(work.mean())
     regret, se = _mean_and_se(np.subtract(work, best_costs, out=work))
     return cost, (0.0 if abs(regret) <= 3.0 * se else regret)
@@ -163,15 +163,15 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
         except TrainingError as err:
             fits.append((method, err))
 
-    base, eps = world_draws(model, config.n_mc, mc_seed)
-    best_action, best_costs = _oracle_cost_draws(model, grid, base, eps)
+    u = world_draws(model, config.n_mc, mc_seed)
+    best_action, best_costs = _oracle_cost_draws(model, grid, u)
 
     reports = []
     for method, result in fits:
         if isinstance(result, TrainingError):
             reports.append(_failed_report(method, run_seed, problem.name, result.iteration))
             continue
-        cost, regret = _score(model, result.z_star, best_costs, base, eps)
+        cost, regret = _score(model, result.z_star, best_costs, u)
         reports.append(
             DecisionReport(
                 method=method,

@@ -137,13 +137,12 @@ def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.n
     return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
 
 
-def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, task_cost=None, out=None):
+def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, out=None):
     """One forward pass over the inputs X (m, d) and the actions Z, which
     broadcast against the rows of X: a (1, K) row crosses every input with
     every action, an (m, 1) column gives each input its own action.
 
-    Returns (P, G, T): the (m, K) predictions, the (m, K) costs
-    task_cost(Z, P) (None without task_cost), and for mlp1 the (m, K, h)
+    Returns (P, T): the (m, K) predictions and, for mlp1, the (m, K, h)
     hidden activations (None for linear), which _mlp1_grad backpropagates
     through. For mlp1, `out` is an optional (m, K, h) array that T is written into.
     """
@@ -158,8 +157,7 @@ def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, task_cost=None, out=None
         A = np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d], out=out)
         T = np.tanh(A, out=A)
         P = T @ w2 + b2
-    G = None if task_cost is None else task_cost(Z, P)
-    return P, G, T
+    return P, T
 
 
 def predict_on_grid(
@@ -202,7 +200,7 @@ def loss_and_grad(
 
 def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
     n = Z.shape[0]
-    P, _, T = _grid_pass(arch, w, X, Z[:, None])
+    P, T = _grid_pass(arch, w, X, Z[:, None])
     diff = P[:, 0] - Y
     loss = float(np.mean(weights * (diff * diff)))
     # c_i = (1/n) w_i dl/dy_hat_i; grad = sum_i c_i dy_hat_i/dtheta
@@ -255,8 +253,9 @@ def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buf
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(points, X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
-    P, G, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost, out=buffer)
-    return G.mean(axis=0), lambda probs: _task_grad_body(arch, w, X, points, P, T, probs, problem)
+    P, T = _grid_pass(arch, w, X, points[None, :], out=buffer)
+    values = problem.task_cost(points[None, :], P).mean(axis=0)
+    return values, lambda probs: _task_grad_body(arch, w, X, points, P, T, probs, problem)
 
 
 def _fit_buffers(arch: Architecture, m: int, n_points: int):

@@ -14,19 +14,21 @@ Each problem kind and logging policy is one entry of _KINDS or _POLICIES: the
 builders, TrueModel, the oracles and the config schema all read those tables.
 
 Oracles evaluate actions by Monte Carlo, with common random numbers across
-actions. The true outcome (base + eps)[i] + m(z[k]) is separable like a linear
-model's prediction a[j] + c[k], so the kind's sorted prefix-sum kernel (see
-Problem.separable_kernel) scans every action at once. The scan only picks the
-oracle action; every reported oracle value is the mean of one dense cost_draws
-pass, exact under a shared (seed, n_mc).
+actions. A world draw is one number, u = base_weights . x + intercept + eps,
+the part of the outcome that does not depend on the action, so the outcome
+of draw i at action z is u[i] + m(z) with m(z) = mean_outcome(model, 0, z).
+That is separable like a linear model's prediction a[j] + c[k], so the
+kind's sorted prefix-sum kernel (see Problem.separable_kernel) scans every
+action at once. The scan only picks the oracle action; every reported oracle
+value is the mean of one dense cost_draws pass, exact under a shared
+(seed, n_mc).
 
-Every pass over the n_mc draws works in place, in the same order of
-operations as the plain expression: world_draws reduces the features to base
-before it draws eps, the kernels sort and sum in one (m + 1) array, and
-cost_draws writes the outcomes and then the kind's cost into one array (a
-_KINDS cost takes the array to write into). So beside base and eps, the
-oracle scan holds two arrays of n_mc (base + eps and the kernel's) and a cost
-pass one, plus one temporary for a newsvendor cost.
+Every pass over the n_mc draws works in place: world_draws reduces the
+features to u before it draws eps and adds eps into u, the kernels sort and
+sum in one (m + 1) array, and cost_draws writes the outcomes and then the
+kind's cost into one array (a _KINDS cost takes the array to write into).
+So beside u, the oracle scan holds one array of n_mc (the kernel's) and a
+cost pass one, plus one temporary for a newsvendor cost.
 """
 
 from __future__ import annotations
@@ -307,9 +309,7 @@ def mean_outcome(model: TrueModel, base, z):
     """Noise-free outcome given the feature part `base = X . w + intercept`."""
     e, q = model.action_effect, model.nonlinearity
     z = np.asarray(z, dtype=float)
-    out = base + e * z
-    out += q * e * z * z
-    return out
+    return base + e * z + q * e * z * z
 
 
 def _logging_probs(model: TrueModel, grid: ActionGrid) -> np.ndarray:
@@ -337,23 +337,24 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
     return Dataset(X=X, z_obs=z, y=y)
 
 
-def world_draws(model: TrueModel, n_mc: int, seed: int):
-    """Fresh (feature part, noise) draws for counterfactual evaluation."""
+def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
+    """Fresh world draws for counterfactual evaluation: the action-free part of
+    the outcome, u = X . w + intercept + eps, one value per draw."""
     if n_mc < 1:
         raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
     rng = np.random.default_rng(seed)
-    # reduced to base before the noise is drawn: features and noise are never held at once
-    base = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
-    base = base @ np.asarray(model.base_weights)
-    base += model.intercept
-    return base, rng.normal(0.0, model.noise_sd, size=n_mc)
+    # reduced to u before the noise is drawn: features and noise are never held at once
+    u = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
+    u = u @ np.asarray(model.base_weights)
+    u += model.intercept
+    u += rng.normal(0.0, model.noise_sd, size=n_mc)
+    return u
 
 
-def cost_draws(model: TrueModel, z: float, base: np.ndarray, eps: np.ndarray):
-    """Per-draw cost of action z under shared world draws (one value per draw),
-    computed in the one array that holds the outcomes."""
-    y = mean_outcome(model, base, z)
-    y += eps
+def cost_draws(model: TrueModel, z: float, u: np.ndarray) -> np.ndarray:
+    """Per-draw cost of action z under the shared world draws u (one value per
+    draw), computed in the one array that holds the outcomes u + m(z)."""
+    y = u + mean_outcome(model, 0.0, z)
     return _KINDS[model.kind].cost(y, z, y, **model.cost_params)
 
 
@@ -363,31 +364,28 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     Counterfactual: outcomes are generated under the queried z, not under any
     logged action. Deterministic in seed.
     """
-    base, eps = world_draws(model, n_mc, seed)
-    return float(cost_draws(model, z, base, eps).mean())
+    return float(cost_draws(model, z, world_draws(model, n_mc, seed)).mean())
 
 
-def oracle_profile(
-    model: TrueModel, grid: ActionGrid, base: np.ndarray, eps: np.ndarray
-) -> np.ndarray:
-    """Mean cost of every grid action under the shared world draws (base, eps).
+def oracle_profile(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> np.ndarray:
+    """Mean cost of every grid action under the shared world draws u.
 
-    The outcome of draw i at action z is (base + eps)[i] + mean_outcome(model,
-    0, z), separable like a linear model's prediction, so the problem's sorted
+    The outcome of draw i at action z is u[i] + mean_outcome(model, 0, z),
+    separable like a linear model's prediction, so the problem's sorted
     kernel scans every action at once. Its sums run in another order than
     cost_draws(...).mean(), so values agree with oracle_expected_cost up to
     rounding; they do not depend on the order of the draws.
     """
     points, kernel = grid.points, _KINDS[model.kind].separable
-    return kernel(points, base + eps, mean_outcome(model, 0.0, points), **model.cost_params)[0]
+    return kernel(points, u, mean_outcome(model, 0.0, points), **model.cost_params)[0]
 
 
-def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, base: np.ndarray, eps: np.ndarray):
+def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, u: np.ndarray):
     """The grid action with the smallest oracle_profile value under the world
-    draws (base, eps), and its per-draw costs, from which every reported
-    oracle value is taken."""
-    action = grid.best(oracle_profile(model, grid, base, eps))[0]
-    return action, cost_draws(model, action, base, eps)
+    draws u, and its per-draw costs, from which every reported oracle value
+    is taken."""
+    action = grid.best(oracle_profile(model, grid, u))[0]
+    return action, cost_draws(model, action, u)
 
 
 def oracle_action(
@@ -399,5 +397,5 @@ def oracle_action(
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    action, costs = _oracle_cost_draws(model, grid, *world_draws(model, n_mc, seed))
+    action, costs = _oracle_cost_draws(model, grid, world_draws(model, n_mc, seed))
     return action, float(costs.mean())

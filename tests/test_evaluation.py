@@ -30,6 +30,7 @@ from predopt.problems import (
     oracle_action,
     oracle_profile,
     pricing_problem,
+    problem_from_model,
     world_draws,
 )
 from predopt.training import TrainConfig
@@ -262,12 +263,16 @@ def test_fit_abort_recorded_as_failed_row_not_crash():
             assert r.iters_run >= 1  # the iteration the abort was raised at
 
 
-def _reference_score(model, action, best_costs, base, eps):
-    """_score as it was, with fresh arrays for the costs, their differences and std."""
-    costs_at_action = cost_draws(model, float(action), base, eps)
+def _reference_score(model, action, best_costs, u):
+    """_score as a plain expression, with fresh arrays for the outcomes u + m(z),
+    the costs, their differences and std."""
+    e, q = model.action_effect, model.nonlinearity
+    z = float(action)
+    y = u + (0.0 + e * z + q * e * z * z)
+    costs_at_action = problem_from_model(model, GRID).task_cost(z, y)
     diffs = costs_at_action - best_costs
     regret = float(diffs.mean())
-    n_mc = len(eps)
+    n_mc = len(u)
     se = float(diffs.std(ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     if abs(regret) <= 3.0 * se:
         regret = 0.0
@@ -277,16 +282,16 @@ def _reference_score(model, action, best_costs, base, eps):
 @pytest.mark.parametrize("n_mc", [1, 2, 10**5])
 def test_score_gives_the_reference_bits(n_mc):
     model = _world(nonlinearity=-0.02)
-    base, eps = world_draws(model, n_mc, seed=4)
-    _, best_costs = _oracle_cost_draws(model, GRID, base, eps)
-    saved = best_costs.tobytes(), base.tobytes(), eps.tobytes()
+    u = world_draws(model, n_mc, seed=4)
+    _, best_costs = _oracle_cost_draws(model, GRID, u)
+    saved = best_costs.tobytes(), u.tobytes()
     clamped = set()
     for action in GRID.points:
-        got = _score(model, action, best_costs, base, eps)
-        want = _reference_score(model, action, best_costs, base, eps)
+        got = _score(model, action, best_costs, u)
+        want = _reference_score(model, action, best_costs, u)
         assert [x.hex() for x in got] == [x.hex() for x in want], action
         clamped.add(got[1] == 0.0)
-    assert (best_costs.tobytes(), base.tobytes(), eps.tobytes()) == saved
+    assert (best_costs.tobytes(), u.tobytes()) == saved
     assert clamped == {True, False}  # actions inside and outside the 3-SE clamp
 
 
@@ -313,13 +318,20 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def test_one_pricing_seed_holds_at_most_four_arrays_of_n_mc():
-    # base, eps, the oracle action's per-draw costs and one working array; the
-    # half array on top is the fits' own memory, which does not grow with n_mc
-    n_mc = 250_000
-    config = replace(load_config(ROOT / "configs" / "pricing_demo.json"), n_mc=n_mc)
+@pytest.mark.parametrize(
+    "name, arrays",
+    # the world draws u, the oracle action's per-draw costs and one working
+    # array, and for newsvendor its cost's one temporary; the half array on top
+    # holds the fits' own memory, which does not grow with n_mc (up to 2.3 MB,
+    # mostly their histories, kept until the seed's rows are made)
+    [("pricing_demo", 3.5), ("compare_default", 4.5)],
+    ids=["pricing", "newsvendor"],
+)
+def test_one_seed_holds_at_most_three_arrays_of_n_mc(name, arrays):
+    n_mc = 1_000_000
+    config = replace(load_config(ROOT / "configs" / f"{name}.json"), n_mc=n_mc)
     _run_seed(replace(config, n_mc=1), 0)  # first calls allocate numpy's own caches
-    assert _traced_peak(_run_seed, config, 0) <= 4.5 * 8 * n_mc
+    assert _traced_peak(_run_seed, config, 0) <= arrays * 8 * n_mc
 
 
 @pytest.mark.parametrize(
@@ -416,11 +428,11 @@ def test_monte_carlo_oracle_matches_the_closed_form(name):
     config = CLOSED_FORM_CASES[name]()
     model, grid, n_mc = config.model_spec, config.grid, config.n_mc
     mc_seed = derive_seeds(config.seed)[3]
-    base, eps = world_draws(model, n_mc, mc_seed)
+    u = world_draws(model, n_mc, mc_seed)
     exact = _exact_expected_cost(model, grid.points)
-    draws_at = [cost_draws(model, float(z), base, eps) for z in grid.points]
+    draws_at = [cost_draws(model, float(z), u) for z in grid.points]
     se = np.array([d.std(ddof=1) for d in draws_at]) / math.sqrt(n_mc)
-    profile = oracle_profile(model, grid, base, eps)
+    profile = oracle_profile(model, grid, u)
     # Where every draw sells the full capacity, the draws' cost is -z * capacity
     # with a zero se, and the closed form differs from it by the tail below
     # the capacity that no draw reached: fewer than one draw is expected there.

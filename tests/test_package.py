@@ -2,8 +2,9 @@
 completion, importing the command line loads no process pool, every name in
 a module's __all__ resolves, only core's one reader and one writer open
 files, only problems names a problem kind, a logging policy or one of their
-keys, only training names a fit method, and the package has one exception
-type for bad input and one for a training abort."""
+keys, only training names a fit method, only predictor names an architecture
+kind, and the package has one exception type for bad input and one for a
+training abort."""
 
 import ast
 import builtins
@@ -138,6 +139,12 @@ def test_only_training_names_a_fit_method():
     # training._FITS holds each method's name and fit; the command line's
     # spelling with "-" and the results' method order are read from it
     assert _named_outside("training", {"simpo", "two_stage", "two-stage"}) == []
+
+
+def test_only_predictor_names_an_architecture_kind():
+    # predictor.Architecture checks each kind's hidden_units, so the command
+    # line describes a model by its fields, not by its kind
+    assert _named_outside("predictor", {"linear", "mlp1"}) == []
 
 
 def _is_exception(base):

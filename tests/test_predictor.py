@@ -413,7 +413,7 @@ def test_mlp1_task_grad_body_matches_einsum_reference(problem, hidden_scale):
         w[: (d + 1) * h + h] *= hidden_scale / 0.7  # W1 and b1
         X = rng.normal(size=(30, d))
         probs = rng.dirichlet(np.ones(GRID.n_points))
-        P, _, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost)
+        P, T = _grid_pass(arch, w, X, points[None, :])
         if hidden_scale > 1:
             assert np.mean(np.abs(T) > 0.995) > 0.9
         want = _einsum_task_grad_body(arch, w, X, points, P, T, probs, problem)
@@ -473,7 +473,7 @@ def test_mlp1_loss_and_grad_matches_paired_reference(hidden_scale):
         w[: (d + 1) * h + h] *= hidden_scale / 0.7  # W1 and b1
         X, Z, Y, W = _random_batch(arch, rng, n=40)
         if hidden_scale > 1:
-            T = _grid_pass(arch, w, X, Z[:, None])[2]
+            T = _grid_pass(arch, w, X, Z[:, None])[1]
             assert np.mean(np.abs(T) > 0.995) > 0.9
         want_loss, want = _paired_loss_and_grad(arch, w, X, Z, Y, W)
         got_loss, got = loss_and_grad(PredictorParams(arch, w), X, Z, Y, W, NEWSVENDOR)

@@ -23,6 +23,7 @@ from predopt.problems import (
     pricing_cost,
     pricing_cost_grad_y,
     pricing_problem,
+    problem_from_model,
     world_draws,
 )
 
@@ -318,8 +319,8 @@ RTOL, ATOL = 1e-9, 1e-12
 
 def _dense_reference(params, X, problem, probs):
     arch, w, points = params.architecture, params.weights, problem.grid.points
-    P, G, T = _grid_pass(arch, w, X, points[None, :], problem.task_cost)
-    values = G.mean(axis=0)
+    P, T = _grid_pass(arch, w, X, points[None, :])
+    values = problem.task_cost(points[None, :], P).mean(axis=0)
     return values, float(probs @ values), _task_grad_body(arch, w, X, points, P, T, probs, problem)
 
 
@@ -504,23 +505,23 @@ def _oracle_cases(draw):
     )
     z_min = draw(st.floats(0.0, 5.0))
     grid = make_grid(z_min, z_min + draw(st.floats(1.0, 10.0)), draw(st.integers(2, 61)))
-    base, eps = world_draws(model, draw(st.integers(1, 3000)), draw(st.integers(0, 2**32 - 1)))
+    u = world_draws(model, draw(st.integers(1, 3000)), draw(st.integers(0, 2**32 - 1)))
     if kind == "pricing":
-        outcomes = base + eps + mean_outcome(model, 0.0, grid.points)[:, None]
+        outcomes = u + mean_outcome(model, 0.0, grid.points)[:, None]
         assume(np.any(outcomes > cost_params["capacity"]))
-    return model, grid, base, eps
+    return model, grid, u
 
 
 @given(case=_oracle_cases(), perm_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_oracle_profile_matches_a_dense_loop_over_actions(case, perm_seed):
-    model, grid, base, eps = case
-    values = oracle_profile(model, grid, base, eps)
-    dense = np.array([cost_draws(model, float(z), base, eps).mean() for z in grid.points])
+    model, grid, u = case
+    values = oracle_profile(model, grid, u)
+    dense = np.array([cost_draws(model, float(z), u).mean() for z in grid.points])
     _assert_close(values, dense)
     assert grid.best(values)[0] == grid.best(dense)[0]
-    perm = np.random.default_rng(perm_seed).permutation(len(eps))
-    assert oracle_profile(model, grid, base[perm], eps[perm]).tobytes() == values.tobytes()
+    perm = np.random.default_rng(perm_seed).permutation(len(u))
+    assert oracle_profile(model, grid, u[perm]).tobytes() == values.tobytes()
 
 
 
@@ -548,10 +549,10 @@ def test_empirical_profile_matches_the_dense_mean(k, z_min, n, spread, seed, dat
 
 # --- the in-place forms against the expressions they replace ----------------------
 #
-# The Monte Carlo evaluation holds few arrays of n_mc because world_draws,
-# cost_draws, the costs and the kernels work in place. Each must give the bits
-# of the plain expression it replaced, kept here as the reference, and leave
-# its inputs as they were.
+# The Monte Carlo evaluation holds few arrays of n_mc because world_draws
+# returns one array u, and cost_draws, the costs and the kernels work in place.
+# Each must give the bits of the plain expression it replaced, kept here as the
+# reference, and leave its inputs as they were.
 
 
 def _reference_newsvendor_cost(z, y, c_h, c_s):
@@ -574,16 +575,23 @@ _COSTS = {
 
 
 def _reference_world_draws(model, n_mc, seed):
+    """world_draws as it was: two arrays (base, eps), whose sum is u."""
     rng = np.random.default_rng(seed)
-    X = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
-    eps = rng.normal(0.0, model.noise_sd, size=n_mc)
-    return X @ np.asarray(model.base_weights) + model.intercept, eps
+    base = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
+    base = base @ np.asarray(model.base_weights)
+    base += model.intercept
+    return base, rng.normal(0.0, model.noise_sd, size=n_mc)
 
 
-def _reference_cost_draws(model, z, base, eps):
+def _reference_action_term(model, z):
+    """m(z), the outcome's action term, as the plain expression."""
     e, q = model.action_effect, model.nonlinearity
     z = np.asarray(z, dtype=float)
-    y = base + e * z + q * e * z * z + eps
+    return 0.0 + e * z + q * e * z * z
+
+
+def _reference_cost_draws(model, z, u):
+    y = u + _reference_action_term(model, z)
     reference = _COSTS[model.kind][1]
     return reference(z, y, **model.cost_params)
 
@@ -635,17 +643,29 @@ IN_PLACE_WORLDS = {
 @pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
 def test_world_draws_and_cost_draws_give_the_reference_bits(world):
     model = _newsvendor_world(**world)
-    base, eps = world_draws(model, 5000, seed=11)
-    ref_base, ref_eps = _reference_world_draws(model, 5000, seed=11)
-    assert _same_bits(base, ref_base) and _same_bits(eps, ref_eps)
-    saved = base.tobytes(), eps.tobytes()
+    u = world_draws(model, 5000, seed=11)
+    base, eps = _reference_world_draws(model, 5000, seed=11)
+    assert _same_bits(u, base + eps)
+    saved = u.tobytes()
     for z in make_grid(0.0, 6.0, 25).points:
-        got = cost_draws(model, float(z), base, eps)
-        assert _same_bits(got, _reference_cost_draws(model, float(z), base, eps))
-    assert (base.tobytes(), eps.tobytes()) == saved
+        got = cost_draws(model, float(z), u)
+        assert _same_bits(got, _reference_cost_draws(model, float(z), u))
+    assert u.tobytes() == saved
     if model.kind == "pricing":  # some draws sell the capacity at z = 1, and none at z = 6
-        assert np.any(cost_draws(model, 1.0, base, eps) == -8.0)
-        assert np.any(cost_draws(model, 6.0, base, eps) == 0.0)
+        assert np.any(cost_draws(model, 1.0, u) == -8.0)
+        assert np.any(cost_draws(model, 6.0, u) == 0.0)
+
+
+@pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
+def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
+    # the scan of u is the scan of the two-array draws' sum base + eps, so the
+    # scan values and the oracle action are those of the two-array form
+    model = _newsvendor_world(**world)
+    grid = make_grid(0.0, 6.0, 25)
+    base, eps = _reference_world_draws(model, 5000, seed=11)
+    kernel = problem_from_model(model, grid).separable_kernel
+    want = kernel(grid.points, base + eps, _reference_action_term(model, grid.points))[0]
+    assert _same_bits(oracle_profile(model, grid, world_draws(model, 5000, seed=11)), want)
 
 
 @pytest.mark.parametrize("kind", _COSTS)

@@ -395,10 +395,8 @@ def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides)
 
 
 def _dense_model_profile(params, X, grid, problem):
-    _, G, _ = _grid_pass(
-        params.architecture, params.weights, X, grid.points[None, :], problem.task_cost
-    )
-    return CostProfile(grid, G.mean(axis=0), "model")
+    P, _ = _grid_pass(params.architecture, params.weights, X, grid.points[None, :])
+    return CostProfile(grid, problem.task_cost(grid.points[None, :], P).mean(axis=0), "model")
 
 
 # the newsvendor_linear compare config of tests/test_golden.py
