@@ -144,56 +144,41 @@ def _pred_mse(params, test) -> float:
     return float(np.mean(resid * resid))
 
 
-def _failed_report(method: str, seed: int, problem_name: str, iters: int):
-    nan = float("nan")
-    return DecisionReport(method, seed, problem_name, nan, nan, nan, nan, iters)
+def _fit_row(fit, problem, train, val, test, arch, cfg) -> tuple[float, float, int]:
+    """One fit's (chosen action, pred_mse, iters_run), or (nan, nan, the abort's
+    iteration) if it aborts. Its TrainResult, history included, dies here."""
+    try:
+        result = fit(problem, train, val, arch, cfg)
+    except TrainingError as err:
+        return float("nan"), float("nan"), err.iteration
+    return result.z_star, _pred_mse(result.params_star, test), result.iters_run
 
 
 def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
-    """One seed's worth of work: generate, split, fit both methods, then score
-    both decisions and the oracle row from one set of world draws, one oracle
-    profile scan and the oracle action's per-draw costs."""
+    """One seed's worth of work: generate, split, fit both methods, keeping
+    only each fit's row values, then score both decisions and the oracle row
+    from one set of world draws, one oracle profile scan and the oracle
+    action's per-draw costs. No fit result is alive while the draws are."""
     model, grid = config.model_spec, config.grid
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
-
-    fits = []
-    for method, fit in _FITS.items():
-        try:
-            fits.append((method, fit(problem, train, val, config.arch, cfg)))
-        except TrainingError as err:
-            fits.append((method, err))
+    rows = [
+        (method, *_fit_row(fit, problem, train, val, test, config.arch, cfg))
+        for method, fit in _FITS.items()
+    ]
 
     u = world_draws(model, config.n_mc, mc_seed)
     best_action, best_costs = _oracle_cost_draws(model, grid, u)
 
+    nan = float("nan")
     reports = []
-    for method, result in fits:
-        if isinstance(result, TrainingError):
-            reports.append(_failed_report(method, run_seed, problem.name, result.iteration))
-            continue
-        cost, regret = _score(model, result.z_star, best_costs, u)
+    for method, action, pred_mse, iters in rows:
+        cost, regret = (nan, nan) if np.isnan(action) else _score(model, action, best_costs, u)
         reports.append(
-            DecisionReport(
-                method=method,
-                seed=run_seed,
-                problem=problem.name,
-                chosen_action=result.z_star,
-                expected_cost=cost,
-                regret=regret,
-                pred_mse=_pred_mse(result.params_star, test),
-                iters_run=result.iters_run,
-            )
+            DecisionReport(method, run_seed, problem.name, action, cost, regret, pred_mse, iters)
         )
     reports.append(
         DecisionReport(
-            method="oracle",
-            seed=run_seed,
-            problem=problem.name,
-            chosen_action=best_action,
-            expected_cost=float(best_costs.mean()),
-            regret=0.0,
-            pred_mse=float("nan"),
-            iters_run=0,
+            "oracle", run_seed, problem.name, best_action, float(best_costs.mean()), 0.0, nan, 0
         )
     )
     return reports

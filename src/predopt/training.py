@@ -5,15 +5,16 @@ model-implied cost profile over the grid actions, and from it the action
 probabilities, the test-side anchor and (with the task term on) the task
 loss and its gradient; (2) the omega/gamma weights come from the anchors;
 (3) one gradient step on F = pred*omega + task*gamma with the weights and
-action probabilities frozen for the step; (4) check termination. The train-side anchor depends only on
-historical labels, so it is computed once up front.
+action probabilities frozen for the step; (4) check termination. The
+train-side anchor depends only on historical labels, so it is computed once
+up front.
 
 The two-stage baseline runs the same loop minimizing the predictive loss
 alone (omega = gamma = 1, no task term). It never uses a per-iteration
-decision, so it builds no per-iteration profile and logs z_star_test as nan;
-it takes its decision in a single pass from the final model profile. With
-alpha = 0 and the task term disabled, simpo_fit reaches exactly the same
-weights and F values, bit for bit.
+decision, so it computes no train-side anchor, builds no per-iteration
+profile and logs z_star_test as nan; it takes its decision in a single pass
+from the final model profile. With alpha = 0 and the task term disabled,
+simpo_fit reaches exactly the same weights and F values, bit for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class TrainResult:
     iters_run: int
     converged: bool
     history: tuple
-    z_star_train: float
 
 
 def check_termination(history, config: TrainConfig) -> bool:
@@ -140,7 +140,8 @@ def _fit(
     grid = problem.grid
     points = grid.points
 
-    z_star_train = argmin_profile(empirical_profile(train.y, problem))
+    if use_joint_weights:
+        z_star_train = argmin_profile(empirical_profile(train.y, problem))
     # A plain weight vector in the loop: PredictorParams validates and copies,
     # so it is built once, for the result.
     w = init_params(arch, config.seed).weights
@@ -206,7 +207,6 @@ def _fit(
         converged=len(history) < config.max_iters
         and history[-1].total <= history[-config.patience - 1].total,
         history=tuple(history),
-        z_star_train=z_star_train,
     )
 
 

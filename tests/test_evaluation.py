@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from predopt import evaluation
 from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
@@ -33,7 +35,7 @@ from predopt.problems import (
     problem_from_model,
     world_draws,
 )
-from predopt.training import TrainConfig
+from predopt.training import TrainConfig, TrainingError
 
 ROOT = Path(__file__).parents[1]
 GRID = make_grid(0.0, 20.0, 101)
@@ -259,8 +261,51 @@ def test_fit_abort_recorded_as_failed_row_not_crash():
         if r.method == "oracle":
             assert r.regret == 0.0
         else:
-            assert math.isnan(r.chosen_action) and math.isnan(r.regret)
+            for value in (r.chosen_action, r.expected_cost, r.regret, r.pred_mse):
+                assert math.isnan(value)
             assert r.iters_run >= 1  # the iteration the abort was raised at
+
+
+def test_one_aborted_fit_leaves_the_other_rows_as_they_were(monkeypatch):
+    config = _experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=2000, seed=0)
+    want = compare_methods(config)
+
+    def aborts(*args):
+        raise TrainingError("non-finite loss at iteration 7", iteration=7)
+
+    monkeypatch.setitem(evaluation._FITS, "simpo", aborts)
+    got = compare_methods(config)
+    assert [r.method for r in got] == ["simpo", "two_stage", "oracle"]
+    simpo = got[0]
+    for value in (simpo.chosen_action, simpo.expected_cost, simpo.regret, simpo.pred_mse):
+        assert math.isnan(value)
+    assert simpo.iters_run == 7
+    assert repr(got[1:]) == repr(want[1:])
+
+
+def test_no_fit_result_is_alive_when_the_world_is_drawn(monkeypatch):
+    # weak references to the fits' own results, not a scan of every live
+    # object: other test modules keep TrainResults of their own alive
+    refs, draws = [], []
+
+    def keeping_a_ref(fit):
+        def run(*args):
+            result = fit(*args)
+            refs.append(weakref.ref(result))
+            return result
+
+        return run
+
+    for method, fit in list(evaluation._FITS.items()):
+        monkeypatch.setitem(evaluation._FITS, method, keeping_a_ref(fit))
+
+    def checked_world_draws(*args):
+        draws.append([ref() is None for ref in refs])
+        return world_draws(*args)
+
+    monkeypatch.setattr(evaluation, "world_draws", checked_world_draws)
+    _run_seed(_experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0), 0)
+    assert draws == [[True] * len(evaluation._FITS)]
 
 
 def _reference_score(model, action, best_costs, u):
@@ -322,8 +367,8 @@ def _traced_peak(fn, *args) -> int:
     "name, arrays",
     # the world draws u, the oracle action's per-draw costs and one working
     # array, and for newsvendor its cost's one temporary; the half array on top
-    # holds the fits' own memory, which does not grow with n_mc (up to 2.3 MB,
-    # mostly their histories, kept until the seed's rows are made)
+    # is headroom for what does not grow with n_mc (the fits' results, up to
+    # 2.3 MB with their histories, are freed before the draws are made)
     [("pricing_demo", 3.5), ("compare_default", 4.5)],
     ids=["pricing", "newsvendor"],
 )

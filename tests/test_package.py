@@ -1,10 +1,10 @@
 """The package namespace carries what the demos import, every demo runs to
 completion, importing the command line loads no process pool, every name in
-a module's __all__ resolves, only core's one reader and one writer open
-files, only problems names a problem kind, a logging policy or one of their
-keys, only training names a fit method, only predictor names an architecture
-kind, and the package has one exception type for bad input and one for a
-training abort."""
+a module's __all__ and every name the benchmark traces resolves, only core's
+one reader and one writer open files, only problems names a problem kind, a
+logging policy or one of their keys, only training names a fit method, only
+predictor names an architecture kind, and the package has one exception type
+for bad input and one for a training abort."""
 
 import ast
 import builtins
@@ -89,6 +89,29 @@ def test_importing_the_command_line_loads_no_process_pool():
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"predopt.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+
+
+def _trace_targets():
+    """perfbench/run.py's TRACE_TARGETS, read from its source: importing the
+    script would pin the BLAS thread counts of this process."""
+    path = ROOT / "perfbench" / "run.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "TRACE_TARGETS":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACE_TARGETS in {path}")
+
+
+def test_benchmark_trace_targets_resolve():
+    # a target that no longer resolves is only counted by the benchmark
+    # (trace.missing_names), so a rename would otherwise pass this suite
+    targets = _trace_targets()
+    assert targets
+    missing = [
+        f"{module}.{attr}"
+        for _, module, attr in targets
+        if not callable(getattr(importlib.import_module(f"predopt.{module}"), attr, None))
+    ]
     assert missing == []
 
 
