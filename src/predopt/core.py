@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
@@ -46,6 +47,16 @@ def _require_finite(name: str, value) -> float:
     if not finite:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _require_int(name: str, value, least: int) -> int:
+    """`value` as an int; a ValidationError naming `name` unless it is an
+    integer >= `least` (a numpy integer passes, a bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -109,7 +120,7 @@ def make_grid(z_min: float, z_max: float, n_points: int) -> ActionGrid:
 class Dataset:
     """Column-oriented sample store.
 
-    X has shape (n, d), z_obs and y shape (n,). Non-empty, one shared
+    X has shape (n, d), z_obs and y shape (n,). Non-empty, finite, one shared
     feature dimension.
     """
 
@@ -127,6 +138,9 @@ class Dataset:
             raise ValidationError(
                 f"column lengths disagree: X {X.shape[0]}, z_obs {z.shape[0]}, y {y.shape[0]}"
             )
+        for name, column in (("X", X), ("z_obs", z), ("y", y)):
+            if not np.all(np.isfinite(column)):
+                raise ValidationError(f"dataset column {name} must be finite")
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "z_obs", _frozen_array(z))
         object.__setattr__(self, "y", _frozen_array(y))

@@ -12,7 +12,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _split_sizes, _write_atomic, split_dataset
+from .core import ActionGrid, ValidationError, _require_int, _split_sizes, _write_atomic
+from .core import split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
@@ -55,8 +56,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, least in (("n_samples", 1), ("n_mc", 1), ("n_seeds", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValidationError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
+        if self.arch.feature_dim != self.model_spec.feature_dim:
+            raise ValidationError(
+                f"arch.feature_dim must equal the world's feature_dim "
+                f"{self.model_spec.feature_dim}, got {self.arch.feature_dim}"
+            )
         _split_sizes(self.n_samples, self.train_frac, self.val_frac)
         _logging_probs(self.model_spec, self.grid)  # the logging policy puts mass on the grid
         for name in ("train_frac", "val_frac"):

@@ -113,7 +113,7 @@ def omega_weight(
     probs = np.asarray(probs, dtype=float).ravel()
     if probs.shape[0] != grid.n_points:
         raise ValidationError("probs length must match the grid")
-    if abs(probs.sum() - 1.0) > 1e-9:
+    if not abs(probs.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValidationError("probs must sum to 1 within 1e-9")
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")

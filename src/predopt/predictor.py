@@ -227,7 +227,7 @@ def task_grad(
     probs = np.asarray(action_probs, dtype=float).ravel()
     if probs.shape[0] != grid.n_points:
         raise ValidationError("action_probs length must match the grid")
-    if abs(probs.sum() - 1.0) > 1e-9:
+    if not abs(probs.sum() - 1.0) <= 1e-9:  # NaN fails too
         raise ValidationError(
             f"action_probs must sum to 1 within 1e-9, got {probs.sum()!r}"
         )

@@ -5,7 +5,9 @@ model-implied cost profile over the grid actions, and from it the action
 probabilities, the test-side anchor and (with the task term on) the task
 loss and its gradient; (2) the omega/gamma weights come from the anchors;
 (3) one gradient step on F = pred*omega + task*gamma with the weights and
-action probabilities frozen for the step; (4) check termination. The
+action probabilities frozen for the step; (4) count the iteration as stalled
+if F improved by less than tol relative to the previous F, and stop once
+`patience` iterations in a row have stalled, or at max_iters. The
 train-side anchor depends only on historical labels, so it is computed once
 up front.
 
@@ -23,7 +25,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite
+from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite, _require_int
 from .core import _write_atomic
 from .objective import _soft_min, argmin_profile, empirical_profile, gamma_weight, omega_weight
 from .predictor import (
@@ -42,7 +44,6 @@ __all__ = [
     "TrainingError",
     "simpo_fit",
     "two_stage_fit",
-    "check_termination",
     "save_history_csv",
 ]
 
@@ -74,14 +75,10 @@ class TrainConfig:
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if not self.learning_rate > 0:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.patience < 1:
-            raise ValidationError(f"patience must be >= 1, got {self.patience}")
         if not self.tol > 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
-        if self.batch_size < 0:
-            raise ValidationError(f"batch_size must be >= 0, got {self.batch_size}")
+        for name, least in (("max_iters", 1), ("patience", 1), ("batch_size", 0)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True)
@@ -103,22 +100,6 @@ class TrainResult:
     iters_run: int
     converged: bool
     history: tuple
-
-
-def check_termination(history, config: TrainConfig) -> bool:
-    """True at the iteration cap, or when the relative improvement of F stayed
-    below tol for the last `patience` consecutive iterations (each improvement
-    measured against max(|previous F|, 1e-12))."""
-    if len(history) >= config.max_iters:
-        return True
-    if len(history) < config.patience + 1:
-        return False
-    tail = history[-(config.patience + 1) :]
-    for prev, cur in zip(tail, tail[1:]):
-        improvement = (prev.total - cur.total) / max(abs(prev.total), 1e-12)
-        if improvement >= config.tol:
-            return False
-    return True
 
 
 def _abort(what: str, it: int, detail: str = ""):
@@ -153,8 +134,8 @@ def _fit(
     task_enabled = use_joint_weights and wc.task_term_enabled
     buffer = _fit_buffers(arch, len(val), grid.n_points)
 
-    while True:
-        it = len(history) + 1
+    stalled = 0  # consecutive iterations whose relative improvement of F was below tol
+    for it in range(1, config.max_iters + 1):
         batch = full_batch
         if 0 < config.batch_size < len(train):
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
@@ -191,8 +172,11 @@ def _fit(
         w = w - config.learning_rate * total_grad
         if not np.all(np.isfinite(w)):
             _abort("weights after the step", it)
-        if check_termination(history, config):
+        improved = it == 1 or (prev - total) / max(abs(prev), 1e-12) >= config.tol
+        stalled = 0 if improved else stalled + 1
+        if stalled >= config.patience:
             break
+        prev = total
 
     values = _profile(arch, w, val.X, points, problem, buffer)[0]
     if not np.all(np.isfinite(values)):
@@ -203,7 +187,7 @@ def _fit(
         z_star=z_star,
         g_star=g_star,
         iters_run=len(history),
-        # the tolerance stop fired, and F did not rise over the patience window
+        # the stall stop fired before the cap, and F did not rise over its window
         converged=len(history) < config.max_iters
         and history[-1].total <= history[-config.patience - 1].total,
         history=tuple(history),

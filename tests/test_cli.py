@@ -454,6 +454,27 @@ def test_empty_split_exits_2_at_load(tmp_path, capsys, command):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize(
+    "command", ["generate", "train simpo", "train two-stage", "evaluate", "compare"]
+)
+def test_labels_that_overflow_exit_2(tmp_path, capsys, command):
+    # finite config values whose outcomes overflow to inf: every command
+    # refuses the generated data by name, and leaves nothing behind
+    command, *method = command.split()
+    blob = copy.deepcopy(SMALL_CONFIG)
+    blob["problem"].update(base_weights=[1e308, 1e308], feature_sd=10)
+    path = _write(tmp_path, blob)
+    ckpt = tmp_path / "c.json"
+    save_checkpoint(PredictorParams(Architecture("linear", 2), np.zeros(4)), ckpt)
+    extra = {"train": ["--method", *method], "evaluate": ["--checkpoint", str(ckpt)]}
+    out = tmp_path / "new" / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main([command, "--config", str(path), "--out", str(out)] + extra.get(command, []))
+    assert code == 2
+    assert capsys.readouterr().err == "error: dataset column y must be finite\n"
+    assert not (tmp_path / "new").exists()
+
+
 NO_MASS = "biased logging puts no mass on the grid; widen it or move the center"
 
 

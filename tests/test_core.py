@@ -132,6 +132,16 @@ def test_dataset_must_be_nonempty():
         Dataset(X=np.zeros((0, 2)), z_obs=np.zeros(0), y=np.zeros(0))
 
 
+@pytest.mark.parametrize("column", ["X", "z_obs", "y"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_dataset_rejects_a_non_finite_value_by_column(column, bad):
+    data = _toy_dataset(4)
+    values = {"X": data.X.copy(), "z_obs": data.z_obs.copy(), "y": data.y.copy()}
+    values[column][-1] = bad
+    with pytest.raises(ValidationError, match=f"^dataset column {column} must be finite$"):
+        Dataset(**values)
+
+
 def test_dataset_is_readonly():
     data = _toy_dataset(4)
     with pytest.raises(ValueError):
@@ -259,3 +269,16 @@ def test_non_finite_value_is_rejected_by_name(build, kwargs, field):
     with pytest.raises(ValidationError) as err:
         build(**kwargs)
     assert str(err.value).startswith(f"{field} must be a finite number")
+
+
+@pytest.mark.parametrize("key", ["max_iters", "patience", "batch_size"])
+@pytest.mark.parametrize("bad", [2.5, True, 3.0, "3"])
+def test_train_config_rejects_a_non_integer_size_by_name(key, bad):
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got {bad!r}$"):
+        _train(**{key: bad})
+
+
+def test_train_config_takes_numpy_integers_as_ints():
+    cfg = _train(max_iters=np.int64(7), patience=np.int32(3), batch_size=np.uint8(0))
+    assert (cfg.max_iters, cfg.patience, cfg.batch_size) == (7, 3, 0)
+    assert all(type(v) is int for v in (cfg.max_iters, cfg.patience, cfg.batch_size))

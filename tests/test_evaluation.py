@@ -127,6 +127,21 @@ def test_evaluate_decision_rejects_off_grid_action():
         evaluate_decision(_world(), 3.14159, GRID, n_mc=100, seed=0)
 
 
+def test_experiment_rejects_a_model_of_another_feature_dim():
+    sizes = {"n_seeds": 1, "n_samples": 120, "n_mc": 2000, "seed": 0}
+    with pytest.raises(ValidationError, match="^arch.feature_dim must equal the world's") as err:
+        _experiment(_world(), _config(), arch=Architecture("linear", 3), **sizes)
+    assert str(err.value).endswith("feature_dim 2, got 3")
+
+
+@pytest.mark.parametrize("key", ["n_samples", "n_mc", "n_seeds", "seed"])
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_experiment_rejects_a_non_integer_size_by_name(key, bad):
+    sizes = {"n_seeds": 1, "n_samples": 120, "n_mc": 2000, "seed": 0, key: bad}
+    with pytest.raises(ValidationError, match=f"^{key} must be an integer, got {bad!r}$"):
+        _experiment(_world(), _config(), **sizes)
+
+
 def test_compare_methods_row_count_and_order():
     model = _world()
     reports = compare_methods(

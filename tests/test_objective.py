@@ -236,6 +236,13 @@ def test_omega_hand_value():
     assert omega_weight(probs, grid, z_star_train=0.0, alpha=2.0) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("scale", [1.01, float("nan")])
+def test_omega_rejects_probs_that_do_not_sum_to_one(scale):
+    grid = make_grid(0.0, 10.0, 11)
+    with pytest.raises(ValidationError, match="probs must sum to 1"):
+        omega_weight(np.full(11, 1.0 / 11) * scale, grid, z_star_train=3.0, alpha=1.0)
+
+
 def test_omega_nondecreasing_under_one_hot_shift():
     grid = make_grid(0.0, 10.0, 21)
     z_star = grid.points[6]

@@ -318,9 +318,10 @@ def test_task_loss_zero_params_newsvendor():
 def test_task_grad_rejects_bad_probs():
     p = init_params(LINEAR3, 0)
     X = np.zeros((2, 3))
-    bad = np.full(GRID.n_points, 1.0 / GRID.n_points) * 1.01
-    with pytest.raises(ValidationError):
-        task_grad(p, X, GRID, bad, NEWSVENDOR)
+    for scale in (1.01, float("nan")):
+        bad = np.full(GRID.n_points, 1.0 / GRID.n_points) * scale
+        with pytest.raises(ValidationError):
+            task_grad(p, X, GRID, bad, NEWSVENDOR)
 
 
 def _newsvendor_kink_gap(z, P):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid, split_dataset
@@ -29,7 +31,6 @@ from predopt.training import (
     HistoryRow,
     TrainConfig,
     TrainingError,
-    check_termination,
     save_history_csv,
     simpo_fit,
     two_stage_fit,
@@ -72,34 +73,80 @@ def _config(**overrides):
     return TrainConfig(**kwargs)
 
 
-# --- termination ---------------------------------------------------------------
+# --- the stop rule ----------------------------------------------------------------
 
 
-def _rows(values):
-    return [
-        HistoryRow(iter=i + 1, total=v, pred_term=v, task_term=0.0, omega=1.0, gamma=1.0, z_star_test=0.0)
-        for i, v in enumerate(values)
-    ]
+def _window_stop(F, max_iters, patience, tol):
+    """(iters_run, converged) for a fit whose F values are F, by scanning the
+    last patience + 1 values after each iteration: stop at the cap, or when
+    every relative improvement in that window is below tol; converged when
+    that stop comes before the cap and F ends no higher than the window began."""
+    for n in range(1, max_iters + 1):
+        window = F[n - patience - 1 : n] if n > patience else []
+        pairs = zip(window, window[1:])
+        if window and all((a - b) / max(abs(a), 1e-12) < tol for a, b in pairs):
+            return n, n < max_iters and F[n - 1] <= window[0]
+    return max_iters, False
 
 
-def test_termination_at_max_iters():
-    cfg = _config(max_iters=5, patience=3, tol=1e-6)
-    assert check_termination(_rows([9, 8, 7, 6, 5]), cfg)
+_STOP_PROBLEM = problem_from_model(_world(), GRID)
+_STOP_TRAIN, _STOP_VAL, _ = _splits(_world(), 60, seed=0)
 
 
-def test_termination_not_triggered_while_halving():
-    cfg = _config(max_iters=100, patience=3, tol=1e-3)
-    assert not check_termination(_rows([16, 8, 4, 2, 1]), cfg)
+def _scripted_fit(F, max_iters, patience, tol):
+    """A two-stage fit whose i-th loss is F[i] with a zero gradient: omega =
+    gamma = 1, so F[i] is the i-th row's F, and the weights never move."""
+    import predopt.training
+
+    values = iter(F)
+
+    def scripted(arch, w, *batch):
+        return next(values), np.zeros_like(w)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(predopt.training, "_loss_and_grad", scripted)
+        cfg = _config(max_iters=max_iters, patience=patience, tol=tol)
+        res = two_stage_fit(_STOP_PROBLEM, _STOP_TRAIN, _STOP_VAL, LINEAR, cfg)
+    assert [row.total for row in res.history] == list(F[: res.iters_run])
+    return res
 
 
-def test_termination_on_constant_plateau():
-    cfg = _config(max_iters=100, patience=4, tol=1e-6)
-    assert check_termination(_rows([5, 4, 3, 3, 3, 3, 3]), cfg)
+STOP_CASES = [
+    # F, max_iters, patience, tol, iters_run, converged
+    pytest.param([9, 8, 7, 6, 5], 5, 3, 1e-6, 5, False, id="cap"),
+    pytest.param([16 / 2**k for k in range(30)], 30, 3, 1e-3, 30, False, id="halving"),
+    pytest.param([5, 4, 3, 3, 3, 3, 3, 3], 100, 4, 1e-6, 7, True, id="plateau"),
+    pytest.param([3] * 10, 100, 4, 1e-6, 5, True, id="needs-a-full-window"),
+    pytest.param([9, 8, 8, 8, 8], 5, 3, 1e-6, 5, False, id="stall-completes-on-the-cap"),
+    pytest.param([9, 8, 8, 8, 8, 8], 6, 3, 1e-6, 5, True, id="stall-completes-before-the-cap"),
+    pytest.param([4, 4, 5, 5, 5], 10, 3, 1e-6, 4, False, id="window-rose"),
+]
 
 
-def test_termination_needs_full_patience_window():
-    cfg = _config(max_iters=100, patience=4, tol=1e-6)
-    assert not check_termination(_rows([3, 3, 3]), cfg)
+@pytest.mark.parametrize("F, max_iters, patience, tol, iters_run, converged", STOP_CASES)
+def test_stop_rule_cases(F, max_iters, patience, tol, iters_run, converged):
+    res = _scripted_fit([float(v) for v in F], max_iters, patience, tol)
+    assert (res.iters_run, res.converged) == (iters_run, converged)
+    assert _window_stop(F, max_iters, patience, tol) == (iters_run, converged)
+
+
+_STEPS = {"halve": 0.5, "repeat": 1.0, "rise": 1.5, "nudge": 1 - 1e-7}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    patience=st.integers(1, 6),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
+    max_iters=st.integers(1, 30),
+    start=st.sampled_from([8.0, 1e-13, -3.0]),
+    steps=st.lists(st.sampled_from(sorted(_STEPS)), min_size=29, max_size=29),
+)
+def test_stop_rule_matches_the_window_scan(patience, tol, max_iters, start, steps):
+    F = [start]
+    for step in steps:
+        F.append(F[-1] * _STEPS[step])
+    res = _scripted_fit(F, max_iters, patience, tol)
+    assert (res.iters_run, res.converged) == _window_stop(F, max_iters, patience, tol)
 
 
 # --- fits ------------------------------------------------------------------------
@@ -201,6 +248,17 @@ def test_training_abort_names_iteration():
         two_stage_fit(problem, train, val, Architecture("linear", 2), cfg)
     assert err.value.iteration >= 1
     assert str(err.value.iteration) in str(err.value)
+
+
+@pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit])
+def test_fit_on_a_nan_label_is_a_validation_error(fit):
+    # one error for bad data, whichever method is asked to fit it
+    model = _world()
+    train, val, _ = _splits(model, 200, seed=4)
+    y = train.y.copy()
+    y[3] = np.nan
+    with pytest.raises(ValidationError, match="^dataset column y must be finite$"):
+        fit(problem_from_model(model, GRID), replace(train, y=y), val, LINEAR, _config())
 
 
 def test_two_stage_recovers_zero_noise_linear_world():
@@ -344,7 +402,12 @@ def _reference_simpo(problem, train, val, arch, config):
             HistoryRow(len(history) + 1, pl * omega + tl * gamma, pl, tl, omega, gamma, z_star_test)
         )
         params = PredictorParams(arch, params.weights - config.learning_rate * step)
-        if check_termination(history, config):
+        # the stop rule as a scan of the last patience + 1 values of F
+        window = [row.total for row in history[-config.patience - 1 :]]
+        stalled = len(window) > config.patience and all(
+            (a - b) / max(abs(a), 1e-12) < config.tol for a, b in zip(window, window[1:])
+        )
+        if len(history) >= config.max_iters or stalled:
             break
     final = model_profile(params, val.X, grid, problem)
     z_star = argmin_profile(final)
@@ -377,6 +440,12 @@ REFERENCE_CASES = [
             "learning_rate": 0.01,
         },
         id="pricing-task-off",
+    ),
+    # stops on the stall count at iteration 7 of 40, so the reference's
+    # window scan and the fit's running count are both put to the test
+    pytest.param(
+        {}, GRID, Architecture("linear", 2), {"learning_rate": 1e-3, "tol": 1e-2, "patience": 3},
+        id="newsvendor-linear-stall-stop",
     ),
 ]
 
