@@ -117,8 +117,12 @@ def omega_weight(
         raise ValidationError("probs must sum to 1 within 1e-9")
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
-    d_norm = float(probs @ np.abs(grid.points - z_star_train)) / grid.width
-    return 1.0 + alpha * d_norm
+    return _omega(probs, np.abs(grid.points - z_star_train), grid.width, alpha)
+
+
+def _omega(probs: np.ndarray, distance: np.ndarray, width: float, alpha: float) -> float:
+    """omega_weight without its checks, from each action's distance to z_star_train."""
+    return 1.0 + alpha * (float(probs @ distance) / width)
 
 
 def gamma_weight(
@@ -128,4 +132,9 @@ def gamma_weight(
     (0.0 only where the exponential underflows at very large beta)."""
     if beta < 0:
         raise ValidationError(f"beta must be >= 0, got {beta}")
-    return float(np.exp(-beta * abs(z_star_train - z_star_test) / grid.width))
+    return _gamma(z_star_train, z_star_test, beta, grid.width)
+
+
+def _gamma(z_star_train: float, z_star_test: float, beta: float, width: float) -> float:
+    """gamma_weight without its check."""
+    return float(np.exp(-beta * abs(z_star_train - z_star_test) / width))

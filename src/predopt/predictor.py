@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionGrid, Problem, ValidationError
+from .core import ActionGrid, Problem, ValidationError, _require_int
 from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
 
 __all__ = [
@@ -54,12 +55,10 @@ class Architecture:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown architecture kind {self.kind!r}")
-        if self.feature_dim < 1:
-            raise ValidationError(f"feature_dim must be >= 1, got {self.feature_dim}")
-        if self.kind == "mlp1" and self.hidden_units < 1:
-            raise ValidationError(f"mlp1 needs hidden_units >= 1, got {self.hidden_units}")
         if self.kind == "linear" and self.hidden_units != 0:
             raise ValidationError(f"linear does not use hidden_units, got {self.hidden_units}")
+        for name, least in (("feature_dim", 1), ("hidden_units", 1 if self.kind == "mlp1" else 0)):
+            object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
     @property
     def n_weights(self) -> int:
@@ -208,6 +207,36 @@ def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
     if arch.kind == "linear":
         return loss, _linear_task_grad(w, X, Z, c, c, c.sum())
     return loss, _mlp1_grad(arch, w, X, Z[:, None], T, c[:, None])
+
+
+class _Moments(NamedTuple):
+    """A linear model's full-batch predictive loss as a quadratic in its
+    weights w: with A = [X, Z, 1] over n rows, G = A'A/n, h = A'Y/n and
+    s = Y'Y/n, so loss = w'Gw - 2h'w + s and grad = 2(Gw - h)."""
+
+    G: np.ndarray
+    h: np.ndarray
+    s: float
+
+
+def _full_batch(arch: Architecture, X, Z, Y):
+    """What a full-batch fit's predictive loss reads at every step: the
+    _Moments of the rows for a linear model, formed here once, so no step
+    reads the rows; the rows (X, Z, Y) themselves for any other model."""
+    if arch.kind != "linear":
+        return X, Z, Y
+    A = np.column_stack([X, Z, np.ones_like(Z)])
+    n = Z.shape[0]
+    return _Moments(A.T @ A / n, A.T @ Y / n, float(Y @ Y) / n)
+
+
+def _batch_loss_and_grad(arch: Architecture, w: np.ndarray, batch):
+    """The predictive loss at unit sample weights and its gradient, at w, from
+    a batch: _Moments, or rows (X, Z, Y) for _loss_and_grad."""
+    if isinstance(batch, _Moments):
+        Gw = batch.G @ w
+        return float(w @ Gw - 2.0 * (batch.h @ w) + batch.s), 2.0 * (Gw - batch.h)
+    return _loss_and_grad(arch, w, *batch, 1.0)
 
 
 def task_grad(

@@ -5,11 +5,14 @@ model-implied cost profile over the grid actions, and from it the action
 probabilities, the test-side anchor and (with the task term on) the task
 loss and its gradient; (2) the omega/gamma weights come from the anchors;
 (3) one gradient step on F = pred*omega + task*gamma with the weights and
-action probabilities frozen for the step; (4) count the iteration as stalled
+action probabilities frozen for the step, where a linear model on the full
+batch takes pred and its gradient from the moments of the training rows,
+formed once per fit (predictor._full_batch), so no step reads those rows,
+and any other fit reads its batch's rows; (4) count the iteration as stalled
 if F improved by less than tol relative to the previous F, and stop once
 `patience` iterations in a row have stalled, or at max_iters. The
-train-side anchor depends only on historical labels, so it is computed once
-up front.
+train-side anchor, and each action's distance from it that omega reads,
+depend only on historical labels, so they are computed once up front.
 
 The two-stage baseline runs the same loop minimizing the predictive loss
 alone (omega = gamma = 1, no task term). It never uses a per-iteration
@@ -21,18 +24,20 @@ simpo_fit reaches exactly the same weights and F values, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite, _require_int
 from .core import _write_atomic
-from .objective import _soft_min, argmin_profile, empirical_profile, gamma_weight, omega_weight
+from .objective import _gamma, _omega, _soft_min, argmin_profile, empirical_profile
 from .predictor import (
     Architecture,
     PredictorParams,
+    _batch_loss_and_grad,
     _fit_buffers,
-    _loss_and_grad,
+    _full_batch,
     _profile,
     init_params,
 )
@@ -77,7 +82,7 @@ class TrainConfig:
             raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not self.tol > 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
-        for name, least in (("max_iters", 1), ("patience", 1), ("batch_size", 0)):
+        for name, least in (("max_iters", 1), ("patience", 1), ("batch_size", 0), ("seed", 0)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
 
@@ -119,58 +124,60 @@ def _fit(
 ) -> TrainResult:
     wc: WeightConfig = config.weight_config
     grid = problem.grid
-    points = grid.points
+    points, width = grid.points, grid.width
 
     if use_joint_weights:
         z_star_train = argmin_profile(empirical_profile(train.y, problem))
+        distance = np.abs(points - z_star_train)
     # A plain weight vector in the loop: PredictorParams validates and copies,
     # so it is built once, for the result.
     w = init_params(arch, config.seed).weights
     # Batch sampling gets its own stream so it never aliases the init draws.
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     history = []
-    full_batch = (train.X, train.z_obs, train.y)
+    rows = (train.X, train.z_obs, train.y)
+    minibatch = 0 < config.batch_size < len(train)
+    if not minibatch:
+        batch = _full_batch(arch, *rows)
 
     task_enabled = use_joint_weights and wc.task_term_enabled
     buffer = _fit_buffers(arch, len(val), grid.n_points)
 
     stalled = 0  # consecutive iterations whose relative improvement of F was below tol
     for it in range(1, config.max_iters + 1):
-        batch = full_batch
-        if 0 < config.batch_size < len(train):
+        if minibatch:
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-            batch = tuple(column[idx] for column in full_batch)
+            batch = tuple(column[idx] for column in rows)
 
         if use_joint_weights:
             values, grad_at = _profile(arch, w, val.X, points, problem, buffer)
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 _abort("model cost profile", it)
             probs = _soft_min(values, wc.tau)
             z_star_test = grid.best(values)[0]
-            omega = omega_weight(probs, grid, z_star_train, wc.alpha)
-            gamma = gamma_weight(z_star_train, z_star_test, wc.beta, grid)
+            omega = _omega(probs, distance, width, wc.alpha)
+            gamma = _gamma(z_star_train, z_star_test, wc.beta, width)
         else:
             omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
-        pred_loss, pred_grad = _loss_and_grad(arch, w, *batch, 1.0)  # unit sample weights
+        pred_loss, pred_grad = _batch_loss_and_grad(arch, w, batch)
         if task_enabled:
             task_loss = float(probs @ values)
             total_grad = omega * pred_grad + gamma * grad_at(probs)
         else:
-            # Recorded as 0 so every row composes as pred*omega + task*gamma.
+            # Recorded as 0 so every row composes as pred*omega + task*gamma;
+            # two-stage's omega is 1.0, so it steps on pred_grad itself.
             task_loss = 0.0
-            total_grad = omega * pred_grad
+            total_grad = omega * pred_grad if use_joint_weights else pred_grad
 
-        if (
-            not np.isfinite(pred_loss)
-            or not np.isfinite(task_loss)
-            or not np.all(np.isfinite(total_grad))
+        if not (
+            math.isfinite(pred_loss) and math.isfinite(task_loss) and np.isfinite(total_grad).all()
         ):
             _abort("loss or gradient", it, f" (pred={pred_loss!r}, task={task_loss!r})")
         total = pred_loss * omega + task_loss * gamma
         history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
         w = w - config.learning_rate * total_grad
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             _abort("weights after the step", it)
         improved = it == 1 or (prev - total) / max(abs(prev), 1e-12) >= config.tol
         stalled = 0 if improved else stalled + 1
@@ -179,7 +186,7 @@ def _fit(
         prev = total
 
     values = _profile(arch, w, val.X, points, problem, buffer)[0]
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)
     return TrainResult(

@@ -21,6 +21,9 @@ from predopt.objective import (
 from predopt.predictor import (
     Architecture,
     PredictorParams,
+    _Moments,
+    _batch_loss_and_grad,
+    _full_batch,
     _grid_pass,
     init_params,
     loss_and_grad,
@@ -100,11 +103,11 @@ def _scripted_fit(F, max_iters, patience, tol):
 
     values = iter(F)
 
-    def scripted(arch, w, *batch):
+    def scripted(arch, w, batch):
         return next(values), np.zeros_like(w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(predopt.training, "_loss_and_grad", scripted)
+        mp.setattr(predopt.training, "_batch_loss_and_grad", scripted)
         cfg = _config(max_iters=max_iters, patience=patience, tol=tol)
         res = two_stage_fit(_STOP_PROBLEM, _STOP_TRAIN, _STOP_VAL, LINEAR, cfg)
     assert [row.total for row in res.history] == list(F[: res.iters_run])
@@ -160,6 +163,21 @@ def test_max_iters_one_gives_one_history_entry():
     assert res.iters_run == 1 and len(res.history) == 1
     with pytest.raises(ValidationError):
         _config(max_iters=0)
+
+
+@pytest.mark.parametrize("value", [2.5, -1, True], ids=["2.5", "-1", "True"])
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        pytest.param(lambda v: _config(seed=v), "seed", id="seed"),
+        pytest.param(lambda v: Architecture("linear", v), "feature_dim", id="feature_dim"),
+        pytest.param(lambda v: Architecture("mlp1", 2, v), "hidden_units", id="hidden_units"),
+        pytest.param(lambda v: Architecture("linear", 2, v), "hidden_units", id="linear-hidden"),
+    ],
+)
+def test_seeds_and_sizes_are_checked_by_name(build, field, value):
+    with pytest.raises(ValidationError, match=field):
+        build(value)
 
 
 def test_two_stage_deterministic(tmp_path):
@@ -426,10 +444,22 @@ PRICING_WORLD = dict(
     cost_params={"capacity": 50.0},
 )
 
+# world, grid, arch, config overrides, and whether the fit must match the
+# reference bit for bit: it must where both read the rows (mlp1, minibatches);
+# a linear full-batch fit reads the moments of the rows, which round differently
 REFERENCE_CASES = [
-    pytest.param({}, GRID, Architecture("linear", 2), {}, id="newsvendor-linear"),
+    # F descends at every step (at lr 3e-3 this world's F would grow about
+    # 1.9-fold per step, and a match on a blow-up shows little)
     pytest.param(
-        {}, GRID, Architecture("mlp1", 2, hidden_units=6), {"batch_size": 32}, id="newsvendor-mlp1"
+        {}, GRID, Architecture("linear", 2), {"learning_rate": 1e-3}, False, id="newsvendor-linear"
+    ),
+    pytest.param(
+        {}, GRID, Architecture("mlp1", 2, hidden_units=6), {"batch_size": 32}, True,
+        id="newsvendor-mlp1",
+    ),
+    pytest.param(
+        {}, GRID, Architecture("linear", 2), {"learning_rate": 1e-3, "batch_size": 32}, True,
+        id="newsvendor-linear-minibatch",
     ),
     pytest.param(
         PRICING_WORLD,
@@ -439,28 +469,75 @@ REFERENCE_CASES = [
             "weight_config": WeightConfig(alpha=1.0, beta=40.0, tau=1.0, task_term_enabled=False),
             "learning_rate": 0.01,
         },
+        False,
         id="pricing-task-off",
     ),
     # stops on the stall count at iteration 7 of 40, so the reference's
     # window scan and the fit's running count are both put to the test
     pytest.param(
         {}, GRID, Architecture("linear", 2), {"learning_rate": 1e-3, "tol": 1e-2, "patience": 3},
+        False,
         id="newsvendor-linear-stall-stop",
     ),
 ]
 
 
-@pytest.mark.parametrize("world, grid, arch, overrides", REFERENCE_CASES)
-def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides):
+@pytest.mark.parametrize("world, grid, arch, overrides, bitwise", REFERENCE_CASES)
+def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides, bitwise):
     model = _world(**{"nonlinearity": -0.04, "action_effect": 0.9, **world})
     problem = problem_from_model(model, grid)
     train, val, _ = _splits(model, 300, seed=2, grid=grid)
     cfg = _config(**{"max_iters": 40, "patience": 40, **overrides})
     res = simpo_fit(problem, train, val, arch, cfg)
     params, history, z_star, g_star = _reference_simpo(problem, train, val, arch, cfg)
-    assert np.array_equal(res.params_star.weights, params.weights)
-    assert res.history == history
-    assert (res.z_star, res.g_star) == (z_star, g_star)
+    F = [row.total for row in res.history]
+    if cfg.batch_size == 0:
+        assert all(b < a for a, b in zip(F, F[1:]))
+    if bitwise:
+        assert np.array_equal(res.params_star.weights, params.weights)
+        assert res.history == history
+        assert (res.z_star, res.g_star) == (z_star, g_star)
+        return
+    # the same anchor at every step (so the same stop) and the same decision;
+    # the same weights and F up to rounding
+    assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
+    assert res.z_star == z_star
+    np.testing.assert_allclose(res.params_star.weights, params.weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(F, [row.total for row in history], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "world, grid", [({}, GRID), (PRICING_WORLD, PRICING_GRID)], ids=["newsvendor", "pricing"]
+)
+@pytest.mark.parametrize("scale", [1.0, 1e3], ids=["random", "large"])
+def test_moment_form_matches_the_row_form(world, grid, scale):
+    # a linear full-batch fit reads its predictive loss from the moments of
+    # the training rows: the same loss and gradient as the public row form at
+    # unit weights, and a gradient that is the loss's derivative
+    model = _world(**world)
+    problem = problem_from_model(model, grid)
+    train, _, _ = _splits(model, 2000, seed=0, grid=grid)
+    arch = Architecture("linear", model.feature_dim)
+    moments = _full_batch(arch, train.X, train.z_obs, train.y)
+    assert isinstance(moments, _Moments)
+    ones = np.ones(len(train))
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        w = rng.normal(scale=scale, size=arch.n_weights)
+        loss, grad = _batch_loss_and_grad(arch, w, moments)
+        rows = loss_and_grad(PredictorParams(arch, w), train.X, train.z_obs, train.y, ones, problem)
+        assert loss == pytest.approx(rows[0], rel=1e-12, abs=0)
+        np.testing.assert_allclose(grad, rows[1], rtol=1e-12, atol=0)
+        # central differences of a quadratic are exact up to rounding, so a
+        # step as wide as the weight keeps that rounding small
+        fd = np.empty_like(w)
+        for i, step in enumerate(np.maximum(1.0, np.abs(w))):
+            e = np.zeros_like(w)
+            e[i] = step
+            up = _batch_loss_and_grad(arch, w + e, moments)[0]
+            down = _batch_loss_and_grad(arch, w - e, moments)[0]
+            fd[i] = (up - down) / (2 * step)
+        np.testing.assert_allclose(grad, fd, rtol=1e-12, atol=0)
 
 
 def _dense_model_profile(params, X, grid, problem):
@@ -496,9 +573,10 @@ GOLDEN_LINEAR = ExperimentConfig(
 
 
 def _default_world_run():
+    # at lr 1e-3 F descends at every step; at 3e-3 it grows about 1.9-fold per step
     model = _world(nonlinearity=-0.04, action_effect=0.9)
     train, val, _ = _splits(model, 300, seed=2)
-    cfg = _config(max_iters=40, patience=40)
+    cfg = _config(max_iters=40, patience=40, learning_rate=1e-3)
     return problem_from_model(model, GRID), train, val, Architecture("linear", 2), cfg
 
 
@@ -521,19 +599,22 @@ def _golden_seed_1_run():
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, descends",
     [
-        pytest.param(_default_world_run, id="default-world"),
-        pytest.param(_golden_seed_1_run, id="golden-seed-1"),
-        pytest.param(_pricing_world_run, id="pricing-world"),
+        pytest.param(_default_world_run, True, id="default-world"),
+        # omega and gamma move with the anchors, so F rises at some steps
+        pytest.param(_golden_seed_1_run, False, id="golden-seed-1"),
+        pytest.param(_pricing_world_run, True, id="pricing-world"),
     ],
 )
-def test_separable_fit_tracks_the_dense_reference_loop(run):
+def test_separable_fit_tracks_the_dense_reference_loop(run, descends):
     # the fit takes the problem's kernel for a linear model; the same loop on
     # the dense (m, K) grid pass must take the same decisions and reach the
     # same weights up to rounding
     problem, train, val, arch, cfg = run()
     res = simpo_fit(problem, train, val, arch, cfg)
+    F = [row.total for row in res.history]
+    assert all(b < a for a, b in zip(F, F[1:])) == descends
     dense = replace(problem, separable_kernel=None)
     params, history, z_star, g_star = _reference_simpo(dense, train, val, arch, cfg)
     assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
@@ -582,18 +663,23 @@ PRICING = {"kind": "pricing", "cost_params": {"capacity": 50.0}}
 
 
 @pytest.mark.parametrize(
-    "fit, arch, world, passes_per_iter, final_passes",
+    "fit, arch, world, passes_per_iter, final_passes, paired_per_iter",
     [
-        pytest.param(two_stage_fit, MLP1, {}, 0, 1, id="two_stage_fit-0"),
-        pytest.param(simpo_fit, MLP1, {}, 1, 1, id="simpo_fit-1"),
-        # a linear fit takes the problem's separable kernel throughout
-        pytest.param(two_stage_fit, LINEAR, {}, 0, 0, id="two_stage_fit-0-linear-newsvendor"),
-        pytest.param(simpo_fit, LINEAR, {}, 0, 0, id="simpo_fit-0-linear-newsvendor"),
-        pytest.param(two_stage_fit, LINEAR, PRICING, 0, 0, id="two_stage_fit-0-linear-pricing"),
-        pytest.param(simpo_fit, LINEAR, PRICING, 0, 0, id="simpo_fit-0-linear-pricing"),
+        pytest.param(two_stage_fit, MLP1, {}, 0, 1, 1, id="two_stage_fit-0"),
+        pytest.param(simpo_fit, MLP1, {}, 1, 1, 1, id="simpo_fit-1"),
+        # a linear fit takes the problem's separable kernel throughout, and
+        # its full-batch predictive loss the moments of the training rows
+        pytest.param(two_stage_fit, LINEAR, {}, 0, 0, 0, id="two_stage_fit-0-linear-newsvendor"),
+        pytest.param(simpo_fit, LINEAR, {}, 0, 0, 0, id="simpo_fit-0-linear-newsvendor"),
+        pytest.param(
+            two_stage_fit, LINEAR, PRICING, 0, 0, 0, id="two_stage_fit-0-linear-pricing"
+        ),
+        pytest.param(simpo_fit, LINEAR, PRICING, 0, 0, 0, id="simpo_fit-0-linear-pricing"),
     ],
 )
-def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, final_passes):
+def test_grid_passes_per_fit(
+    monkeypatch, fit, arch, world, passes_per_iter, final_passes, paired_per_iter
+):
     # simpo needs one pass per iteration; two-stage none; both one more for
     # the final decision, unless the problem's kernel serves the model
     model = _world(**world)
@@ -606,9 +692,9 @@ def test_grid_passes_per_fit(monkeypatch, fit, arch, world, passes_per_iter, fin
     res = fit(problem, train, val, arch, cfg)
     assert res.iters_run == n
     assert calls.count((1, GRID.n_points)) == passes_per_iter * n + final_passes
-    # and one paired pass per iteration, over the full batch
-    assert calls.count((len(train), 1)) == n
-    assert len(calls) == calls.count((1, GRID.n_points)) + n
+    # and paired passes over the full batch: one per iteration, or none
+    assert calls.count((len(train), 1)) == paired_per_iter * n
+    assert len(calls) == calls.count((1, GRID.n_points)) + paired_per_iter * n
 
 
 def test_linear_two_stage_fit_matches_closed_form_least_squares():
@@ -661,13 +747,13 @@ ABORT_SITES = [
         id="final-profile",
     ),
     pytest.param(
-        two_stage_fit, "_loss_and_grad", 2, lambda out: (float("nan"), out[1]), {},
+        two_stage_fit, "_batch_loss_and_grad", 2, lambda out: (float("nan"), out[1]), {},
         "non-finite loss or gradient at iteration 2 (pred=nan, task=0.0); "
         "reduce the learning rate", 2,
         id="loss-or-gradient",
     ),
     pytest.param(
-        two_stage_fit, "_loss_and_grad", 4, lambda out: (out[0], np.full_like(out[1], 1e308)),
+        two_stage_fit, "_batch_loss_and_grad", 4, lambda out: (out[0], np.full_like(out[1], 1e308)),
         {"learning_rate": 10.0},
         "non-finite weights after the step at iteration 4; reduce the learning rate", 4,
         id="weights-after-step",
@@ -693,20 +779,33 @@ def test_every_abort_site_names_its_iteration(
 @pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit])
 @pytest.mark.parametrize("arch", [LINEAR, MLP1], ids=["linear", "mlp1"])
 def test_full_batch_fit_steps_on_the_split_itself(monkeypatch, fit, arch):
+    # a linear model's moments are formed once, from the split's own columns,
+    # and every step reads them; an mlp1 model steps on those columns themselves
     import predopt.training
 
-    real = predopt.training._loss_and_grad
-    batches = []
+    real_full_batch = predopt.training._full_batch
+    real_loss = predopt.training._batch_loss_and_grad
+    formed, batches = [], []
 
-    def spy(*args):  # (arch, w, X, Z, Y, weights)
-        batches.append(args[2:5])
-        return real(*args)
+    def spy_full_batch(*args):  # (arch, X, Z, Y)
+        formed.append((args[1:], real_full_batch(*args)))
+        return formed[-1][1]
 
-    monkeypatch.setattr(predopt.training, "_loss_and_grad", spy)
+    def spy_loss(arch, w, batch):
+        batches.append(batch)
+        return real_loss(arch, w, batch)
+
+    monkeypatch.setattr(predopt.training, "_full_batch", spy_full_batch)
+    monkeypatch.setattr(predopt.training, "_batch_loss_and_grad", spy_loss)
     model = _world()
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=0)
     fit(problem, train, val, arch, _config(max_iters=3, patience=3))
-    assert len(batches) == 3
-    for X, Z, Y in batches:
-        assert X is train.X and Z is train.z_obs and Y is train.y
+    assert len(formed) == 1 and len(batches) == 3
+    (X, Z, Y), batch = formed[0]
+    assert X is train.X and Z is train.z_obs and Y is train.y
+    assert all(b is batch for b in batches)
+    if arch is LINEAR:
+        assert isinstance(batch, _Moments)
+    else:
+        assert [id(column) for column in batch] == [id(X), id(Z), id(Y)]
