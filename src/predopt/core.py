@@ -34,8 +34,9 @@ class ValidationError(ValueError):
     """An input violated a documented precondition."""
 
 
-# Cost values within this fraction of max|values| of the minimum count as tied.
-TIE_TOLERANCE = 1e-12
+# Cost values within this fraction of max|values| of the minimum count as tied,
+# and so do those within _TINY, the smallest normal float, of it.
+TIE_TOLERANCE, _TINY = 1e-12, float(np.finfo(float).tiny)
 
 
 def _require_finite(name: str, value) -> float:
@@ -75,18 +76,17 @@ class ActionGrid:
     points: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        z_min, z_max, n_points = float(self.z_min), float(self.z_max), self.n_points
-        # a finite width also rules out a non-finite end
+        z_min, z_max = _require_finite("z_min", self.z_min), _require_finite("z_max", self.z_max)
         if not (z_min < z_max and math.isfinite(z_max - z_min)):
             raise ValidationError(
                 "grid needs z_min < z_max and a finite width z_max - z_min, "
                 f"got z_min={z_min}, z_max={z_max}"
             )
-        if int(n_points) != n_points or n_points < 2:
-            raise ValidationError(f"grid needs an integer n_points >= 2, got {n_points}")
+        if isinstance(self.n_points, numbers.Integral) and self.n_points < 2:
+            raise ValidationError(f"grid needs an integer n_points >= 2, got {self.n_points}")
         object.__setattr__(self, "z_min", z_min)
         object.__setattr__(self, "z_max", z_max)
-        object.__setattr__(self, "n_points", int(n_points))
+        object.__setattr__(self, "n_points", _require_int("n_points", self.n_points, 2))
         object.__setattr__(self, "points", _frozen_array(np.linspace(z_min, z_max, self.n_points)))
 
     @property
@@ -99,11 +99,11 @@ class ActionGrid:
 
     def best(self, values) -> tuple[float, float]:
         """The smallest action whose value is within TIE_TOLERANCE * max|values|
-        of the minimum, and its value: ties break toward the smallest action,
-        however the sums behind `values` were rounded."""
+        (or the smallest normal float) of the minimum, and its value: ties break
+        toward the smallest action, however the sums behind `values` were rounded."""
         values = np.asarray(values)
         lo, hi = float(values.min()), float(values.max())
-        k = int((values <= lo + TIE_TOLERANCE * max(hi, -lo)).argmax())
+        k = int((values <= lo + max(TIE_TOLERANCE * max(hi, -lo), _TINY)).argmax())
         return float(self.points[k]), float(values[k])
 
     def index_of(self, action: float) -> int:
@@ -167,9 +167,9 @@ class Problem:
     gradients. The predictive loss is squared error for every problem.
 
     separable_kernel, when set, computes the same profile and task-gradient
-    sums for separable outcomes P[j, k] = a[j] + c[k] without forming the
-    (m, K) matrices: separable_kernel(z, a, c) returns (values,
-    gradient_sums), where values[k] is the mean over j of
+    sums for separable outcomes P[j, k] = a[j] + c[k] at the grid's points z
+    without forming the (m, K) matrices: separable_kernel(a, c) returns
+    (values, gradient_sums), where values[k] is the mean over j of
     task_cost(z[k], P[j, k]) and gradient_sums(probs) returns the row sums,
     column sums and total of C[j, k] = task_cost_grad_y(z[k], P[j, k]) *
     probs[k] / m. Both a linear model's predictions and the true outcomes of

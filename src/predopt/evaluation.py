@@ -195,8 +195,7 @@ def compare_methods(config: ExperimentConfig, jobs: int = 1) -> list[DecisionRep
     come back ordered by seed, then by method in METHOD_ORDER, however many
     workers ran them: map keeps the seeds' order. Each seed gets at most one
     worker process; with a single worker the seeds run in this process."""
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    jobs = _require_int("jobs", jobs, 1)
     workers = min(jobs, config.n_seeds)
     seeds = range(config.seed, config.seed + config.n_seeds)
     if workers > 1:

@@ -66,7 +66,7 @@ def empirical_profile(train_labels, problem: Problem) -> CostProfile:
         raise ValidationError("train_labels must be non-empty")
     points = problem.grid.points
     if problem.separable_kernel is not None:
-        values = problem.separable_kernel(points, y, np.zeros_like(points))[0]
+        values = problem.separable_kernel(y, np.zeros_like(points))[0]
     else:
         values = problem.task_cost(points[:, None], y[None, :]).mean(axis=1)
     return CostProfile(problem.grid, values, "empirical")

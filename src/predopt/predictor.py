@@ -280,7 +280,7 @@ def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buf
     """
     if arch.kind == "linear" and problem.separable_kernel is not None:
         w_x, w_z, b = _unpack_linear(arch, w)
-        values, gradient_sums = problem.separable_kernel(points, X @ w_x + b, w_z * points)
+        values, gradient_sums = problem.separable_kernel(X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
     P, T = _grid_pass(arch, w, X, points[None, :], out=buffer)
     values = problem.task_cost(points[None, :], P).mean(axis=0)

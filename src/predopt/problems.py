@@ -12,20 +12,21 @@ predictor is only identifiable if logged actions vary.
 
 Each problem kind and logging policy is one entry of _KINDS or _POLICIES: the
 builders, TrueModel, the oracles and the config schema all read those tables.
+A kind also gives its cost as knots and slopes in the outcome, from which one
+kernel (_bind_pieces) makes every Problem's separable kernel.
 
 Oracles evaluate actions by Monte Carlo, with common random numbers across
 actions. A world draw is one number, u = base_weights . x + intercept + eps,
 the part of the outcome that does not depend on the action, so the outcome
 of draw i at action z is u[i] + m(z) with m(z) = mean_outcome(model, 0, z).
 That is separable like a linear model's prediction a[j] + c[k], so the
-kind's sorted prefix-sum kernel (see Problem.separable_kernel) scans every
-action at once. The scan only picks the oracle action; every reported oracle
-value is the mean of one dense cost_draws pass, exact under a shared
-(seed, n_mc).
+problem's kernel scans every action at once. The scan only picks the oracle
+action; every reported oracle value is the mean of one dense cost_draws
+pass, exact under a shared (seed, n_mc).
 
 Every pass over the n_mc draws works in place: world_draws reduces the
-features to u before it draws eps and adds eps into u, the kernels sort and
-sum in one (m + 1) array, and cost_draws writes the outcomes and then the
+features to u before it draws eps and adds eps into u, the kernel sorts and
+sums in one (m + 1) array, and cost_draws writes the outcomes and then the
 kind's cost into one array (a _KINDS cost takes the array to write into).
 So beside u, the oracle scan holds one array of n_mc (the kernel's) and a
 cost pass one, plus one temporary for a newsvendor cost.
@@ -36,10 +37,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
 from .core import _NUMBER, ActionGrid, Dataset, Problem, ValidationError, _require_finite
+from .core import _require_int
 
 __all__ = [
     "TrueModel",
@@ -152,106 +155,103 @@ def pricing_cost_grad_y(z, y, capacity: float):
     return np.where((y > 0.0) & (y < capacity), -z, 0.0)
 
 
-def _sorted_buffer(a):
-    """A separable kernel's one (m + 1) array, 0 and then its inputs a sorted,
-    and the view of the sorted part; np.cumsum(view, out=view) then makes the
-    array the prefix sums. `a` itself is left as it was."""
-    prefix = np.empty(a.shape[0] + 1)
-    prefix[0] = 0.0
-    prefix[1:] = a
-    prefix[1:].sort()
-    return prefix, prefix[1:]
+def _bind_pieces(knots, slopes, value):
+    """The separable kernel (core.Problem.separable_kernel) on one grid of a cost
+    continuous and piecewise linear in the outcome: knots[r], ascending in r, at
+    least one; slopes[p] on piece p, from knots[p - 1] (or -inf) to knots[p] (or
+    +inf); `value`, the cost at knots[0]. Each is a float or one per action.
 
-
-def _newsvendor_separable(z, a, c, c_h: float, c_s: float):
-    """Newsvendor profile and task-gradient sums for predictions a[j] + c[k].
-
-    The prediction for input j at action z[k] exceeds the action exactly when
-    a[j] > t[k] = z[k] - c[k], so each action needs only the count and sum
-    of the a[j] on either side of t[k], and each input only the probability
-    mass of the t[k] on either side of a[j]. One sort of a, one argsort of t,
-    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array and no
-    (m, K) array. Ties a[j] == t[k] are kinks: no cost and gradient 0, as in
-    newsvendor_cost_grad_y. See core.Problem.separable_kernel for what is
-    returned.
+    For predictions a[j] + c[k], the knots in a are T[r] = knots[r] - c. An input
+    strictly inside piece p costs the cost at knot max(p - 1, 0), its anchor,
+    plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost
+    and adds no gradient. One sort of a, one argsort per knot (one in all when
+    no knot depends on the action), searchsorted and prefix sums: O((m + K)
+    log m), one (m + 1) array, no (m, K) array, and `a` is left as it was.
+    Pieces of slope 0 and knots of cost 0 are skipped; when no slope depends
+    on the action, the probabilities are summed once and scaled per piece.
     """
-    m = a.shape[0]
-    t = z - c
-    prefix, a_sorted = _sorted_buffer(a)
-    n_below = np.searchsorted(a_sorted, t, side="left")  # inputs with a[j] < t[k]
-    n_upto = np.searchsorted(a_sorted, t, side="right")
-    np.cumsum(a_sorted, out=a_sorted)  # now prefix[i] is the sum of the i smallest
-    n_above = m - n_upto  # inputs with a[j] > t[k]
-    under = n_below * t - prefix[n_below]  # sum over a[j] < t[k] of t[k] - a[j]
-    over = (prefix[m] - prefix[n_upto]) - n_above * t  # sum over a[j] > t[k] of a[j] - t[k]
-    values = (c_h * under + c_s * over) / m
+    top = len(knots)  # the last piece
+    slopes = [s if np.ndim(s) else float(s) for s in slopes]  # an int slope sums as a float
+    rises = (slopes[r] * (knots[r] - knots[r - 1]) for r in range(1, top))
+    live = [p for p in range(top + 1) if np.any(slopes[p])] or [0]  # a zero cost keeps one
+    # knot r's cost goes to the inputs in [T[r], T[r + 1]), knot 0's to those below T[1]
+    flat = [(r, cost) for r, cost in enumerate(accumulate(rises, initial=value)) if np.any(cost)]
+    counted = {(p - 1, "right") for p in live if p} | {(p, "left") for p in live}
+    counted |= {(r, "left") for r, _ in flat if r} | {(r + 1, "left") for r, _ in flat}
+    shared = all(np.ndim(b) == 0 for b in knots)  # then every T[r] sorts like -c
+    one_mass = all(np.ndim(s) == 0 for s in slopes)
 
-    def gradient_sums(probs):
-        order = np.argsort(t, kind="stable")
-        t_sorted = t[order]
-        mass = np.concatenate(([0.0], np.cumsum(probs[order])))  # mass[i]: of the i smallest t
-        mass_below = mass[np.searchsorted(t_sorted, a, side="left")]  # actions with t[k] < a[j]
-        mass_above = mass[-1] - mass[np.searchsorted(t_sorted, a, side="right")]
-        row = (c_s * mass_below - c_h * mass_above) / m
-        col = probs * (c_s * n_above - c_h * n_below) / m
-        return row, col, col.sum()
+    def sums_key(p, r):  # piece p's weight summed in knot r's order: (weight, order)
+        return (None if one_mass else p, 0 if shared else r)
 
-    return values, gradient_sums
+    sums = {sums_key(p, r) for p in live for r in (p - 1, p) if 0 <= r < top}
 
+    def kernel(a, c):
+        m = a.shape[0]
+        prefix = np.empty(m + 1)
+        prefix[0] = 0.0
+        a_sorted = prefix[1:]
+        a_sorted[...] = a
+        a_sorted.sort()
+        T = [b - c for b in knots]
+        # n[r, "left"]: the inputs with a[j] < T[r]; n[r, "right"]: with a[j] <= T[r]
+        n = {(r, side): a_sorted.searchsorted(T[r], side) for r, side in counted if r < top}
+        n[top, "left"] = m
+        a_sorted.cumsum(out=a_sorted)  # now prefix[i] is the sum of the i smallest
+        terms, inside = [], []  # inside: the inputs strictly inside each live piece
+        for p in live:
+            lo, hi = n.get((p - 1, "right"), 0), n[p, "left"]
+            inside.append(hi - lo if p else hi)
+            term = prefix[hi] - prefix[lo] if p else prefix[hi]  # a new array: the rest in place
+            term -= inside[-1] * T[max(p - 1, 0)]
+            term *= slopes[p]
+            terms.append(term)
+        terms += [cost * (n[r + 1, "left"] - (n[r, "left"] if r else 0)) for r, cost in flat]
+        values = sum(terms[1:], terms[0]) / m  # terms[0] + terms[1] + ...
 
-def _pricing_separable(z, a, c, capacity: float):
-    """Pricing profile and task-gradient sums for predictions a[j] + c[k].
+        def gradient_sums(probs):
+            orders = [t.argsort(kind="stable") for t in ([-c] if shared else T)]
+            T_sorted = [t[orders[0 if shared else r]] for r, t in enumerate(T)]
+            cums = {}  # from 0, as prefix is
+            for w, o in sums:
+                weight = (probs if w is None else slopes[w] * probs)[orders[o]]
+                cums[w, o] = np.concatenate(([0.0], weight.cumsum()))
+            rows = []
+            for p in live:  # the weight of actions with T[p - 1] < a[j], less T[p] <= a[j]
+                cum = cums[sums_key(p, max(p - 1, 0))]
+                held = cum[T_sorted[p - 1].searchsorted(a, "left")] if p else cum[-1]
+                if p < top:
+                    held = held - cums[sums_key(p, p)][T_sorted[p].searchsorted(a, "right")]
+                rows.append(slopes[p] * held if one_mass else held)
+            per_action = [slopes[p] * count for p, count in zip(live, inside)]
+            col = probs * sum(per_action[1:], per_action[0]) / m
+            return sum(rows[1:], rows[0]) / m, col, col.sum()
 
-    Sales clip(a[j] + c[k], 0, capacity) have two hinges in a[j], at
-    lo[k] = -c[k] and hi[k] = capacity - c[k]: inputs with a[j] <= lo[k] sell
-    nothing, those with a[j] >= hi[k] sell the capacity, and those between sell
-    a[j] + c[k]. So each action needs only the count and sum of the a[j]
-    between its hinges, and each input only the weight -z[k] * probs[k] of the
-    actions whose hinges bracket it. One sort of a, one argsort of lo,
-    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array and no
-    (m, K) array. Ties a[j] == lo[k] and a[j] == hi[k] are kinks: gradient 0,
-    as in pricing_cost_grad_y. See core.Problem.separable_kernel for what is
-    returned.
-    """
-    m = a.shape[0]
-    lo, hi = -c, capacity - c
-    prefix, a_sorted = _sorted_buffer(a)
-    n_upto_lo = np.searchsorted(a_sorted, lo, side="right")  # inputs with a[j] <= lo[k]
-    n_below_hi = np.searchsorted(a_sorted, hi, side="left")  # inputs with a[j] < hi[k]
-    np.cumsum(a_sorted, out=a_sorted)  # now prefix[i] is the sum of the i smallest
-    n_between = n_below_hi - n_upto_lo
-    sales = prefix[n_below_hi] - prefix[n_upto_lo] + n_between * c + (m - n_below_hi) * capacity
-    values = -z * sales / m
+        return values, gradient_sums
 
-    def gradient_sums(probs):
-        weight = -z * probs
-        # hi = capacity - c rises with lo = -c, so one order sorts both
-        order = np.argsort(lo, kind="stable")
-        mass = np.concatenate(([0.0], np.cumsum(weight[order])))  # mass[i]: of the i smallest lo
-        mass_lo_below = mass[np.searchsorted(lo[order], a, side="left")]  # lo[k] < a[j]
-        mass_hi_upto = mass[np.searchsorted(hi[order], a, side="right")]  # hi[k] <= a[j]
-        row = (mass_lo_below - mass_hi_upto) / m
-        col = weight * n_between / m
-        return row, col, col.sum()
-
-    return values, gradient_sums
+    return kernel
 
 
 # A problem kind: its cost_params keys, their condition (a predicate, and its text as the
 # error states it), its cost (written into a given array: cost(out, z, y, **cost_params)),
-# the cost's outcome derivative and its separable kernel.
-_Kind = namedtuple("_Kind", "keys ok needs cost grad_y separable")
+# the cost's outcome derivative, and its pieces(z, **cost_params): the cost at actions z
+# as knots, slopes and the cost at knots[0] in the outcome, for _bind_pieces.
+_Kind = namedtuple("_Kind", "keys ok needs cost grad_y pieces")
 # A logging policy: its keys besides `policy`, their condition, its grid weights.
 _Policy = namedtuple("_Policy", "keys ok needs weights")
 _KINDS = {
     "newsvendor": _Kind(
         ("c_h", "c_s"), lambda c_h, c_s: c_h >= 0 and c_s >= 0 and c_h + c_s > 0,
         "cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}",
-        _newsvendor_cost, newsvendor_cost_grad_y, _newsvendor_separable,
+        _newsvendor_cost, newsvendor_cost_grad_y,
+        # one knot, at the action: holding cost below it, shortage cost above
+        lambda z, c_h, c_s: ((z,), (-c_h, c_s), 0.0),
     ),
     "pricing": _Kind(
         ("capacity",), lambda capacity: capacity > 0, "cost_params {capacity > 0}",
-        _pricing_cost, pricing_cost_grad_y, _pricing_separable,
+        _pricing_cost, pricing_cost_grad_y,
+        # knots where sales start and where they reach the capacity; each sale earns z
+        lambda z, capacity: ((0.0, capacity), (0.0, -z, 0.0), 0.0),
     ),
 }
 _POLICIES = {
@@ -289,7 +289,7 @@ def _problem(kind: str, grid: ActionGrid, cost_params: dict) -> Problem:
         task_cost=partial(_new_cost, entry.cost, **cost_params),
         name=kind,
         task_cost_grad_y=partial(entry.grad_y, **cost_params),
-        separable_kernel=partial(entry.separable, **cost_params),
+        separable_kernel=_bind_pieces(*entry.pieces(grid.points, **cost_params)),
     )
 
 
@@ -324,8 +324,7 @@ def _logging_probs(model: TrueModel, grid: ActionGrid) -> np.ndarray:
 
 def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Dataset:
     """Draw n samples under the logging policy; deterministic in seed."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    n = _require_int("n", n, 1)
     rng = np.random.default_rng(seed)
     d = model.feature_dim
     X = rng.normal(0.0, model.feature_sd, size=(n, d))
@@ -340,8 +339,7 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
 def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
-    if n_mc < 1:
-        raise ValidationError(f"n_mc must be >= 1, got {n_mc}")
+    n_mc = _require_int("n_mc", n_mc, 1)
     rng = np.random.default_rng(seed)
     # reduced to u before the noise is drawn: features and noise are never held at once
     u = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
@@ -371,13 +369,13 @@ def oracle_profile(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> np.ndar
     """Mean cost of every grid action under the shared world draws u.
 
     The outcome of draw i at action z is u[i] + mean_outcome(model, 0, z),
-    separable like a linear model's prediction, so the problem's sorted
+    separable like a linear model's prediction, so the problem's separable
     kernel scans every action at once. Its sums run in another order than
     cost_draws(...).mean(), so values agree with oracle_expected_cost up to
     rounding; they do not depend on the order of the draws.
     """
-    points, kernel = grid.points, _KINDS[model.kind].separable
-    return kernel(points, u, mean_outcome(model, 0.0, points), **model.cost_params)[0]
+    kernel = problem_from_model(model, grid).separable_kernel
+    return kernel(u, mean_outcome(model, 0.0, grid.points))[0]
 
 
 def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, u: np.ndarray):

@@ -28,6 +28,7 @@ from predopt.problems import (
     TrueModel,
     _oracle_cost_draws,
     cost_draws,
+    gen_dataset,
     newsvendor_problem,
     oracle_action,
     oracle_profile,
@@ -240,6 +241,47 @@ def test_compare_methods_starts_at_most_one_worker_per_seed(monkeypatch):
         with pytest.raises(ValidationError, match="jobs"):
             compare_methods(experiment, jobs=jobs)
     assert started == [2]
+
+
+_SIZES_EXPERIMENT = _experiment(
+    _world(), _config(max_iters=5), n_seeds=1, n_samples=80, n_mc=500, seed=3
+)
+
+
+# sizes given through the Python API, which the config reader's JSON types do
+# not guard: each is a ValidationError naming its field, and a numpy integer passes
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        pytest.param(lambda: make_grid(0, 1, math.nan), "n_points", id="grid-n_points-nan"),
+        pytest.param(lambda: make_grid(0, 1, math.inf), "n_points", id="grid-n_points-inf"),
+        pytest.param(lambda: make_grid(0, 1, None), "n_points", id="grid-n_points-None"),
+        pytest.param(lambda: make_grid(0, 1, 2.5), "n_points", id="grid-n_points-2.5"),
+        pytest.param(lambda: make_grid("a", 1, 3), "z_min", id="grid-z_min-str"),
+        pytest.param(lambda: make_grid(None, 1, 3), "z_min", id="grid-z_min-None"),
+        pytest.param(lambda: make_grid(0, "b", 3), "z_max", id="grid-z_max-str"),
+        pytest.param(lambda: gen_dataset(_world(), 2.5, GRID, 0), "n", id="gen_dataset-n-2.5"),
+        pytest.param(lambda: gen_dataset(_world(), True, GRID, 0), "n", id="gen_dataset-n-True"),
+        pytest.param(lambda: world_draws(_world(), 2.5, 0), "n_mc", id="world_draws-n_mc-2.5"),
+        pytest.param(lambda: world_draws(_world(), True, 0), "n_mc", id="world_draws-n_mc-True"),
+        pytest.param(
+            lambda: compare_methods(_SIZES_EXPERIMENT, jobs=1.5), "jobs", id="compare-jobs-1.5"
+        ),
+        pytest.param(
+            lambda: compare_methods(_SIZES_EXPERIMENT, jobs="2"), "jobs", id="compare-jobs-str"
+        ),
+    ],
+)
+def test_api_sizes_are_checked_by_name(call, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        call()
+
+
+def test_api_sizes_take_numpy_integers():
+    assert make_grid(0, 1, np.int64(3)).n_points == 3
+    assert len(gen_dataset(_world(), np.int64(5), GRID, 0)) == 5
+    assert world_draws(_world(), np.int32(7), 0).shape == (7,)
+    assert len(compare_methods(_SIZES_EXPERIMENT, jobs=np.int64(1))) == 3
 
 
 def test_results_csv_float_format(tmp_path):

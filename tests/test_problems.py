@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -10,7 +11,9 @@ from predopt.core import ValidationError, make_grid, save_dataset_csv
 from predopt.objective import empirical_profile, model_profile
 from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_grad_body, task_grad
 from predopt.problems import (
+    _KINDS,
     TrueModel,
+    _bind_pieces,
     cost_draws,
     gen_dataset,
     mean_outcome,
@@ -303,7 +306,7 @@ def test_oracle_action_matches_pointwise_expected_cost():
     assert cost == oracle_expected_cost(m, action, n_mc=3000, seed=8)
 
 
-# --- the separable kernels against the dense grid pass ----------------------------
+# --- the separable kernel against the dense grid pass -----------------------------
 #
 # For a linear model, each problem's separable kernel computes the model cost
 # profile and the task-gradient sums without the (m, K) matrices. The
@@ -473,6 +476,153 @@ def test_separable_kernel_gradient_is_zero_on_kinks_bit_for_bit(
     _assert_close(task_loss, ref_loss)
 
 
+# --- one kernel for every piecewise-linear cost -----------------------------------
+#
+# Each kind describes its cost once more as knots and slopes in the outcome, and
+# _bind_pieces makes any such description a separable kernel. The reference for
+# a description is the hinge sum value + s_0 min(y - B_0, 0) + sum_r s_(r+1)
+# (clip(y, B_r, B_(r+1)) - B_r), with the slope of the piece that holds y
+# strictly as its derivative and 0 on a knot.
+
+
+def _dense_pieces(knots, slopes, value, P):
+    """The cost and outcome derivative of the description at outcomes P, whose
+    last axis runs over the actions."""
+    cost = value + slopes[0] * np.minimum(P - knots[0], 0.0)
+    grad = np.where(P < knots[0], slopes[0], 0.0)
+    for r, lower in enumerate(knots):
+        upper = knots[r + 1] if r + 1 < len(knots) else np.inf
+        cost = cost + slopes[r + 1] * (np.clip(P, lower, upper) - lower)
+        grad = grad + np.where((P > lower) & (P < upper), slopes[r + 1], 0.0)
+    return cost, grad
+
+
+@given(kind=st.sampled_from(sorted(_KINDS)), seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_kind_pieces_agree_with_its_cost_and_grad_y(kind, seed, data):
+    # every kind's three descriptions of its cost: the cost body, its outcome
+    # derivative and its pieces, at random actions and outcomes, a third of
+    # them exactly on a knot
+    entry = _KINDS[kind]
+    params = {key: data.draw(st.floats(0.1, 20.0), label=key) for key in entry.keys}
+    assume(entry.ok(**params))
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-5.0, 25.0, size=60)
+    knots, slopes, value = entry.pieces(z, **params)
+    B = np.broadcast_arrays(*knots, z)[:-1]  # each knot, per action
+    assert all(np.all(lower < upper) for lower, upper in zip(B, B[1:]))
+    y = rng.uniform(np.min(B) - 5.0, np.max(B) + 5.0, size=z.shape)
+    on_knot = rng.random(z.shape) < 1 / 3
+    y[on_knot] = np.choose(rng.integers(0, len(B), size=z.shape), B)[on_knot]
+    cost, grad = _dense_pieces(knots, slopes, value, y)
+    want = entry.cost(np.empty_like(y), z, y, **params)
+    assert np.all(np.abs(cost - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    assert grad.tobytes() == entry.grad_y(z, y, **params).tobytes()
+    assert not np.any(grad[on_knot])
+
+
+@st.composite
+def _piece_cases(draw, dyadic):
+    """A random description with 1 to 3 knots, each knot, slope and the value
+    at the first knot either a float or one per action (slopes may be 0),
+    predictions a[j] + c[k] with some repeated inputs, and action weights.
+    Dyadic cases take every number, the weights too, on multiples of 1/8, so
+    sums are exact and many predictions sit exactly on a knot; other cases
+    take probabilities."""
+    m, k, n_knots = draw(st.integers(1, 40)), draw(st.integers(1, 30)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def number(lo, hi, size=None):
+        if dyadic:
+            return rng.integers(lo * 8, hi * 8 + 1, size=size) / 8.0
+        return rng.uniform(lo, hi, size=size)
+
+    def draw_number(lo, hi):  # 0, a float, or one per action
+        form = draw(st.sampled_from(["zero", "float", "per action"]))
+        return 0.0 if form == "zero" else number(lo, hi, k if form == "per action" else None)
+
+    knots = [number(-4, 4, draw(st.sampled_from([None, k])))]
+    for _ in range(n_knots - 1):
+        knots.append(knots[-1] + 0.125 + number(0, 3, draw(st.sampled_from([None, k]))))
+    slopes = [draw_number(-2, 2) for _ in range(n_knots + 1)]
+    value = draw_number(-3, 3)
+    a = number(-6, 6, m)
+    a[rng.integers(0, m, size=m // 2)] = a[rng.integers(0, m, size=m // 2)]
+    c = number(-3, 3, k)
+    weights = (rng.integers(0, 9, size=k) / 8.0) if dyadic else rng.random(k) ** 3
+    weights[rng.random(k) < 0.2] = 0.0
+    assume(weights.sum() > 0)
+    return knots, slopes, value, a, c, weights if dyadic else weights / weights.sum()
+
+
+def _kernel_and_dense(knots, slopes, value, a, c, probs):
+    """(values, gradient sums) from the kernel, and from the dense (m, K) pass."""
+    values, gradient_sums = _bind_pieces(knots, slopes, value)(a, c)
+    cost, grad = _dense_pieces(knots, slopes, value, a[:, None] + c[None, :])
+    C = grad * probs[None, :] / a.shape[0]
+    dense_sums = C.sum(axis=1), C.sum(axis=0), C.sum()
+    return (values, gradient_sums(probs)), (cost.mean(axis=0), dense_sums)
+
+
+@given(case=_piece_cases(dyadic=False))
+@settings(max_examples=300, deadline=None)
+def test_one_kernel_matches_a_dense_evaluation_of_any_pieces(case):
+    (values, sums), (ref_values, ref_sums) = _kernel_and_dense(*case)
+    _assert_close(values, ref_values)
+    for got, want in zip(sums, ref_sums):
+        _assert_close(got, want)
+
+
+@given(case=_piece_cases(dyadic=True), kink_at=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_one_kernel_is_exact_on_dyadic_pieces_and_kinks(case, kink_at, seed):
+    knots, slopes, value, a, c, weights = case
+    (values, sums), (ref_values, ref_sums) = _kernel_and_dense(*case)
+    assert np.array_equal(values, ref_values)
+    for got, want in zip(sums, ref_sums):
+        _assert_close(got, want)
+    # every input at a0, and each action's c puts a0 + c on its knot: every
+    # prediction is a kink, so the gradient is exactly 0. With the dyadic
+    # weights every sum is exact; with probabilities too where the knots share
+    # one order (one knot, or knots that do not depend on the action), for
+    # then the kernel takes each piece's weight from one prefix sum.
+    a0 = a[0]
+    kinks = np.broadcast_arrays(*knots, c)[min(kink_at, len(knots) - 1)]
+    kernel = _bind_pieces(knots, slopes, value)
+    probs = np.random.default_rng(seed).random(len(c))
+    one_order = len(knots) == 1 or all(np.ndim(b) == 0 for b in knots)
+    for w in [weights] + ([probs / probs.sum()] if one_order else []):
+        row, col, total = kernel(np.full(a.shape, a0), kinks - a0)[1](w)
+        assert not np.any(row) and not np.any(col) and total == 0.0
+
+
+# newsvendor, pricing, and three knots that each depend on the action with slopes
+# that do too: one values and gradient call holds less than one (m, K) float64 array
+PIECES_AT_SCALE = {
+    "newsvendor": lambda z: _KINDS["newsvendor"].pieces(z, c_h=1.0, c_s=3.0),
+    "pricing": lambda z: _KINDS["pricing"].pieces(z, capacity=12.0),
+    "three-knots": lambda z: ((z - 2.0, z, z + 0.5 * z), (-z, 1.0, z, -2.0), z),
+}
+
+
+@pytest.mark.parametrize("pieces", PIECES_AT_SCALE.values(), ids=PIECES_AT_SCALE)
+def test_one_kernel_call_holds_less_than_one_m_by_k_array(pieces):
+    m, k = 400, 201
+    grid = make_grid(0.0, 20.0, k)
+    kernel = _bind_pieces(*pieces(grid.points))
+    rng = np.random.default_rng(0)
+    a, c, probs = rng.normal(10.0, 4.0, size=m), 0.6 * grid.points, np.full(k, 1.0 / k)
+    kernel(a, c)[1](probs)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        values, gradient_sums = kernel(a, c)
+        gradient_sums(probs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * k * 8, peak
+
+
 # --- the oracle scan against a dense loop over actions ---------------------------
 #
 # oracle_profile scans every action at once with the problem's separable
@@ -550,7 +700,7 @@ def test_empirical_profile_matches_the_dense_mean(k, z_min, n, spread, seed, dat
 # --- the in-place forms against the expressions they replace ----------------------
 #
 # The Monte Carlo evaluation holds few arrays of n_mc because world_draws
-# returns one array u, and cost_draws, the costs and the kernels work in place.
+# returns one array u, and cost_draws, the costs and the kernel work in place.
 # Each must give the bits of the plain expression it replaced, kept here as the
 # reference, and leave its inputs as they were.
 
@@ -597,8 +747,14 @@ def _reference_cost_draws(model, z, u):
 
 
 def _reference_separable_values(kind, z, a, c, **cost_params):
-    """The profile values of both kernels as they were, from np.sort, np.cumsum
-    and np.concatenate: three arrays of m."""
+    """The profile values of the kernel, from np.sort, np.cumsum and
+    np.concatenate: three arrays of m. Newsvendor's are those of the kernel
+    that newsvendor had before one kernel served every kind: holding cost on
+    the inputs below the action's knot t = z - c, shortage cost above it.
+    Pricing's are its piece between the knots lo = 0 - c and hi = capacity - c
+    (the inputs that sell a[j] + c, each at -z), anchored at lo, and its cost
+    at hi, -z * capacity as the kernel forms it from the cost 0 at lo, for the
+    inputs from hi up."""
     m = a.shape[0]
     a_sorted = np.sort(a)
     prefix = np.concatenate(([0.0], np.cumsum(a_sorted)))
@@ -610,11 +766,12 @@ def _reference_separable_values(kind, z, a, c, **cost_params):
         over = (prefix[m] - prefix[n_upto]) - (m - n_upto) * t
         return (cost_params["c_h"] * under + cost_params["c_s"] * over) / m
     capacity = cost_params["capacity"]
-    n_upto_lo = np.searchsorted(a_sorted, -c, side="right")
-    n_below_hi = np.searchsorted(a_sorted, capacity - c, side="left")
-    n_between = n_below_hi - n_upto_lo
-    sales = prefix[n_below_hi] - prefix[n_upto_lo] + n_between * c + (m - n_below_hi) * capacity
-    return -z * sales / m
+    lo, hi = 0.0 - c, capacity - c
+    n_upto_lo = np.searchsorted(a_sorted, lo, side="right")
+    n_below_hi = np.searchsorted(a_sorted, hi, side="left")
+    between = (prefix[n_below_hi] - prefix[n_upto_lo]) - (n_below_hi - n_upto_lo) * lo
+    cost_at_hi = 0.0 + -z * (capacity - 0.0)
+    return (-z * between + cost_at_hi * (m - n_below_hi)) / m
 
 
 def _same_bits(got, want):
@@ -664,7 +821,7 @@ def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
     grid = make_grid(0.0, 6.0, 25)
     base, eps = _reference_world_draws(model, 5000, seed=11)
     kernel = problem_from_model(model, grid).separable_kernel
-    want = kernel(grid.points, base + eps, _reference_action_term(model, grid.points))[0]
+    want = kernel(base + eps, _reference_action_term(model, grid.points))[0]
     assert _same_bits(oracle_profile(model, grid, world_draws(model, 5000, seed=11)), want)
 
 
@@ -704,7 +861,7 @@ def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
     X[: m // 2, 0] = rng.choice(grid.points, size=m // 2)
     a, c = X[:, 0], rng.choice([0.0, 1.0, -0.5]) * grid.points
     saved = a.tobytes()
-    values, gradient_sums = build(grid, **params).separable_kernel(grid.points, a, c)
+    values, gradient_sums = build(grid, **params).separable_kernel(a, c)
     want = _reference_separable_values(kind, grid.points, a, c, **params)
     assert _same_bits(values, want)
     gradient_sums(np.full(33, 1.0 / 33))
