@@ -182,8 +182,8 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: str, out: str) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, out: str, jobs: int) -> int:
-    if os.path.isdir(out):
-        raise IsADirectoryError(errno.EISDIR, "output path is a directory", out)
+    if os.path.isdir(out) or not os.path.basename(out):  # "" or a trailing separator
+        raise IsADirectoryError(errno.EISDIR, "output path must name a file, not a directory", out)
     with _output_dir(os.path.dirname(os.path.abspath(out))):
         reports = compare_methods(config, jobs)
     write_results_csv(reports, out)

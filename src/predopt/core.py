@@ -60,6 +60,17 @@ def _require_int(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _require_probs(name: str, probs, grid) -> np.ndarray:
+    """`probs` as a flat float array; a ValidationError naming `name` unless it
+    has one entry per action of `grid`, each finite and >= 0, summing to 1 within 1e-9."""
+    probs = np.asarray(probs, dtype=float).ravel()
+    if probs.shape != (grid.n_points,):
+        raise ValidationError(f"{name} length must match the grid, got {probs.size}")
+    if not (abs(probs.sum() - 1.0) <= 1e-9 and np.all(probs >= 0.0)):  # nan and inf fail too
+        raise ValidationError(f"{name} must sum to 1 within 1e-9 with every entry >= 0")
+    return probs
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionGrid, Problem, ValidationError
+from .core import ActionGrid, Problem, ValidationError, _require_probs
 from .predictor import PredictorParams, _inputs, _profile
 
 __all__ = [
@@ -110,11 +110,7 @@ def omega_weight(
 ) -> float:
     """Predictive-loss weight: 1 + alpha * normalized mean distance from the
     historical optimum under the action distribution."""
-    probs = np.asarray(probs, dtype=float).ravel()
-    if probs.shape[0] != grid.n_points:
-        raise ValidationError("probs length must match the grid")
-    if not abs(probs.sum() - 1.0) <= 1e-9:  # NaN fails too
-        raise ValidationError("probs must sum to 1 within 1e-9")
+    probs = _require_probs("probs", probs, grid)
     if alpha < 0:
         raise ValidationError(f"alpha must be >= 0, got {alpha}")
     return _omega(probs, np.abs(grid.points - z_star_train), grid.width, alpha)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionGrid, Problem, ValidationError, _require_int
+from .core import ActionGrid, Problem, ValidationError, _require_int, _require_probs
 from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
 
 __all__ = [
@@ -253,13 +253,7 @@ def task_grad(
     the predictions, using the problem's outcome-derivative of g (0 at kinks).
     """
     X = _inputs(params.architecture, X)
-    probs = np.asarray(action_probs, dtype=float).ravel()
-    if probs.shape[0] != grid.n_points:
-        raise ValidationError("action_probs length must match the grid")
-    if not abs(probs.sum() - 1.0) <= 1e-9:  # NaN fails too
-        raise ValidationError(
-            f"action_probs must sum to 1 within 1e-9, got {probs.sum()!r}"
-        )
+    probs = _require_probs("action_probs", action_probs, grid)
     if X.shape[0] == 0:
         raise ValidationError("inputs must be non-empty")
 

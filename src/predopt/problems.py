@@ -12,8 +12,9 @@ predictor is only identifiable if logged actions vary.
 
 Each problem kind and logging policy is one entry of _KINDS or _POLICIES: the
 builders, TrueModel, the oracles and the config schema all read those tables.
-A kind also gives its cost as knots and slopes in the outcome, from which one
-kernel (_bind_pieces) makes every Problem's separable kernel.
+A kind also gives its cost as knots and slopes in the outcome, whose knots all
+sort in one order over the actions (each a float, or just one knot), from
+which one kernel (_bind_pieces) makes every Problem's separable kernel.
 
 Oracles evaluate actions by Monte Carlo, with common random numbers across
 actions. A world draw is one number, u = base_weights . x + intercept + eps,
@@ -159,18 +160,21 @@ def _bind_pieces(knots, slopes, value):
     """The separable kernel (core.Problem.separable_kernel) on one grid of a cost
     continuous and piecewise linear in the outcome: knots[r], ascending in r, at
     least one; slopes[p] on piece p, from knots[p - 1] (or -inf) to knots[p] (or
-    +inf); `value`, the cost at knots[0]. Each is a float or one per action.
+    +inf); `value`, the cost at knots[0]. Each is a float or one per action, but
+    the knots share one order over the actions: all are floats, or there is one.
 
     For predictions a[j] + c[k], the knots in a are T[r] = knots[r] - c. An input
     strictly inside piece p costs the cost at knot max(p - 1, 0), its anchor,
-    plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost
-    and adds no gradient. One sort of a, one argsort per knot (one in all when
-    no knot depends on the action), searchsorted and prefix sums: O((m + K)
-    log m), one (m + 1) array, no (m, K) array, and `a` is left as it was.
-    Pieces of slope 0 and knots of cost 0 are skipped; when no slope depends
-    on the action, the probabilities are summed once and scaled per piece.
+    plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost and
+    adds exactly 0 to the gradient. One sort of a, one argsort of the actions,
+    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array, no (m, K)
+    array, `a` left as it was. Pieces of slope 0 and knots of cost 0 are skipped,
+    and the probabilities are summed once when no slope depends on the action.
     """
     top = len(knots)  # the last piece
+    shared = all(np.ndim(b) == 0 for b in knots)  # then every T[r] sorts like -c
+    if not (shared or top == 1):
+        raise ValidationError("knots must share one action order: every knot a float, or one knot")
     slopes = [s if np.ndim(s) else float(s) for s in slopes]  # an int slope sums as a float
     rises = (slopes[r] * (knots[r] - knots[r - 1]) for r in range(1, top))
     live = [p for p in range(top + 1) if np.any(slopes[p])] or [0]  # a zero cost keeps one
@@ -178,13 +182,7 @@ def _bind_pieces(knots, slopes, value):
     flat = [(r, cost) for r, cost in enumerate(accumulate(rises, initial=value)) if np.any(cost)]
     counted = {(p - 1, "right") for p in live if p} | {(p, "left") for p in live}
     counted |= {(r, "left") for r, _ in flat if r} | {(r + 1, "left") for r, _ in flat}
-    shared = all(np.ndim(b) == 0 for b in knots)  # then every T[r] sorts like -c
     one_mass = all(np.ndim(s) == 0 for s in slopes)
-
-    def sums_key(p, r):  # piece p's weight summed in knot r's order: (weight, order)
-        return (None if one_mass else p, 0 if shared else r)
-
-    sums = {sums_key(p, r) for p in live for r in (p - 1, p) if 0 <= r < top}
 
     def kernel(a, c):
         m = a.shape[0]
@@ -196,13 +194,13 @@ def _bind_pieces(knots, slopes, value):
         T = [b - c for b in knots]
         # n[r, "left"]: the inputs with a[j] < T[r]; n[r, "right"]: with a[j] <= T[r]
         n = {(r, side): a_sorted.searchsorted(T[r], side) for r, side in counted if r < top}
-        n[top, "left"] = m
+        n[-1, "right"], n[top, "left"] = 0, m  # piece 0 starts at the first input
         a_sorted.cumsum(out=a_sorted)  # now prefix[i] is the sum of the i smallest
         terms, inside = [], []  # inside: the inputs strictly inside each live piece
         for p in live:
-            lo, hi = n.get((p - 1, "right"), 0), n[p, "left"]
-            inside.append(hi - lo if p else hi)
-            term = prefix[hi] - prefix[lo] if p else prefix[hi]  # a new array: the rest in place
+            lo, hi = n[p - 1, "right"], n[p, "left"]
+            inside.append(hi - lo)
+            term = prefix[hi] - prefix[lo]  # a new array: the rest in place
             term -= inside[-1] * T[max(p - 1, 0)]
             term *= slopes[p]
             terms.append(term)
@@ -210,18 +208,18 @@ def _bind_pieces(knots, slopes, value):
         values = sum(terms[1:], terms[0]) / m  # terms[0] + terms[1] + ...
 
         def gradient_sums(probs):
-            orders = [t.argsort(kind="stable") for t in ([-c] if shared else T)]
-            T_sorted = [t[orders[0 if shared else r]] for r, t in enumerate(T)]
-            cums = {}  # from 0, as prefix is
-            for w, o in sums:
-                weight = (probs if w is None else slopes[w] * probs)[orders[o]]
-                cums[w, o] = np.concatenate(([0.0], weight.cumsum()))
+            order = (-c if shared else T[0]).argsort(kind="stable")  # sorts every T[r]
+            T_sorted = [t[order] for t in T]
+            # one prefix sum per weight, from 0 as prefix is: of the probabilities, which
+            # serves every piece when no slope depends on the action, else of each slope's
+            weights = [probs] if one_mass else [slopes[p] * probs for p in live]
+            cums = [np.concatenate(([0.0], w[order].cumsum())) for w in weights]
             rows = []
-            for p in live:  # the weight of actions with T[p - 1] < a[j], less T[p] <= a[j]
-                cum = cums[sums_key(p, max(p - 1, 0))]
+            for p, cum in zip(live, cums * len(live) if one_mass else cums):
+                # the weight of actions with T[p - 1] < a[j], less those with T[p] <= a[j]
                 held = cum[T_sorted[p - 1].searchsorted(a, "left")] if p else cum[-1]
                 if p < top:
-                    held = held - cums[sums_key(p, p)][T_sorted[p].searchsorted(a, "right")]
+                    held = held - cum[T_sorted[p].searchsorted(a, "right")]
                 rows.append(slopes[p] * held if one_mass else held)
             per_action = [slopes[p] * count for p, count in zip(live, inside)]
             col = probs * sum(per_action[1:], per_action[0]) / m

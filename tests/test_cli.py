@@ -850,6 +850,11 @@ def _failing_run(kind, config_path, tmp_path):
         return _evaluate_argv(config_path, tmp_path, ckpt), expect
     if kind == "compare-out-is-a-directory":
         return ["compare", "--config", str(config_path), "--out", str(tmp_path)], str(tmp_path)
+    if kind == "compare-out-is-empty":
+        return ["compare", "--config", str(config_path), "--out", ""], "not a directory: ''"
+    if kind == "compare-out-ends-in-a-separator":
+        out = str(tmp_path / "results") + os.sep
+        return ["compare", "--config", str(config_path), "--out", out], f"not a directory: {out!r}"
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
     if kind == "compare-parent-is-a-file":
@@ -873,6 +878,8 @@ def _failing_run(kind, config_path, tmp_path):
         "out-is-a-file",
         "compare-parent-is-a-file",
         "compare-out-is-a-directory",
+        "compare-out-is-empty",
+        "compare-out-ends-in-a-separator",
     ],
 )
 def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monkeypatch, kind):
@@ -885,6 +892,9 @@ def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monk
     monkeypatch.setattr(predopt.cli, "_fit_once", no_compute)
     monkeypatch.setattr(predopt.cli, "compare_methods", no_compute)
     argv, expect = _failing_run(kind, config_path, tmp_path)
+    # run from a subdirectory, so the .tmp-* check below covers the parent of the working directory
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expect in err

@@ -243,6 +243,21 @@ def test_omega_rejects_probs_that_do_not_sum_to_one(scale):
         omega_weight(np.full(11, 1.0 / 11) * scale, grid, z_star_train=3.0, alpha=1.0)
 
 
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        (np.full(10, 0.1), "probs length must match the grid, got 10"),
+        (np.full(12, 1.0 / 12), "probs length must match the grid, got 12"),
+        (np.eye(11)[0] * 2.0 - np.eye(11)[1], "probs must sum to 1 .* every entry >= 0"),
+    ],
+    ids=["short", "long", "negative-entry"],
+)
+def test_omega_rejects_probs_of_another_length_or_a_negative_entry(probs, message):
+    grid = make_grid(0.0, 10.0, 11)
+    with pytest.raises(ValidationError, match=message):
+        omega_weight(probs, grid, z_star_train=3.0, alpha=1.0)
+
+
 def test_omega_nondecreasing_under_one_hot_shift():
     grid = make_grid(0.0, 10.0, 21)
     z_star = grid.points[6]

@@ -318,10 +318,17 @@ def test_task_loss_zero_params_newsvendor():
 def test_task_grad_rejects_bad_probs():
     p = init_params(LINEAR3, 0)
     X = np.zeros((2, 3))
+    k = GRID.n_points
     for scale in (1.01, float("nan")):
-        bad = np.full(GRID.n_points, 1.0 / GRID.n_points) * scale
-        with pytest.raises(ValidationError):
+        bad = np.full(k, 1.0 / k) * scale
+        with pytest.raises(ValidationError, match="action_probs must sum to 1"):
             task_grad(p, X, GRID, bad, NEWSVENDOR)
+    negative = np.eye(k)[0] * 2.0 - np.eye(k)[1]  # sums to 1
+    with pytest.raises(ValidationError, match="action_probs must sum to 1 .* every entry >= 0"):
+        task_grad(p, X, GRID, negative, NEWSVENDOR)
+    for n in (k - 1, k + 1):
+        with pytest.raises(ValidationError, match=f"action_probs length must match .*, got {n}"):
+            task_grad(p, X, GRID, np.full(n, 1.0 / n), NEWSVENDOR)
 
 
 def _newsvendor_kink_gap(z, P):

@@ -523,12 +523,13 @@ def test_each_kind_pieces_agree_with_its_cost_and_grad_y(kind, seed, data):
 
 @st.composite
 def _piece_cases(draw, dyadic):
-    """A random description with 1 to 3 knots, each knot, slope and the value
-    at the first knot either a float or one per action (slopes may be 0),
-    predictions a[j] + c[k] with some repeated inputs, and action weights.
-    Dyadic cases take every number, the weights too, on multiples of 1/8, so
-    sums are exact and many predictions sit exactly on a knot; other cases
-    take probabilities."""
+    """A random description the kernel binds, with knots in one order over the
+    actions: one knot, a float or one per action, or 2 to 3 knots that are
+    floats. Each slope and the value at the first knot is a float or one per
+    action (slopes may be 0). Predictions a[j] + c[k] with some repeated
+    inputs, and action weights. Dyadic cases take every number, the weights
+    too, on multiples of 1/8, so sums are exact and many predictions sit
+    exactly on a knot; other cases take probabilities."""
     m, k, n_knots = draw(st.integers(1, 40)), draw(st.integers(1, 30)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -541,9 +542,9 @@ def _piece_cases(draw, dyadic):
         form = draw(st.sampled_from(["zero", "float", "per action"]))
         return 0.0 if form == "zero" else number(lo, hi, k if form == "per action" else None)
 
-    knots = [number(-4, 4, draw(st.sampled_from([None, k])))]
+    knots = [number(-4, 4, draw(st.sampled_from([None, k])) if n_knots == 1 else None)]
     for _ in range(n_knots - 1):
-        knots.append(knots[-1] + 0.125 + number(0, 3, draw(st.sampled_from([None, k]))))
+        knots.append(knots[-1] + 0.125 + number(0, 3))
     slopes = [draw_number(-2, 2) for _ in range(n_knots + 1)]
     value = draw_number(-3, 3)
     a = number(-6, 6, m)
@@ -582,27 +583,45 @@ def test_one_kernel_is_exact_on_dyadic_pieces_and_kinks(case, kink_at, seed):
     for got, want in zip(sums, ref_sums):
         _assert_close(got, want)
     # every input at a0, and each action's c puts a0 + c on its knot: every
-    # prediction is a kink, so the gradient is exactly 0. With the dyadic
-    # weights every sum is exact; with probabilities too where the knots share
-    # one order (one knot, or knots that do not depend on the action), for
-    # then the kernel takes each piece's weight from one prefix sum.
+    # prediction is a kink, so the gradient is exactly 0, with the dyadic
+    # weights and with probabilities alike: the knots share one order, so the
+    # kernel takes each piece's weight from prefix sums in that one order.
     a0 = a[0]
     kinks = np.broadcast_arrays(*knots, c)[min(kink_at, len(knots) - 1)]
     kernel = _bind_pieces(knots, slopes, value)
     probs = np.random.default_rng(seed).random(len(c))
-    one_order = len(knots) == 1 or all(np.ndim(b) == 0 for b in knots)
-    for w in [weights] + ([probs / probs.sum()] if one_order else []):
+    for w in (weights, probs / probs.sum()):
         row, col, total = kernel(np.full(a.shape, a0), kinks - a0)[1](w)
         assert not np.any(row) and not np.any(col) and total == 0.0
 
 
-# newsvendor, pricing, and three knots that each depend on the action with slopes
-# that do too: one values and gradient call holds less than one (m, K) float64 array
+# newsvendor, pricing, and three float knots with slopes and a first-knot cost
+# that depend on the action: one values and gradient call holds less than one
+# (m, K) float64 array
 PIECES_AT_SCALE = {
     "newsvendor": lambda z: _KINDS["newsvendor"].pieces(z, c_h=1.0, c_s=3.0),
     "pricing": lambda z: _KINDS["pricing"].pieces(z, capacity=12.0),
-    "three-knots": lambda z: ((z - 2.0, z, z + 0.5 * z), (-z, 1.0, z, -2.0), z),
+    "three-knots": lambda z: ((6.0, 12.0, 18.0), (-z, 1.0, z, -2.0), z),
 }
+
+
+@pytest.mark.parametrize("n_knots", [2, 3])
+def test_knots_in_more_than_one_action_order_are_refused(n_knots):
+    # two or more knots, any of them one per action, would each sort the
+    # actions in their own order, so binding refuses them; as ascending
+    # constants, or as a lone knot per action, the same knots bind
+    c = np.linspace(-1.0, 1.0, 5)
+    floats = [2.0 * r for r in range(n_knots)]
+    slopes = [1.0, -1.0, 2.0, 0.5][: n_knots + 1]
+    _bind_pieces(floats, slopes, 0.0)
+    for r in range(n_knots):
+        knots = list(floats)
+        knots[r] = knots[r] + 0.5 * c  # still ascending
+        _bind_pieces(knots[r : r + 1], slopes[:2], 0.0)
+        with pytest.raises(ValidationError, match="knots must share one action order"):
+            _bind_pieces(knots, slopes, 0.0)
+    with pytest.raises(ValidationError, match="every knot a float, or one knot"):
+        _bind_pieces([0.5 * c + 2.0 * r for r in range(n_knots)], slopes, 0.0)
 
 
 @pytest.mark.parametrize("pieces", PIECES_AT_SCALE.values(), ids=PIECES_AT_SCALE)
@@ -774,6 +793,38 @@ def _reference_separable_values(kind, z, a, c, **cost_params):
     return (-z * between + cost_at_hi * (m - n_below_hi)) / m
 
 
+def _reference_separable_sums(kind, z, a, c, probs, **cost_params):
+    """The gradient sums of the kernel (row sums, column sums, total), from one
+    argsort of the actions, np.cumsum and np.searchsorted. Sorted in that one
+    order, an input's weight on a piece is the prefix sum of the weights up to
+    the actions whose piece it has entered, less the prefix sum up to those
+    whose piece it has left; on a knot it adds no weight. A column's sum counts
+    the inputs strictly inside each piece."""
+    m = a.shape[0]
+    a_sorted = np.sort(a)
+    if kind == "newsvendor":
+        c_h, c_s = cost_params["c_h"], cost_params["c_s"]
+        t = z - c  # the knot: holding cost for inputs below it, shortage cost above
+        order = np.argsort(t, kind="stable")
+        cum = np.concatenate(([0.0], np.cumsum(probs[order])))
+        held_below = cum[-1] - cum[np.searchsorted(t[order], a, side="right")]
+        held_above = cum[np.searchsorted(t[order], a, side="left")]
+        row = (-c_h * held_below + c_s * held_above) / m
+        n_below = np.searchsorted(a_sorted, t, side="left")
+        n_above = m - np.searchsorted(a_sorted, t, side="right")
+        col = probs * (-c_h * n_below + c_s * n_above) / m
+        return row, col, col.sum()
+    capacity = cost_params["capacity"]
+    lo, hi = 0.0 - c, capacity - c  # each sale between them earns z
+    order = np.argsort(-c, kind="stable")
+    cum = np.concatenate(([0.0], np.cumsum((-z * probs)[order])))
+    held = cum[np.searchsorted(lo[order], a, side="left")]
+    held = held - cum[np.searchsorted(hi[order], a, side="right")]
+    n_inside = np.searchsorted(a_sorted, hi, side="left") - np.searchsorted(a_sorted, lo, "right")
+    col = probs * (-z * n_inside) / m
+    return held / m, col, col.sum()
+
+
 def _same_bits(got, want):
     """Equal type, shape and bytes: no tolerance, and 0.0 is not -0.0."""
     return (
@@ -825,9 +876,16 @@ def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
     assert _same_bits(oracle_profile(model, grid, world_draws(model, 5000, seed=11)), want)
 
 
-@pytest.mark.parametrize("kind", _COSTS)
-def test_costs_give_the_reference_bits_and_leave_their_inputs(kind):
-    cost, reference, params, build = _COSTS[kind]
+# each kind, and newsvendor with one slope 0, which pins the sign of a zero cost
+COST_CASES = {kind: (kind, _COSTS[kind][2]) for kind in _COSTS} | {
+    "newsvendor-c_h-0": ("newsvendor", {"c_h": 0.0, "c_s": 3.0}),
+    "newsvendor-c_s-0": ("newsvendor", {"c_h": 1.5, "c_s": 0.0}),
+}
+
+
+@pytest.mark.parametrize("kind, params", COST_CASES.values(), ids=COST_CASES)
+def test_costs_give_the_reference_bits_and_leave_their_inputs(kind, params):
+    cost, reference, _, build = _COSTS[kind]
     problem = build(make_grid(0.0, 8.0, 9), **params)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.0, 8.0, size=(7, 1))
@@ -864,5 +922,10 @@ def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
     values, gradient_sums = build(grid, **params).separable_kernel(a, c)
     want = _reference_separable_values(kind, grid.points, a, c, **params)
     assert _same_bits(values, want)
-    gradient_sums(np.full(33, 1.0 / 33))
+    probs = rng.random(33) ** 3
+    probs[rng.random(33) < 0.2] = 0.0
+    probs /= probs.sum()
+    got = gradient_sums(probs)
+    want = _reference_separable_sums(kind, grid.points, a, c, probs, **params)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
     assert a.tobytes() == saved
