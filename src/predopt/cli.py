@@ -8,8 +8,8 @@ and the checkpoint are both read and checked by core._read_json, and every
 output file is written by core._write_atomic.
 
 Every command takes --config, --out and --seed, and argparse dispatches to
-its cmd_* function by keyword. Bad input is a core.ValidationError here as
-in the library, and the methods are training's fits.
+its cmd_* function by keyword once main has checked --out. Bad input is a
+core.ValidationError here as in the library, and the methods are training's fits.
 Exit codes: 0 success, 2 usage, config, checkpoint or file-system error or
 arrays too large to allocate, 3 training abort.
 """
@@ -120,11 +120,14 @@ def _fit_once(config: ExperimentConfig, method: str):
 
 
 @contextmanager
-def _output_dir(path):
-    """Create directory `path` and its missing parents before the body runs,
-    so an unusable output path fails before any compute; if the body raises,
-    remove the directories this created."""
-    path = os.path.abspath(path)
+def _output_path(out: str, is_dir: bool):
+    """Check that --out names a directory when `is_dir`, else a file (not "", a directory,
+    nor ending in a separator); create its directory and missing parents before any
+    compute, and remove the directories this created if the command raises."""
+    if not out or not is_dir and (os.path.isdir(out) or not os.path.basename(out)):
+        what = "a directory" if is_dir else "a file, not a directory"
+        raise OSError(errno.EINVAL, f"output path must name {what}", out)
+    path = os.path.abspath(out) if is_dir else os.path.dirname(os.path.abspath(out))
     top = None  # the outermost directory this call creates
     probe = path
     while not os.path.lexists(probe):
@@ -140,8 +143,7 @@ def _output_dir(path):
 
 def cmd_train(config: ExperimentConfig, method: str, out: str) -> int:
     method = method.replace("-", "_")  # the command line spells the method names with "-"
-    with _output_dir(out):
-        result = _fit_once(config, method)
+    result = _fit_once(config, method)
     save_checkpoint(result.params_star, os.path.join(out, "checkpoint.json"))
     save_history_csv(result.history, os.path.join(out, "training_log.csv"))
     summary = {
@@ -182,10 +184,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: str, out: str) -> int:
 
 
 def cmd_compare(config: ExperimentConfig, out: str, jobs: int) -> int:
-    if os.path.isdir(out) or not os.path.basename(out):  # "" or a trailing separator
-        raise IsADirectoryError(errno.EISDIR, "output path must name a file, not a directory", out)
-    with _output_dir(os.path.dirname(os.path.abspath(out))):
-        reports = compare_methods(config, jobs)
+    reports = compare_methods(config, jobs)
     write_results_csv(reports, out)
     print(f"{'method':<10} {'mean_regret':>12} {'mean_cost':>12} {'seeds':>6}")
     for method in METHOD_ORDER:
@@ -231,7 +230,8 @@ def main(argv=None) -> int:
         config = load_config(config_path)
         if seed is not None:
             config = replace(config, seed=seed)
-        return run(config, **args)
+        with _output_path(args["out"], run is cmd_train):
+            return run(config, **args)
     except (ValidationError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

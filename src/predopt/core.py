@@ -1,4 +1,4 @@
-"""Shared domain types: action grids, datasets, problem definitions, weight settings.
+"""Shared domain types: action grids, datasets, weight settings.
 
 Everything here is an immutable value after construction; arrays are stored
 read-only so instances can be shared across concurrent experiment runs.
@@ -14,7 +14,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ValidationError",
     "ActionGrid",
     "Dataset",
-    "Problem",
     "WeightConfig",
     "make_grid",
     "split_dataset",
@@ -165,34 +164,6 @@ class Dataset:
 
     def take(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.X[indices], self.z_obs[indices], self.y[indices])
-
-
-@dataclass(frozen=True)
-class Problem:
-    """One decision task: an action grid plus its cost function.
-
-    task_cost(z, y) is the cost of taking action z when the outcome is y; it
-    must be numpy-vectorized (broadcast over array arguments).
-    task_cost_grad_y is its derivative with respect to the outcome, with the
-    value-0 convention exactly at kinks, so trainers can form exact analytic
-    gradients. The predictive loss is squared error for every problem.
-
-    separable_kernel, when set, computes the same profile and task-gradient
-    sums for separable outcomes P[j, k] = a[j] + c[k] at the grid's points z
-    without forming the (m, K) matrices: separable_kernel(a, c) returns
-    (values, gradient_sums), where values[k] is the mean over j of
-    task_cost(z[k], P[j, k]) and gradient_sums(probs) returns the row sums,
-    column sums and total of C[j, k] = task_cost_grad_y(z[k], P[j, k]) *
-    probs[k] / m. Both a linear model's predictions and the true outcomes of
-    a problems.TrueModel are separable, so linear fits take their profiles
-    and task gradients from it, and problems.oracle_profile its scan.
-    """
-
-    grid: ActionGrid
-    task_cost: Callable
-    task_cost_grad_y: Callable
-    name: str = "problem"
-    separable_kernel: Callable = None
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionGrid, Problem, ValidationError, _require_probs
+from .core import ActionGrid, ValidationError, _require_probs
 from .predictor import PredictorParams, _inputs, _profile
+from .problems import Problem
 
 __all__ = [
     "CostProfile",
@@ -55,20 +56,12 @@ class CostProfile:
 
 
 def empirical_profile(train_labels, problem: Problem) -> CostProfile:
-    """Average task cost of each grid action over the historical labels.
-
-    The labels are outcomes y[j] + 0 at every action, separable like a linear
-    model's predictions, so a problem with a separable kernel takes it and
-    forms no (K, n) cost matrix; any other problem takes the dense mean.
-    """
+    """Average task cost of each grid action over the historical labels: the
+    problem's separable kernel of the outcomes y[j] + 0, no (K, n) cost matrix."""
     y = np.asarray(train_labels, dtype=float).ravel()
     if y.size == 0:
         raise ValidationError("train_labels must be non-empty")
-    points = problem.grid.points
-    if problem.separable_kernel is not None:
-        values = problem.separable_kernel(y, np.zeros_like(points))[0]
-    else:
-        values = problem.task_cost(points[:, None], y[None, :]).mean(axis=1)
+    values = problem.separable_kernel(y, np.zeros_like(problem.grid.points))[0]
     return CostProfile(problem.grid, values, "empirical")
 
 

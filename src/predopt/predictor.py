@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionGrid, Problem, ValidationError, _require_int, _require_probs
+from .core import ActionGrid, ValidationError, _require_int, _require_probs
 from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
+from .problems import Problem
 
 __all__ = [
     "Architecture",
@@ -266,19 +267,23 @@ def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buf
 
     Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
     and grad_at(probs) is the flat gradient of probs @ values with probs held
-    fixed. A linear model on a problem with a separable kernel takes the
-    kernel, P[j, k] = a[j] + c[k], and never forms the (m, K) matrices;
-    everything else takes one grid pass. `buffer` comes from _fit_buffers.
+    fixed. A linear model takes the problem's separable kernel, P[j, k] =
+    a[j] + c[k], and never forms the (m, K) matrices; mlp1 takes one grid
+    pass. `buffer` comes from _fit_buffers.
     Call grad_at at most once per _profile call: for mlp1 it overwrites the
     activations it backpropagates through.
     """
-    if arch.kind == "linear" and problem.separable_kernel is not None:
+    if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
     P, T = _grid_pass(arch, w, X, points[None, :], out=buffer)
-    values = problem.task_cost(points[None, :], P).mean(axis=0)
-    return values, lambda probs: _task_grad_body(arch, w, X, points, P, T, probs, problem)
+
+    def grad_at(probs):  # backprop C = dg/dy * p_k / m, (m, K), through T
+        C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / X.shape[0]
+        return _mlp1_grad(arch, w, X, points[None, :], T, C)
+
+    return problem.task_cost(points[None, :], P).mean(axis=0), grad_at
 
 
 def _fit_buffers(arch: Architecture, m: int, n_points: int):
@@ -300,16 +305,6 @@ def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
     grad[d] = col @ points
     grad[d + 1] = total
     return grad
-
-
-def _task_grad_body(arch: Architecture, w: np.ndarray, X, points, P, T, probs, problem):
-    """Gradient of sum_k p_k * gbar(z_k) given the grid pass (P, T) at weights w.
-    For mlp1 it overwrites T; see _mlp1_grad."""
-    m = X.shape[0]
-    C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / m  # (m, K)
-    if arch.kind == "linear":
-        return _linear_task_grad(w, X, points, C.sum(axis=1), C.sum(axis=0), C.sum())
-    return _mlp1_grad(arch, w, X, points[None, :], T, C)
 
 
 def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C):

@@ -12,9 +12,9 @@ predictor is only identifiable if logged actions vary.
 
 Each problem kind and logging policy is one entry of _KINDS or _POLICIES: the
 builders, TrueModel, the oracles and the config schema all read those tables.
-A kind also gives its cost as knots and slopes in the outcome, whose knots all
-sort in one order over the actions (each a float, or just one knot), from
-which one kernel (_bind_pieces) makes every Problem's separable kernel.
+A kind states its cost once, as knots and slopes in the outcome (its pieces),
+from which a Problem derives the dense cost (_cost), its outcome derivative
+(_cost_grad_y) and, through one kernel (_bind_pieces), its separable kernel.
 
 Oracles evaluate actions by Monte Carlo, with common random numbers across
 actions. A world draw is one number, u = base_weights . x + intercept + eps,
@@ -28,25 +28,27 @@ pass, exact under a shared (seed, n_mc).
 Every pass over the n_mc draws works in place: world_draws reduces the
 features to u before it draws eps and adds eps into u, the kernel sorts and
 sums in one (m + 1) array, and cost_draws writes the outcomes and then the
-kind's cost into one array (a _KINDS cost takes the array to write into).
-So beside u, the oracle scan holds one array of n_mc (the kernel's) and a
-cost pass one, plus one temporary for a newsvendor cost.
+kind's cost (_cost) into one array. So beside u, the oracle scan holds one
+array of n_mc (the kernel's) and a cost pass one, plus one temporary for a
+newsvendor cost.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
-from .core import _NUMBER, ActionGrid, Dataset, Problem, ValidationError, _require_finite
+from .core import _NUMBER, ActionGrid, Dataset, ValidationError, _require_finite
 from .core import _require_int
 
 __all__ = [
     "TrueModel",
+    "Problem",
     "newsvendor_cost",
     "newsvendor_cost_grad_y",
     "pricing_cost",
@@ -108,67 +110,115 @@ class TrueModel:
 
 def newsvendor_cost(z, y, c_h: float, c_s: float):
     """Holding cost on leftover stock plus shortage cost on unmet outcome."""
-    return _new_cost(_newsvendor_cost, z, y, c_h=c_h, c_s=c_s)
-
-
-def _newsvendor_cost(out, z, y, c_h: float, c_s: float):
-    """newsvendor_cost written into `out`, which may be y itself; one temporary."""
-    short = np.subtract(y, z, out=np.empty_like(out))  # before out, maybe y, is overwritten
-    np.maximum(short, 0.0, out=short)
-    short *= c_s
-    np.subtract(z, y, out=out)
-    np.maximum(out, 0.0, out=out)
-    out *= c_h
-    out += short  # hold + short
-    return out
+    return _cost(_KINDS["newsvendor"].pieces, z, y, c_h=c_h, c_s=c_s)
 
 
 def newsvendor_cost_grad_y(z, y, c_h: float, c_s: float):
     """d(newsvendor_cost)/dy; 0 exactly at the kink y == z."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.where(y > z, c_s, 0.0) + np.where(y < z, -c_h, 0.0)
+    return _cost_grad_y(_KINDS["newsvendor"].pieces, z, y, c_h=c_h, c_s=c_s)
 
 
 def pricing_cost(z, y, capacity: float):
     """Negative revenue at price z: sales are the outcome clamped to [0, capacity]."""
-    return _new_cost(_pricing_cost, z, y, capacity=capacity)
-
-
-def _pricing_cost(out, z, y, capacity: float):
-    """pricing_cost written into `out`, which may be y itself; no temporary."""
-    np.clip(y, 0.0, capacity, out=out)
-    return np.multiply(-z, out, out=out)
-
-
-def _new_cost(body, z, y, **cost_params):
-    """The cost `body` (a _KINDS cost) of actions z at outcomes y, in a new
-    array of their broadcast shape; a scalar when both are scalars."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return body(np.empty(np.broadcast_shapes(z.shape, y.shape)), z, y, **cost_params)[()]
+    return _cost(_KINDS["pricing"].pieces, z, y, capacity=capacity)
 
 
 def pricing_cost_grad_y(z, y, capacity: float):
     """d(pricing_cost)/dy; 0 outside (0, capacity) and exactly at the clamps."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.where((y > 0.0) & (y < capacity), -z, 0.0)
+    return _cost_grad_y(_KINDS["pricing"].pieces, z, y, capacity=capacity)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One decision task: an action grid and its cost, stated once as pieces.
+
+    pieces(z) gives the cost at actions z, continuous and piecewise linear in
+    the outcome, as (knots, slopes, value): knots ascending, slopes[p] between
+    knots[p - 1] and knots[p] (unbounded at the ends), value the cost at
+    knots[0]; each a float or one per action (see _bind_pieces). The
+    numpy-broadcast task_cost(z, y) and its outcome derivative
+    task_cost_grad_y(z, y), 0 at a knot, read them, and so does
+    separable_kernel, bound to the grid here. For outcomes P[j, k] = a[j] + c[k]
+    (a linear model's, a TrueModel's) separable_kernel(a, c) gives, without
+    (m, K) matrices, values[k], the mean of task_cost(z[k], P[:, k]), and
+    gradient_sums(probs), the row sums, column sums and total of
+    task_cost_grad_y(z[k], P[j, k]) * probs[k] / m.
+    """
+
+    grid: ActionGrid
+    pieces: Callable
+    name: str = "problem"
+    separable_kernel: Callable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "separable_kernel", _bind_pieces(*self.pieces(self.grid.points)))
+
+    def task_cost(self, z, y):
+        return _cost(self.pieces, z, y)
+
+    def task_cost_grad_y(self, z, y):
+        return _cost_grad_y(self.pieces, z, y)
+
+
+def _live(slopes):
+    """The pieces whose slope is not +0.0 at every action (-0.0 signs zeros), or [0]."""
+    return [p for p, s in enumerate(slopes) if np.count_nonzero(s) or np.signbit(s).any()] or [0]
+
+
+def _cost(pieces, z, y, out=None, **cost_params):
+    """The cost of actions z at outcomes y from pieces(z, **cost_params), in `out`
+    (it may be y) or a new array, a scalar for scalars. Piece 0 adds -slopes[0] *
+    max(knots[0] - y, 0), piece p > 0 slopes[p] * clip(y - knots[p - 1], 0,
+    knots[p] - knots[p - 1]), the last in `out` and each other in a temporary,
+    and knots and values of 0 are skipped: newsvendor's c_h * max(z - y, 0) +
+    c_s * max(y - z, 0) and pricing's -z * clip(y, 0, capacity), bits and passes."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    knots, slopes, value = pieces(z, **cost_params)
+    out = np.empty(np.broadcast_shapes(z.shape, y.shape)) if out is None else out
+    live = _live(slopes)
+    terms = [np.empty_like(out) for _ in live[1:]] + [out]  # y is read before out is written
+    for p, term in zip(live, terms):
+        distance = y  # from the piece's knot, into the piece
+        if not p:
+            distance = np.subtract(knots[0], y, out=term)
+        elif np.count_nonzero(knots[p - 1]):
+            distance = np.subtract(y, knots[p - 1], out=term)
+        np.clip(distance, 0.0, knots[p] - knots[p - 1] if 0 < p < len(knots) else None, out=term)
+        term *= slopes[p] if p else -slopes[0]
+    for term in terms[:-1]:
+        out += term
+    if np.count_nonzero(value):
+        out += value
+    return out[()]
+
+
+def _cost_grad_y(pieces, z, y, **cost_params):
+    """d(cost)/dy of actions z at outcomes y from pieces(z, **cost_params): the slope
+    of the piece that holds y strictly, 0 on a knot; each zero signed as np.where does."""
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    knots, slopes, _ = pieces(z, **cost_params)
+    shape = np.broadcast_shapes(z.shape, y.shape)
+    grad = None
+    for p in _live(slopes):
+        inside = y > knots[p - 1] if p else y < knots[0]
+        if 0 < p < len(knots):
+            inside &= y < knots[p]
+        term = np.where(np.broadcast_to(inside, shape), slopes[p], 0.0)  # each in one shape
+        grad = term if grad is None else np.add(grad, term, out=grad)  # no third array
+    return grad
 
 
 def _bind_pieces(knots, slopes, value):
-    """The separable kernel (core.Problem.separable_kernel) on one grid of a cost
-    continuous and piecewise linear in the outcome: knots[r], ascending in r, at
-    least one; slopes[p] on piece p, from knots[p - 1] (or -inf) to knots[p] (or
-    +inf); `value`, the cost at knots[0]. Each is a float or one per action, but
-    the knots share one order over the actions: all are floats, or there is one.
+    """The separable kernel (Problem.separable_kernel) of pieces (knots, slopes,
+    value) on one grid, whose knots share one order over the actions: all are
+    floats, or there is one.
 
     For predictions a[j] + c[k], the knots in a are T[r] = knots[r] - c. An input
     strictly inside piece p costs the cost at knot max(p - 1, 0), its anchor,
     plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost and
     adds exactly 0 to the gradient. One sort of a, one argsort of the actions,
     searchsorted and prefix sums: O((m + K) log m), one (m + 1) array, no (m, K)
-    array, `a` left as it was. Pieces of slope 0 and knots of cost 0 are skipped,
+    array, `a` left as it was. Pieces of slope +0.0 and knots of cost 0 are skipped,
     and the probabilities are summed once when no slope depends on the action.
     """
     top = len(knots)  # the last piece
@@ -177,7 +227,7 @@ def _bind_pieces(knots, slopes, value):
         raise ValidationError("knots must share one action order: every knot a float, or one knot")
     slopes = [s if np.ndim(s) else float(s) for s in slopes]  # an int slope sums as a float
     rises = (slopes[r] * (knots[r] - knots[r - 1]) for r in range(1, top))
-    live = [p for p in range(top + 1) if np.any(slopes[p])] or [0]  # a zero cost keeps one
+    live = _live(slopes)
     # knot r's cost goes to the inputs in [T[r], T[r + 1]), knot 0's to those below T[1]
     flat = [(r, cost) for r, cost in enumerate(accumulate(rises, initial=value)) if np.any(cost)]
     counted = {(p - 1, "right") for p in live if p} | {(p, "left") for p in live}
@@ -231,23 +281,19 @@ def _bind_pieces(knots, slopes, value):
 
 
 # A problem kind: its cost_params keys, their condition (a predicate, and its text as the
-# error states it), its cost (written into a given array: cost(out, z, y, **cost_params)),
-# the cost's outcome derivative, and its pieces(z, **cost_params): the cost at actions z
-# as knots, slopes and the cost at knots[0] in the outcome, for _bind_pieces.
-_Kind = namedtuple("_Kind", "keys ok needs cost grad_y pieces")
+# error states it), and its pieces(z, **cost_params), the one statement of its cost.
+_Kind = namedtuple("_Kind", "keys ok needs pieces")
 # A logging policy: its keys besides `policy`, their condition, its grid weights.
 _Policy = namedtuple("_Policy", "keys ok needs weights")
 _KINDS = {
     "newsvendor": _Kind(
         ("c_h", "c_s"), lambda c_h, c_s: c_h >= 0 and c_s >= 0 and c_h + c_s > 0,
         "cost_params {c_h >= 0, c_s >= 0, c_h + c_s > 0}",
-        _newsvendor_cost, newsvendor_cost_grad_y,
         # one knot, at the action: holding cost below it, shortage cost above
         lambda z, c_h, c_s: ((z,), (-c_h, c_s), 0.0),
     ),
     "pricing": _Kind(
         ("capacity",), lambda capacity: capacity > 0, "cost_params {capacity > 0}",
-        _pricing_cost, pricing_cost_grad_y,
         # knots where sales start and where they reach the capacity; each sale earns z
         lambda z, capacity: ((0.0, capacity), (0.0, -z, 0.0), 0.0),
     ),
@@ -280,15 +326,8 @@ def _check_params(params: dict, entry, field: str, subject: str, key_noun: str) 
 
 def _problem(kind: str, grid: ActionGrid, cost_params: dict) -> Problem:
     """The Problem of `kind` on `grid`; its cost_params are checked as TrueModel checks them."""
-    entry = _KINDS[kind]
-    _check_params(cost_params, entry, "cost_params", kind, "cost_params key")
-    return Problem(
-        grid=grid,
-        task_cost=partial(_new_cost, entry.cost, **cost_params),
-        name=kind,
-        task_cost_grad_y=partial(entry.grad_y, **cost_params),
-        separable_kernel=_bind_pieces(*entry.pieces(grid.points, **cost_params)),
-    )
+    _check_params(cost_params, _KINDS[kind], "cost_params", kind, "cost_params key")
+    return Problem(grid, partial(_KINDS[kind].pieces, **cost_params), kind)
 
 
 def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
@@ -351,7 +390,7 @@ def cost_draws(model: TrueModel, z: float, u: np.ndarray) -> np.ndarray:
     """Per-draw cost of action z under the shared world draws u (one value per
     draw), computed in the one array that holds the outcomes u + m(z)."""
     y = u + mean_outcome(model, 0.0, z)
-    return _KINDS[model.kind].cost(y, z, y, **model.cost_params)
+    return _cost(_KINDS[model.kind].pieces, z, y, y, **model.cost_params)
 
 
 def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> float:

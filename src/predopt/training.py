@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import Dataset, Problem, ValidationError, WeightConfig, _require_finite, _require_int
+from .core import Dataset, ValidationError, WeightConfig, _require_finite, _require_int
 from .core import _write_atomic
 from .objective import _gamma, _omega, _soft_min, argmin_profile, empirical_profile
 from .predictor import (
@@ -41,6 +41,7 @@ from .predictor import (
     _profile,
     init_params,
 )
+from .problems import Problem
 
 __all__ = [
     "TrainConfig",

@@ -850,18 +850,26 @@ def _failing_run(kind, config_path, tmp_path):
         return _evaluate_argv(config_path, tmp_path, ckpt), expect
     if kind == "compare-out-is-a-directory":
         return ["compare", "--config", str(config_path), "--out", str(tmp_path)], str(tmp_path)
-    if kind == "compare-out-is-empty":
-        return ["compare", "--config", str(config_path), "--out", ""], "not a directory: ''"
-    if kind == "compare-out-ends-in-a-separator":
-        out = str(tmp_path / "results") + os.sep
-        return ["compare", "--config", str(config_path), "--out", out], f"not a directory: {out!r}"
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory\n")
-    if kind == "compare-parent-is-a-file":
-        argv = ["compare", "--config", str(config_path), "--out", str(taken / "results.csv")]
+    if kind == "out-is-a-file":
+        argv = ["train", "--config", str(config_path), "--method", "two-stage", "--out", str(taken)]
         return argv, str(taken)
-    argv = ["train", "--config", str(config_path), "--method", "two-stage", "--out", str(taken)]
-    return argv, str(taken)
+    if kind == "train-out-is-empty":
+        argv = ["train", "--config", str(config_path), "--method", "two-stage", "--out", ""]
+        return argv, "must name a directory: ''"
+    # a file's path that names no file, or whose parent is a file, for each
+    # command that writes one
+    command, _, case = kind.partition("-")
+    out, expect = {
+        "out-is-empty": ("", "not a directory: ''"),
+        "out-ends-in-a-separator": (str(tmp_path / "results") + os.sep, "not a directory: "),
+        "parent-is-a-file": (str(taken / "results.csv"), str(taken)),
+    }[case]
+    if command == "evaluate":
+        save_checkpoint(CHECKPOINT, ckpt)
+        return _evaluate_argv(config_path, tmp_path, ckpt)[:-1] + [out], expect
+    return [command, "--config", str(config_path), "--out", out], expect
 
 
 @pytest.mark.parametrize(
@@ -876,10 +884,17 @@ def _failing_run(kind, config_path, tmp_path):
         "checkpoint-too-deep",
         "checkpoint-weight-too-large",
         "out-is-a-file",
+        "train-out-is-empty",
         "compare-parent-is-a-file",
         "compare-out-is-a-directory",
         "compare-out-is-empty",
         "compare-out-ends-in-a-separator",
+        "generate-parent-is-a-file",
+        "generate-out-is-empty",
+        "generate-out-ends-in-a-separator",
+        "evaluate-parent-is-a-file",
+        "evaluate-out-is-empty",
+        "evaluate-out-ends-in-a-separator",
     ],
 )
 def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monkeypatch, kind):
@@ -888,9 +903,9 @@ def test_checkpoint_and_output_errors_exit_2(config_path, tmp_path, capsys, monk
     def no_compute(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")
 
-    # an unusable output path must fail before any fit runs
-    monkeypatch.setattr(predopt.cli, "_fit_once", no_compute)
-    monkeypatch.setattr(predopt.cli, "compare_methods", no_compute)
+    # an unusable output path must fail before any fit, draw or evaluation runs
+    for name in ("_fit_once", "compare_methods", "gen_dataset", "model_profile", "evaluate_decision"):
+        monkeypatch.setattr(predopt.cli, name, no_compute)
     argv, expect = _failing_run(kind, config_path, tmp_path)
     # run from a subdirectory, so the .tmp-* check below covers the parent of the working directory
     (tmp_path / "cwd").mkdir()

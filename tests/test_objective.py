@@ -38,14 +38,10 @@ def test_empirical_profile_zero_cost_at_constant_labels():
 
 def test_empirical_profile_single_label_absolute_cost():
     grid = make_grid(0.0, 10.0, 21)
-    from predopt.core import Problem
+    from predopt.problems import Problem
 
-    problem = Problem(
-        grid=grid,
-        task_cost=lambda z, y: np.abs(z - y),
-        name="abs",
-        task_cost_grad_y=lambda z, y: np.sign(np.asarray(y) - np.asarray(z)),
-    )
+    # |z - y|: one knot at the action, slope -1 below it and 1 above
+    problem = Problem(grid, lambda z: ((z,), (-1.0, 1.0), 0.0), "abs")
     prof = empirical_profile([3.0], problem)
     np.testing.assert_allclose(prof.values, np.abs(grid.points - 3.0))
 
@@ -82,14 +78,10 @@ def test_model_profile_zero_params():
 
 def test_model_profile_perfect_tracking():
     grid = make_grid(0.0, 10.0, 11)
-    from predopt.core import Problem
+    from predopt.problems import Problem
 
-    problem = Problem(
-        grid=grid,
-        task_cost=lambda z, y: np.abs(z - y),
-        name="abs",
-        task_cost_grad_y=lambda z, y: np.sign(np.asarray(y) - np.asarray(z)),
-    )
+    # |z - y|: one knot at the action, slope -1 below it and 1 above
+    problem = Problem(grid, lambda z: ((z,), (-1.0, 1.0), 0.0), "abs")
     # w_x = 0, w_z = 1, b = 0: prediction equals the action everywhere
     params = PredictorParams(Architecture("linear", 1), np.array([0.0, 1.0, 0.0]))
     prof = model_profile(params, np.array([[4.2]]), grid, problem)

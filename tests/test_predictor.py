@@ -13,7 +13,6 @@ from predopt.predictor import (
     _linear_task_grad,
     _profile,
     _unpack_linear,
-    _task_grad_body,
     _unpack_mlp1,
     init_params,
     load_checkpoint,
@@ -289,14 +288,10 @@ def _one_hot(k, n):
 
 
 def test_task_grad_zero_when_cost_ignores_outcome():
-    from predopt.core import Problem
+    from predopt.problems import Problem
 
-    flat = Problem(
-        grid=GRID,
-        task_cost=lambda z, y: np.broadcast_to(np.asarray(z, dtype=float), np.broadcast(np.asarray(z), np.asarray(y)).shape).copy(),
-        name="outcome-free",
-        task_cost_grad_y=lambda z, y: np.zeros(np.broadcast(np.asarray(z), np.asarray(y)).shape),
-    )
+    # the cost z: one knot, slopes 0 on both sides, value z
+    flat = Problem(GRID, lambda z: ((z,), (0.0, 0.0), z), "outcome-free")
     rng = np.random.default_rng(7)
     p = _random_params(LINEAR3, rng)
     X = rng.normal(size=(4, 3))
@@ -425,7 +420,7 @@ def test_mlp1_task_grad_body_matches_einsum_reference(problem, hidden_scale):
         if hidden_scale > 1:
             assert np.mean(np.abs(T) > 0.995) > 0.9
         want = _einsum_task_grad_body(arch, w, X, points, P, T, probs, problem)
-        got = _task_grad_body(arch, w, X, points, P, T, probs, problem)
+        got = _profile(arch, w, X, points, problem)[1](probs)
         assert np.any(want != 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from predopt.core import ValidationError, make_grid, save_dataset_csv
 from predopt.objective import empirical_profile, model_profile
-from predopt.predictor import Architecture, PredictorParams, _grid_pass, _task_grad_body, task_grad
+from predopt.predictor import Architecture, PredictorParams, _grid_pass, task_grad
 from predopt.problems import (
     _KINDS,
     TrueModel,
     _bind_pieces,
+    _problem,
     cost_draws,
     gen_dataset,
     mean_outcome,
@@ -310,21 +311,34 @@ def test_oracle_action_matches_pointwise_expected_cost():
 #
 # For a linear model, each problem's separable kernel computes the model cost
 # profile and the task-gradient sums without the (m, K) matrices. The
-# reference is the dense path: _grid_pass for the profile and _task_grad_body
-# for the gradient. The kernel sums in another order, so the two agree within
-# a tolerance fixed before the kernel was written; where the answer is exactly
-# 0, as on a kink, they agree bit for bit. Pricing capacities are drawn both
-# below and above the predictions, so the cap binds for some inputs and not
-# for others.
+# reference is the dense path, kept here (_dense_profile): _grid_pass and
+# explicit sums over the (m, K) matrices. The kernel sums in another order, so
+# the two agree within a tolerance fixed before the kernel was written; where
+# the answer is exactly 0, as on a kink, they agree bit for bit. Pricing
+# capacities are drawn both below and above the predictions, so the cap binds
+# for some inputs and not for others.
 
 RTOL, ATOL = 1e-9, 1e-12
 
 
-def _dense_reference(params, X, problem, probs):
+def _dense_profile(params, X, problem):
+    """A linear model's cost profile on the problem's grid, and a function of
+    the action probabilities that gives its task gradient, from one dense grid
+    pass and explicit sums over the (m, K) matrix C = dg/dy * p_k / m."""
     arch, w, points = params.architecture, params.weights, problem.grid.points
-    P, T = _grid_pass(arch, w, X, points[None, :])
-    values = problem.task_cost(points[None, :], P).mean(axis=0)
-    return values, float(probs @ values), _task_grad_body(arch, w, X, points, P, T, probs, problem)
+    P, _ = _grid_pass(arch, w, X, points[None, :])
+
+    def task_gradient(probs):
+        C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / X.shape[0]
+        # the prediction x_j . w_x + w_z z_k + b, differentiated in (w_x, w_z, b)
+        return np.concatenate([X.T @ C.sum(axis=1), [C.sum(axis=0) @ points, C.sum()]])
+
+    return problem.task_cost(points[None, :], P).mean(axis=0), task_gradient
+
+
+def _dense_reference(params, X, problem, probs):
+    values, task_gradient = _dense_profile(params, X, problem)
+    return values, float(probs @ values), task_gradient(probs)
 
 
 def _through_the_kernel(params, X, problem, probs):
@@ -500,12 +514,13 @@ def _dense_pieces(knots, slopes, value, P):
 @given(kind=st.sampled_from(sorted(_KINDS)), seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_each_kind_pieces_agree_with_its_cost_and_grad_y(kind, seed, data):
-    # every kind's three descriptions of its cost: the cost body, its outcome
-    # derivative and its pieces, at random actions and outcomes, a third of
+    # the cost and outcome derivative a Problem derives from its kind's pieces,
+    # against the hinge sum above, at random actions and outcomes, a third of
     # them exactly on a knot
     entry = _KINDS[kind]
     params = {key: data.draw(st.floats(0.1, 20.0), label=key) for key in entry.keys}
     assume(entry.ok(**params))
+    problem = _problem(kind, make_grid(-5.0, 25.0, 2), params)
     rng = np.random.default_rng(seed)
     z = rng.uniform(-5.0, 25.0, size=60)
     knots, slopes, value = entry.pieces(z, **params)
@@ -515,9 +530,9 @@ def test_each_kind_pieces_agree_with_its_cost_and_grad_y(kind, seed, data):
     on_knot = rng.random(z.shape) < 1 / 3
     y[on_knot] = np.choose(rng.integers(0, len(B), size=z.shape), B)[on_knot]
     cost, grad = _dense_pieces(knots, slopes, value, y)
-    want = entry.cost(np.empty_like(y), z, y, **params)
+    want = problem.task_cost(z, y)
     assert np.all(np.abs(cost - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
-    assert grad.tobytes() == entry.grad_y(z, y, **params).tobytes()
+    assert grad.tobytes() == problem.task_cost_grad_y(z, y).tobytes()
     assert not np.any(grad[on_knot])
 
 
@@ -905,6 +920,53 @@ def test_costs_give_the_reference_bits_and_leave_their_inputs(kind, params):
         got, want = cost(zz, yy, **params), reference(zz, yy, **params)
         assert _same_bits(got, want), name
         assert _same_bits(problem.task_cost(zz, yy), want), name
+        assert (np.array(zz).tobytes(), np.array(yy).tobytes()) == saved, name
+
+
+def _reference_newsvendor_grad_y(z, y, c_h, c_s):
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    return np.where(y > z, c_s, 0.0) + np.where(y < z, -c_h, 0.0)
+
+
+def _reference_pricing_grad_y(z, y, capacity):
+    z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
+    return np.where((y > 0.0) & (y < capacity), -z, 0.0)
+
+
+# kind: (outcome derivative, its reference)
+_GRADS_Y = {
+    "newsvendor": (newsvendor_cost_grad_y, _reference_newsvendor_grad_y),
+    "pricing": (pricing_cost_grad_y, _reference_pricing_grad_y),
+}
+
+
+@pytest.mark.parametrize("kind, params", COST_CASES.values(), ids=COST_CASES)
+def test_cost_grad_y_gives_the_reference_bits_and_leaves_its_inputs(kind, params):
+    # the sign of every zero too: 0.0 on and beyond a kink, -0.0 inside pricing's
+    # (0, capacity) at z = 0; the type of a 0-d result is not pinned
+    grad_y, reference = _GRADS_Y[kind]
+    problem = _COSTS[kind][3](make_grid(0.0, 8.0, 9), **params)
+    rng = np.random.default_rng(6)
+    z = rng.uniform(0.0, 8.0, size=(7, 1))
+    z[0] = 0.0
+    y = rng.uniform(-2.0, 10.0, size=(1, 50))
+    y[0, :7] = z[:, 0]  # kinks: the outcome equals the action
+    y[0, 7:9] = 0.0, params.get("capacity", 0.0)  # pricing's clamps
+    cases = {
+        "0-d": (2.5, 3.0),
+        "0-d at z = 0": (0.0, 3.0),
+        "0-d arrays": (np.array(5.0), np.float64(1.0)),
+        "broadcast": (z, y),
+        "row": (z[1], y),
+        "row at z = 0": (z[0], y),
+        "aliased": (y, y),
+        "aliased views": (y[0, 1:], y[0, :-1]),
+    }
+    for name, (zz, yy) in cases.items():
+        saved = np.array(zz).tobytes(), np.array(yy).tobytes()
+        want = np.asarray(reference(zz, yy, **params))
+        assert _same_bits(np.asarray(grad_y(zz, yy, **params)), want), name
+        assert _same_bits(np.asarray(problem.task_cost_grad_y(zz, yy)), want), name
         assert (np.array(zz).tobytes(), np.array(yy).tobytes()) == saved, name
 
 

@@ -24,7 +24,6 @@ from predopt.predictor import (
     _Moments,
     _batch_loss_and_grad,
     _full_batch,
-    _grid_pass,
     init_params,
     loss_and_grad,
     task_grad,
@@ -38,6 +37,7 @@ from predopt.training import (
     simpo_fit,
     two_stage_fit,
 )
+from test_problems import _dense_profile
 
 GRID = make_grid(0.0, 20.0, 201)
 
@@ -294,15 +294,11 @@ def test_two_stage_recovers_zero_noise_linear_world():
 
 
 def test_constant_labels_two_stage_picks_label():
-    from predopt.core import Problem
+    from predopt.problems import Problem
 
     grid = make_grid(0.0, 10.0, 101)
-    problem = Problem(
-        grid=grid,
-        task_cost=lambda z, y: np.abs(z - y),
-        name="abs",
-        task_cost_grad_y=lambda z, y: np.sign(np.asarray(y) - np.asarray(z)),
-    )
+    # |z - y|: one knot at the action, slope -1 below it and 1 above
+    problem = Problem(grid, lambda z: ((z,), (-1.0, 1.0), 0.0), "abs")
     model = _world(intercept=6.3, noise_sd=1e-9, action_effect=0.0, base_weights=(0.0, 0.0))
     train, val, _ = _splits(model, 200, seed=6, grid=grid)
     cfg = _config(learning_rate=0.02, max_iters=2000, tol=1e-14, patience=50)
@@ -390,11 +386,29 @@ def test_history_csv_round_trip(tmp_path):
 # --- the fused loop against a loop built from the public functions ---------------
 
 
-def _reference_simpo(problem, train, val, arch, config):
+def _reference_simpo(problem, train, val, arch, config, dense=False):
     """simpo_fit written out with the public per-step functions, each iteration
-    building its own profile and its own task gradient."""
+    building its own profile and its own task gradient; with `dense`, a linear
+    model's profiles and task gradients come from the dense grid pass and
+    explicit (m, K) sums instead of the problem's separable kernel."""
     wc, grid = config.weight_config, problem.grid
-    z_star_train = argmin_profile(empirical_profile(train.y, problem))
+
+    def profile(params):
+        if dense:
+            return _dense_model_profile(params, val.X, grid, problem)
+        return model_profile(params, val.X, grid, problem)
+
+    def task_gradient(params, probs):
+        if not dense:
+            return task_grad(params, val.X, grid, probs, problem)
+        values, gradient = _dense_profile(params, val.X, problem)
+        return float(probs @ values), gradient(probs)
+
+    if dense:
+        historical = problem.task_cost(grid.points[:, None], train.y[None, :]).mean(axis=1)
+        z_star_train = grid.best(historical)[0]
+    else:
+        z_star_train = argmin_profile(empirical_profile(train.y, problem))
     params = init_params(arch, config.seed)
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     ones = np.ones(len(train))
@@ -404,15 +418,15 @@ def _reference_simpo(problem, train, val, arch, config):
             idx = np.arange(len(train))
         else:
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-        profile = model_profile(params, val.X, grid, problem)
-        probs = action_distribution(profile, wc.tau)
-        z_star_test = argmin_profile(profile)
+        current = profile(params)
+        probs = action_distribution(current, wc.tau)
+        z_star_test = argmin_profile(current)
         omega = omega_weight(probs, grid, z_star_train, wc.alpha)
         gamma = gamma_weight(z_star_train, z_star_test, wc.beta, grid)
         X, Z, Y = train.X[idx], train.z_obs[idx], train.y[idx]
         pl, pg = loss_and_grad(params, X, Z, Y, ones[idx], problem)
         if wc.task_term_enabled:
-            tl, tg = task_grad(params, val.X, grid, probs, problem)
+            tl, tg = task_gradient(params, probs)
             step = omega * pg + gamma * tg
         else:
             tl, step = 0.0, omega * pg
@@ -427,7 +441,7 @@ def _reference_simpo(problem, train, val, arch, config):
         )
         if len(history) >= config.max_iters or stalled:
             break
-    final = model_profile(params, val.X, grid, problem)
+    final = profile(params)
     z_star = argmin_profile(final)
     return params, tuple(history), z_star, float(final.values[grid.index_of(z_star)])
 
@@ -541,8 +555,7 @@ def test_moment_form_matches_the_row_form(world, grid, scale):
 
 
 def _dense_model_profile(params, X, grid, problem):
-    P, _ = _grid_pass(params.architecture, params.weights, X, grid.points[None, :])
-    return CostProfile(grid, problem.task_cost(grid.points[None, :], P).mean(axis=0), "model")
+    return CostProfile(grid, _dense_profile(params, X, problem)[0], "model")
 
 
 # the newsvendor_linear compare config of tests/test_golden.py
@@ -615,8 +628,7 @@ def test_separable_fit_tracks_the_dense_reference_loop(run, descends):
     res = simpo_fit(problem, train, val, arch, cfg)
     F = [row.total for row in res.history]
     assert all(b < a for a, b in zip(F, F[1:])) == descends
-    dense = replace(problem, separable_kernel=None)
-    params, history, z_star, g_star = _reference_simpo(dense, train, val, arch, cfg)
+    params, history, z_star, g_star = _reference_simpo(problem, train, val, arch, cfg, dense=True)
     assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
     assert res.z_star == z_star
     assert res.g_star == pytest.approx(g_star, rel=1e-9)
