@@ -43,8 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _NUMBER, ActionGrid, Dataset, ValidationError, _require_finite
-from .core import _require_int
+from .core import _NUMBER, ActionGrid, Dataset, ValidationError, _require_finite, _require_int
 
 __all__ = [
     "TrueModel",
@@ -132,17 +131,18 @@ def pricing_cost_grad_y(z, y, capacity: float):
 class Problem:
     """One decision task: an action grid and its cost, stated once as pieces.
 
-    pieces(z) gives the cost at actions z, continuous and piecewise linear in
-    the outcome, as (knots, slopes, value): knots ascending, slopes[p] between
+    pieces(z) gives the cost at actions z as (knots, slopes, value), continuous
+    and piecewise linear in the outcome: knots ascending and sharing one order
+    over the actions (each a float, or just one knot), slopes[p] between
     knots[p - 1] and knots[p] (unbounded at the ends), value the cost at
-    knots[0]; each a float or one per action (see _bind_pieces). The
-    numpy-broadcast task_cost(z, y) and its outcome derivative
-    task_cost_grad_y(z, y), 0 at a knot, read them, and so does
-    separable_kernel, bound to the grid here. For outcomes P[j, k] = a[j] + c[k]
-    (a linear model's, a TrueModel's) separable_kernel(a, c) gives, without
-    (m, K) matrices, values[k], the mean of task_cost(z[k], P[:, k]), and
-    gradient_sums(probs), the row sums, column sums and total of
-    task_cost_grad_y(z[k], P[j, k]) * probs[k] / m.
+    knots[0]. No other cost can be built, not even for an mlp1 fit, which reads
+    only the dense cost. The broadcast task_cost(z, y), its outcome derivative
+    task_cost_grad_y(z, y), 0 at a knot, and separable_kernel, bound to the
+    grid, all read them. For outcomes P[j, k] = a[j] + c[k] (a linear model's, a
+    TrueModel's) separable_kernel(a, c) gives, without (m, K) matrices,
+    values[k], the mean of task_cost(z[k], P[:, k]), and gradient_sums(probs),
+    the row sums, column sums and total of task_cost_grad_y(z[k], P[j, k]) *
+    probs[k] / m.
     """
 
     grid: ActionGrid
@@ -160,9 +160,9 @@ class Problem:
         return _cost_grad_y(self.pieces, z, y)
 
 
-def _live(slopes):
-    """The pieces whose slope is not +0.0 at every action (-0.0 signs zeros), or [0]."""
-    return [p for p, s in enumerate(slopes) if np.count_nonzero(s) or np.signbit(s).any()] or [0]
+def _live(slopes, signed=False):
+    """The pieces with a slope not 0, or [0]; -0.0 too if `signed`, as it signs dense zeros."""
+    return [p for p, s in enumerate(slopes) if np.any(s) or signed and np.signbit(s).any()] or [0]
 
 
 def _cost(pieces, z, y, out=None, **cost_params):
@@ -175,7 +175,7 @@ def _cost(pieces, z, y, out=None, **cost_params):
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     knots, slopes, value = pieces(z, **cost_params)
     out = np.empty(np.broadcast_shapes(z.shape, y.shape)) if out is None else out
-    live = _live(slopes)
+    live = _live(slopes, signed=True)
     terms = [np.empty_like(out) for _ in live[1:]] + [out]  # y is read before out is written
     for p, term in zip(live, terms):
         distance = y  # from the piece's knot, into the piece
@@ -193,19 +193,19 @@ def _cost(pieces, z, y, out=None, **cost_params):
 
 
 def _cost_grad_y(pieces, z, y, **cost_params):
-    """d(cost)/dy of actions z at outcomes y from pieces(z, **cost_params): the slope
-    of the piece that holds y strictly, 0 on a knot; each zero signed as np.where does."""
+    """d(cost)/dy of actions z at outcomes y from pieces(z, **cost_params), a scalar for
+    scalars: the slope of the piece that holds y strictly, 0 on a knot, signed as np.where."""
     z, y = np.asarray(z, dtype=float), np.asarray(y, dtype=float)
     knots, slopes, _ = pieces(z, **cost_params)
     shape = np.broadcast_shapes(z.shape, y.shape)
     grad = None
-    for p in _live(slopes):
+    for p in _live(slopes, signed=True):
         inside = y > knots[p - 1] if p else y < knots[0]
         if 0 < p < len(knots):
             inside &= y < knots[p]
         term = np.where(np.broadcast_to(inside, shape), slopes[p], 0.0)  # each in one shape
         grad = term if grad is None else np.add(grad, term, out=grad)  # no third array
-    return grad
+    return grad[()]
 
 
 def _bind_pieces(knots, slopes, value):
@@ -218,7 +218,7 @@ def _bind_pieces(knots, slopes, value):
     plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost and
     adds exactly 0 to the gradient. One sort of a, one argsort of the actions,
     searchsorted and prefix sums: O((m + K) log m), one (m + 1) array, no (m, K)
-    array, `a` left as it was. Pieces of slope +0.0 and knots of cost 0 are skipped,
+    array, `a` left as it was. Pieces of slope 0 and knots of cost 0 are skipped,
     and the probabilities are summed once when no slope depends on the action.
     """
     top = len(knots)  # the last piece

@@ -861,9 +861,10 @@ def _failing_run(kind, config_path, tmp_path):
     # a file's path that names no file, or whose parent is a file, for each
     # command that writes one
     command, _, case = kind.partition("-")
+    sep = str(tmp_path / "results") + os.sep
     out, expect = {
         "out-is-empty": ("", "not a directory: ''"),
-        "out-ends-in-a-separator": (str(tmp_path / "results") + os.sep, "not a directory: "),
+        "out-ends-in-a-separator": (sep, f"not a directory: {sep!r}"),
         "parent-is-a-file": (str(taken / "results.csv"), str(taken)),
     }[case]
     if command == "evaluate":

@@ -386,29 +386,22 @@ def test_history_csv_round_trip(tmp_path):
 # --- the fused loop against a loop built from the public functions ---------------
 
 
-def _reference_simpo(problem, train, val, arch, config, dense=False):
+def _reference_simpo(
+    problem,
+    train,
+    val,
+    arch,
+    config,
+    profile=model_profile,
+    task_gradient=task_grad,
+    historical=empirical_profile,
+):
     """simpo_fit written out with the public per-step functions, each iteration
-    building its own profile and its own task gradient; with `dense`, a linear
-    model's profiles and task gradients come from the dense grid pass and
-    explicit (m, K) sums instead of the problem's separable kernel."""
+    building its own profile and its own task gradient; `profile`,
+    `task_gradient` and `historical` take the place of model_profile, task_grad
+    and empirical_profile."""
     wc, grid = config.weight_config, problem.grid
-
-    def profile(params):
-        if dense:
-            return _dense_model_profile(params, val.X, grid, problem)
-        return model_profile(params, val.X, grid, problem)
-
-    def task_gradient(params, probs):
-        if not dense:
-            return task_grad(params, val.X, grid, probs, problem)
-        values, gradient = _dense_profile(params, val.X, problem)
-        return float(probs @ values), gradient(probs)
-
-    if dense:
-        historical = problem.task_cost(grid.points[:, None], train.y[None, :]).mean(axis=1)
-        z_star_train = grid.best(historical)[0]
-    else:
-        z_star_train = argmin_profile(empirical_profile(train.y, problem))
+    z_star_train = argmin_profile(historical(train.y, problem))
     params = init_params(arch, config.seed)
     batch_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     ones = np.ones(len(train))
@@ -418,7 +411,7 @@ def _reference_simpo(problem, train, val, arch, config, dense=False):
             idx = np.arange(len(train))
         else:
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-        current = profile(params)
+        current = profile(params, val.X, grid, problem)
         probs = action_distribution(current, wc.tau)
         z_star_test = argmin_profile(current)
         omega = omega_weight(probs, grid, z_star_train, wc.alpha)
@@ -426,7 +419,7 @@ def _reference_simpo(problem, train, val, arch, config, dense=False):
         X, Z, Y = train.X[idx], train.z_obs[idx], train.y[idx]
         pl, pg = loss_and_grad(params, X, Z, Y, ones[idx], problem)
         if wc.task_term_enabled:
-            tl, tg = task_gradient(params, probs)
+            tl, tg = task_gradient(params, val.X, grid, probs, problem)
             step = omega * pg + gamma * tg
         else:
             tl, step = 0.0, omega * pg
@@ -441,7 +434,7 @@ def _reference_simpo(problem, train, val, arch, config, dense=False):
         )
         if len(history) >= config.max_iters or stalled:
             break
-    final = profile(params)
+    final = profile(params, val.X, grid, problem)
     z_star = argmin_profile(final)
     return params, tuple(history), z_star, float(final.values[grid.index_of(z_star)])
 
@@ -558,6 +551,16 @@ def _dense_model_profile(params, X, grid, problem):
     return CostProfile(grid, _dense_profile(params, X, problem)[0], "model")
 
 
+def _dense_task_grad(params, X, grid, probs, problem):
+    values, gradient = _dense_profile(params, X, problem)
+    return float(probs @ values), gradient(probs)
+
+
+def _dense_empirical_profile(y, problem):
+    points = problem.grid.points
+    return CostProfile(problem.grid, problem.task_cost(points[:, None], y).mean(axis=1), "empirical")
+
+
 # the newsvendor_linear compare config of tests/test_golden.py
 GOLDEN_LINEAR = ExperimentConfig(
     model_spec=_world(
@@ -628,7 +631,10 @@ def test_separable_fit_tracks_the_dense_reference_loop(run, descends):
     res = simpo_fit(problem, train, val, arch, cfg)
     F = [row.total for row in res.history]
     assert all(b < a for a, b in zip(F, F[1:])) == descends
-    params, history, z_star, g_star = _reference_simpo(problem, train, val, arch, cfg, dense=True)
+    params, history, z_star, g_star = _reference_simpo(
+        problem, train, val, arch, cfg,
+        _dense_model_profile, _dense_task_grad, _dense_empirical_profile,
+    )
     assert [r.z_star_test for r in res.history] == [r.z_star_test for r in history]
     assert res.z_star == z_star
     assert res.g_star == pytest.approx(g_star, rel=1e-9)
