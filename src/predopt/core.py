@@ -3,7 +3,7 @@
 Everything here is an immutable value after construction; arrays are stored
 read-only so instances can be shared across concurrent experiment runs.
 predopt reads every file, config or checkpoint, through _read_json, and
-writes every file through _write_atomic.
+writes every file through _write_atomic, every CSV by way of _write_csv.
 """
 
 from __future__ import annotations
@@ -232,16 +232,16 @@ def split_dataset(
 
 
 def save_dataset_csv(data: Dataset, path) -> None:
-    """Write the dataset CSV: header x0..x{d-1},z_obs,y, LF line endings."""
-    d = data.feature_dim
-    header = ",".join([f"x{j}" for j in range(d)] + ["z_obs", "y"])
-    lines = [header]
-    for i in range(len(data)):
-        cells = [repr(float(v)) for v in data.X[i]]
-        cells.append(repr(float(data.z_obs[i])))
-        cells.append(repr(float(data.y[i])))
-        lines.append(",".join(cells))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    """Write the dataset CSV: header x0..x{d-1},z_obs,y, floats by repr."""
+    header = [f"x{j}" for j in range(data.feature_dim)] + ["z_obs", "y"]
+    table = np.column_stack((data.X, data.z_obs, data.y)).tolist()
+    _write_csv(path, header, (map(repr, row) for row in table))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV through _write_atomic: the `header` cells, then one line per
+    row of `rows`, each an iterable of str cells, comma-joined, LF line endings."""
+    _write_atomic(path, "".join(",".join(cells) + "\n" for cells in (header, *rows)))
 
 
 _NUMBER = (int, float)
@@ -271,12 +271,24 @@ def _read_json(path, schema: dict, what: str) -> dict:
     except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"cannot read {what} {path}: {err}") from err
     try:
-        blob = json.loads(raw_text)
+        blob = json.loads(raw_text, object_pairs_hook=_unique_keys)
+    except ValidationError as err:
+        raise ValidationError(f"{path}: {what} {err}") from err
     except (ValueError, RecursionError) as err:  # also an integer with too many digits
         raise ValidationError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(blob, dict):
         raise ValidationError(f"{path}: top level must be a JSON object")
     _check_keys(blob, schema, raw_text, what)
+    return blob
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object from its (key, value) pairs; a ValidationError names a key given twice."""
+    blob = {}
+    for key, value in pairs:
+        if key in blob:
+            raise ValidationError(f"key '{key}' is given twice")
+        blob[key] = value
     return blob
 
 

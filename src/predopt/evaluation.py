@@ -12,7 +12,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _require_int, _split_sizes, _write_atomic
+from .core import ActionGrid, ValidationError, _require_int, _split_sizes, _write_csv
 from .core import split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
@@ -216,6 +216,4 @@ def _fmt(v) -> str:
 
 def write_results_csv(reports, path) -> None:
     """Results CSV: one column per DecisionReport field, floats to 17 significant digits."""
-    lines = [",".join(RESULTS_COLUMNS)]
-    lines += [",".join(_fmt(v) for v in astuple(r)) for r in reports]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, RESULTS_COLUMNS, (map(_fmt, astuple(r)) for r in reports))

@@ -230,8 +230,6 @@ def _bind_pieces(knots, slopes, value):
     live = _live(slopes)
     # knot r's cost goes to the inputs in [T[r], T[r + 1]), knot 0's to those below T[1]
     flat = [(r, cost) for r, cost in enumerate(accumulate(rises, initial=value)) if np.any(cost)]
-    counted = {(p - 1, "right") for p in live if p} | {(p, "left") for p in live}
-    counted |= {(r, "left") for r, _ in flat if r} | {(r + 1, "left") for r, _ in flat}
     one_mass = all(np.ndim(s) == 0 for s in slopes)
 
     def kernel(a, c):
@@ -242,19 +240,19 @@ def _bind_pieces(knots, slopes, value):
         a_sorted[...] = a
         a_sorted.sort()
         T = [b - c for b in knots]
-        # n[r, "left"]: the inputs with a[j] < T[r]; n[r, "right"]: with a[j] <= T[r]
-        n = {(r, side): a_sorted.searchsorted(T[r], side) for r, side in counted if r < top}
-        n[-1, "right"], n[top, "left"] = 0, m  # piece 0 starts at the first input
+        # the inputs with a[j] < T[r], m at r = top, and with a[j] <= T[r], 0 at r = -1
+        below = [a_sorted.searchsorted(t, "left") for t in T] + [m]
+        upto = [a_sorted.searchsorted(t, "right") for t in T] + [0]
         a_sorted.cumsum(out=a_sorted)  # now prefix[i] is the sum of the i smallest
         terms, inside = [], []  # inside: the inputs strictly inside each live piece
         for p in live:
-            lo, hi = n[p - 1, "right"], n[p, "left"]
+            lo, hi = upto[p - 1], below[p]
             inside.append(hi - lo)
             term = prefix[hi] - prefix[lo]  # a new array: the rest in place
             term -= inside[-1] * T[max(p - 1, 0)]
             term *= slopes[p]
             terms.append(term)
-        terms += [cost * (n[r + 1, "left"] - (n[r, "left"] if r else 0)) for r, cost in flat]
+        terms += [cost * (below[r + 1] - (below[r] if r else 0)) for r, cost in flat]
         values = sum(terms[1:], terms[0]) / m  # terms[0] + terms[1] + ...
 
         def gradient_sums(probs):

@@ -14,23 +14,23 @@ if F improved by less than tol relative to the previous F, and stop once
 train-side anchor, and each action's distance from it that omega reads,
 depend only on historical labels, so they are computed once up front.
 
-The two-stage baseline runs the same loop minimizing the predictive loss
-alone (omega = gamma = 1, no task term). It never uses a per-iteration
-decision, so it computes no train-side anchor, builds no per-iteration
-profile and logs z_star_test as nan; it takes its decision in a single pass
-from the final model profile. With alpha = 0 and the task term disabled,
-simpo_fit reaches exactly the same weights and F values, bit for bit.
+The anchors and the per-iteration profile are built only when a term reads
+them: omega when alpha > 0, or the task term. A fit that reads neither steps
+on the predictive loss alone (omega = gamma = 1), logs z_star_test as nan and
+takes its decision in a single pass from the final model profile. The
+two-stage baseline is that fit: the same loop at alpha = 0 with the task
+term off, whatever the config's weights say.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .core import Dataset, ValidationError, WeightConfig, _require_finite, _require_int
-from .core import _write_atomic
+from .core import _write_csv
 from .objective import _gamma, _omega, _soft_min, argmin_profile, empirical_profile
 from .predictor import (
     Architecture,
@@ -116,18 +116,14 @@ def _abort(what: str, it: int, detail: str = ""):
 
 
 def _fit(
-    problem: Problem,
-    train: Dataset,
-    val: Dataset,
-    arch: Architecture,
-    config: TrainConfig,
-    use_joint_weights: bool,
+    problem: Problem, train: Dataset, val: Dataset, arch: Architecture, config: TrainConfig
 ) -> TrainResult:
     wc: WeightConfig = config.weight_config
     grid = problem.grid
     points, width = grid.points, grid.width
+    joint = wc.alpha > 0 or wc.task_term_enabled  # a term reads the anchors and the profile
 
-    if use_joint_weights:
+    if joint:
         z_star_train = argmin_profile(empirical_profile(train.y, problem))
         distance = np.abs(points - z_star_train)
     # A plain weight vector in the loop: PredictorParams validates and copies,
@@ -140,8 +136,6 @@ def _fit(
     minibatch = 0 < config.batch_size < len(train)
     if not minibatch:
         batch = _full_batch(arch, *rows)
-
-    task_enabled = use_joint_weights and wc.task_term_enabled
     buffer = _fit_buffers(arch, len(val), grid.n_points)
 
     stalled = 0  # consecutive iterations whose relative improvement of F was below tol
@@ -150,7 +144,7 @@ def _fit(
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
             batch = tuple(column[idx] for column in rows)
 
-        if use_joint_weights:
+        if joint:
             values, grad_at = _profile(arch, w, val.X, points, problem, buffer)
             if not np.isfinite(values).all():
                 _abort("model cost profile", it)
@@ -162,14 +156,13 @@ def _fit(
             omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
         pred_loss, pred_grad = _batch_loss_and_grad(arch, w, batch)
-        if task_enabled:
+        if wc.task_term_enabled:
             task_loss = float(probs @ values)
             total_grad = omega * pred_grad + gamma * grad_at(probs)
         else:
-            # Recorded as 0 so every row composes as pred*omega + task*gamma;
-            # two-stage's omega is 1.0, so it steps on pred_grad itself.
+            # Recorded as 0 so every row composes as pred*omega + task*gamma
             task_loss = 0.0
-            total_grad = omega * pred_grad if use_joint_weights else pred_grad
+            total_grad = omega * pred_grad
 
         if not (
             math.isfinite(pred_loss) and math.isfinite(task_loss) and np.isfinite(total_grad).all()
@@ -210,7 +203,7 @@ def simpo_fit(
     config: TrainConfig,
 ) -> TrainResult:
     """Fit with the joint weighted objective; see the module docstring."""
-    return _fit(problem, train, val, arch, config, use_joint_weights=True)
+    return _fit(problem, train, val, arch, config)
 
 
 def two_stage_fit(
@@ -222,7 +215,8 @@ def two_stage_fit(
 ) -> TrainResult:
     """Predict-then-optimize baseline: minimize the predictive loss alone,
     then take the decision from the fitted model's cost profile."""
-    return _fit(problem, train, val, arch, config, use_joint_weights=False)
+    off = replace(config.weight_config, alpha=0.0, task_term_enabled=False)
+    return _fit(problem, train, val, arch, replace(config, weight_config=off))
 
 
 # Each method's name and fit, in the results' order; every other module reads the names here.
@@ -231,8 +225,5 @@ _FITS = {"simpo": simpo_fit, "two_stage": two_stage_fit}
 
 def save_history_csv(history, path) -> None:
     """Training log: HISTORY_COLUMNS, then one line per HistoryRow, floats by repr."""
-    lines = [",".join(HISTORY_COLUMNS)]
-    for row in history:
-        it, *values = astuple(row)
-        lines.append(",".join([str(it), *map(repr, values)]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    rows = ([str(it), *map(repr, values)] for it, *values in map(astuple, history))
+    _write_csv(path, HISTORY_COLUMNS, rows)

@@ -191,6 +191,21 @@ def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
     assert "alpah" in err
 
 
+@pytest.mark.parametrize("key", ["seed", "train.learning_rate", "train.weights"])
+def test_repeated_key_rejected_with_name(tmp_path, capsys, key):
+    # json.loads keeps the last of two equal keys, so a key given twice would
+    # load one of its values without a word; a leaf and a section alike
+    parent, leaf = _parent(SMALL_CONFIG, key)
+    text = json.dumps(SMALL_CONFIG)
+    again = f'"{leaf}": {json.dumps(parent[leaf])}, "{leaf}": '
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace(f'"{leaf}": ', again, 1))
+    rc = main(["compare", "--config", str(path), "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert f"config key '{leaf}' is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     blob = copy.deepcopy(SMALL_CONFIG)
     blob["problems"] = {}
@@ -843,6 +858,9 @@ def _failing_run(kind, config_path, tmp_path):
         # deeper than the interpreter's recursion limit
         ckpt.write_text(linear + "[" * 100_000 + "]" * 100_000 + "}")
         return _evaluate_argv(config_path, tmp_path, ckpt), str(ckpt)
+    if kind == "checkpoint-weights-repeated":
+        ckpt.write_text(linear + '[0, 0, 0, 0], "weights": [1, 1, 1, 1]}')
+        return _evaluate_argv(config_path, tmp_path, ckpt), "checkpoint key 'weights' is given twice"
     if kind == "checkpoint-weight-too-large":
         # an integer literal too large for a float
         ckpt.write_text(linear + "[0, 0, 0, 1" + "0" * 400 + "]}")
@@ -884,6 +902,7 @@ def _failing_run(kind, config_path, tmp_path):
         "checkpoint-not-utf8",
         "checkpoint-too-deep",
         "checkpoint-weight-too-large",
+        "checkpoint-weights-repeated",
         "out-is-a-file",
         "train-out-is-empty",
         "compare-parent-is-a-file",

@@ -1,10 +1,11 @@
 """The package namespace carries what the demos import, every demo runs to
 completion, importing the command line loads no process pool, every name in
 a module's __all__ and every name the benchmark traces resolves, only core's
-one reader and one writer open files, only problems names a problem kind, a
-logging policy or one of their keys, only training names a fit method, only
-predictor names an architecture kind, and the package has one exception type
-for bad input and one for a training abort."""
+one reader and one writer open files, only core's CSV writer joins cells and
+lines, only problems names a problem kind, a logging policy or one of their
+keys, only training names a fit method, only predictor names an architecture
+kind, and the package has one exception type for bad input and one for a
+training abort."""
 
 import ast
 import builtins
@@ -119,19 +120,20 @@ def test_benchmark_trace_targets_resolve():
 FILE_CALLS = {"open", "fdopen", "read_text", "write_text", "read_bytes", "write_bytes"}
 
 
-def _file_calls(node, where):
-    """(function, called name) of each call under `node` that opens a file;
-    `where` names the innermost function around it."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _file_calls(child, child.name)
-            continue
-        if isinstance(child, ast.Call):
-            func = child.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FILE_CALLS:
-                yield where, name
-        yield from _file_calls(child, where)
+def _calls(module):
+    """(function, call) of each call in `module`, the function being the
+    innermost one around the call, or "<module>"."""
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                yield where, child
+            yield from walk(child, where)
+
+    return walk(_parse(module), "<module>")
 
 
 def test_only_core_reader_and_writer_open_files():
@@ -139,10 +141,29 @@ def test_only_core_reader_and_writer_open_files():
     # writes through core._write_atomic
     found = set()
     for module in MODULES:
-        found |= {(module, where, name) for where, name in _file_calls(_parse(module), "<module>")}
+        for where, call in _calls(module):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FILE_CALLS:
+                found.add((module, where, name))
     assert found == {("core", "_read_json", "open"), ("core", "_write_atomic", "open")}
     core = importlib.import_module("predopt.core")
     assert {"_read_json", "_write_atomic"}.isdisjoint(core.__all__)
+
+
+def test_only_core_csv_writer_joins_cells_and_lines():
+    # every CSV predopt writes is laid out by core._write_csv; each writer
+    # gives it only the cells, in its own format
+    found = {
+        (module, where)
+        for module in MODULES
+        for where, call in _calls(module)
+        if isinstance(func := call.func, ast.Attribute)
+        and func.attr == "join"
+        and isinstance(func.value, ast.Constant)
+        and func.value.value in (",", "\n")
+    }
+    assert found == {("core", "_write_csv")}
 
 
 def test_only_problems_names_a_kind_a_policy_or_their_keys():

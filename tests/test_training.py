@@ -513,6 +513,45 @@ def test_fused_loop_matches_reference_loop_bitwise(world, grid, arch, overrides,
     np.testing.assert_allclose(F, [row.total for row in history], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("world, grid, arch, overrides, bitwise", REFERENCE_CASES)
+def test_two_stage_matches_reference_loop_with_weights_off(
+    tmp_path, world, grid, arch, overrides, bitwise
+):
+    # two-stage is the joint loop at alpha = 0 with the task term off, here
+    # against the loop built from the public functions at those weights
+    model = _world(**{"nonlinearity": -0.04, "action_effect": 0.9, **world})
+    problem = problem_from_model(model, grid)
+    train, val, _ = _splits(model, 300, seed=2, grid=grid)
+    cfg = _config(**{"max_iters": 40, "patience": 40, **overrides})
+    res = two_stage_fit(problem, train, val, arch, cfg)
+    off = replace(cfg.weight_config, alpha=0.0, task_term_enabled=False)
+    params, history, z_star, g_star = _reference_simpo(
+        problem, train, val, arch, replace(cfg, weight_config=off)
+    )
+    assert res.z_star == z_star and res.iters_run == len(history)
+    pairs = [
+        (res.params_star.weights, params.weights),
+        ([r.total for r in res.history], [r.total for r in history]),
+        ([r.pred_term for r in res.history], [r.pred_term for r in history]),
+        (res.g_star, g_star),
+    ]
+    for got, want in pairs:
+        if bitwise:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # and it reads none of its config's weight settings: the same result, and
+    # the same log byte for byte (its z_star_test is nan, and nan != nan)
+    other = WeightConfig(alpha=5.0, beta=0.0, tau=3.0, task_term_enabled=True)
+    again = two_stage_fit(problem, train, val, arch, replace(cfg, weight_config=other))
+    assert np.array_equal(again.params_star.weights, res.params_star.weights)
+    kept = ("z_star", "g_star", "iters_run", "converged")
+    assert [getattr(again, f) for f in kept] == [getattr(res, f) for f in kept]
+    save_history_csv(res.history, tmp_path / "a.csv")
+    save_history_csv(again.history, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "world, grid", [({}, GRID), (PRICING_WORLD, PRICING_GRID)], ids=["newsvendor", "pricing"]
 )
@@ -680,26 +719,34 @@ LINEAR = Architecture("linear", 2)
 PRICING = {"kind": "pricing", "cost_params": {"capacity": 50.0}}
 
 
+# the weights of a fit that reads no profile: omega at alpha 0 and no task term
+WEIGHTS_OFF = WeightConfig(alpha=0.0, beta=20.0, tau=0.5, task_term_enabled=False)
+
+
 @pytest.mark.parametrize(
-    "fit, arch, world, passes_per_iter, final_passes, paired_per_iter",
+    "fit, arch, world, weights, passes_per_iter, final_passes, paired_per_iter",
     [
-        pytest.param(two_stage_fit, MLP1, {}, 0, 1, 1, id="two_stage_fit-0"),
-        pytest.param(simpo_fit, MLP1, {}, 1, 1, 1, id="simpo_fit-1"),
+        pytest.param(two_stage_fit, MLP1, {}, None, 0, 1, 1, id="two_stage_fit-0"),
+        pytest.param(simpo_fit, MLP1, {}, None, 1, 1, 1, id="simpo_fit-1"),
+        pytest.param(simpo_fit, MLP1, {}, WEIGHTS_OFF, 0, 1, 1, id="simpo_fit-0-weights-off"),
         # a linear fit takes the problem's separable kernel throughout, and
         # its full-batch predictive loss the moments of the training rows
-        pytest.param(two_stage_fit, LINEAR, {}, 0, 0, 0, id="two_stage_fit-0-linear-newsvendor"),
-        pytest.param(simpo_fit, LINEAR, {}, 0, 0, 0, id="simpo_fit-0-linear-newsvendor"),
         pytest.param(
-            two_stage_fit, LINEAR, PRICING, 0, 0, 0, id="two_stage_fit-0-linear-pricing"
+            two_stage_fit, LINEAR, {}, None, 0, 0, 0, id="two_stage_fit-0-linear-newsvendor"
         ),
-        pytest.param(simpo_fit, LINEAR, PRICING, 0, 0, 0, id="simpo_fit-0-linear-pricing"),
+        pytest.param(simpo_fit, LINEAR, {}, None, 0, 0, 0, id="simpo_fit-0-linear-newsvendor"),
+        pytest.param(
+            two_stage_fit, LINEAR, PRICING, None, 0, 0, 0, id="two_stage_fit-0-linear-pricing"
+        ),
+        pytest.param(simpo_fit, LINEAR, PRICING, None, 0, 0, 0, id="simpo_fit-0-linear-pricing"),
     ],
 )
 def test_grid_passes_per_fit(
-    monkeypatch, fit, arch, world, passes_per_iter, final_passes, paired_per_iter
+    monkeypatch, fit, arch, world, weights, passes_per_iter, final_passes, paired_per_iter
 ):
-    # simpo needs one pass per iteration; two-stage none; both one more for
-    # the final decision, unless the problem's kernel serves the model
+    # simpo needs one pass per iteration, unless no term reads the profile;
+    # two-stage none; both one more for the final decision, unless the
+    # problem's kernel serves the model
     model = _world(**world)
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=0)
@@ -707,6 +754,8 @@ def test_grid_passes_per_fit(
     calls = _count_grid_passes(monkeypatch)
     cfg = _config(max_iters=n, patience=n)
     assert cfg.weight_config.task_term_enabled
+    if weights:
+        cfg = replace(cfg, weight_config=weights)
     res = fit(problem, train, val, arch, cfg)
     assert res.iters_run == n
     assert calls.count((1, GRID.n_points)) == passes_per_iter * n + final_passes
