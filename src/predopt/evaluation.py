@@ -17,8 +17,9 @@ from .core import split_dataset
 from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
+    _blocks,
     _logging_probs,
-    _oracle_cost_draws,
+    _oracle,
     cost_draws,
     gen_dataset,
     problem_from_model,
@@ -102,24 +103,32 @@ def evaluate_decision(
 ) -> tuple[float, float]:
     """True expected cost of `action` and its regret vs the oracle optimum.
 
-    Both sides use the same MC draws, so the oracle action gets regret exactly
-    0 and every other grid action gets regret >= 0. Regret within three MC
-    standard errors of 0 is clamped to 0.
+    `action` is taken as the grid point within 1e-9 * width of it. Both sides
+    use the same MC draws, so the oracle action gets regret exactly 0 and
+    every other grid action gets regret >= 0. Regret within three MC standard
+    errors of 0 is clamped to 0. Scored as _run_seed scores a decision.
     """
-    if not np.any(np.isclose(grid.points, action, rtol=0.0, atol=1e-9 * max(1.0, grid.width))):
+    point = grid.points[grid.index_of(action)]
+    if not abs(point - action) <= 1e-9 * max(1.0, grid.width):
         raise ValidationError(f"action {action} is not a grid point")
     u = world_draws(model, n_mc, seed)
-    _, best_costs = _oracle_cost_draws(model, grid, u)
-    return _score(model, action, best_costs, u)
+    return _score(model, point, _oracle(model, grid, u), u)
 
 
-def _score(model, action, best_costs, u) -> tuple[float, float]:
+def _score(model, action, oracle, u) -> tuple[float, float]:
     """evaluate_decision's cost and regret, given the world draws u and the
-    oracle action's per-draw costs under them. One working array of n_mc holds
-    the action's per-draw costs, then their differences from best_costs."""
+    oracle's (action, expected cost) under them. The oracle action takes its
+    cost and regret 0.0 with no pass over u. Any other action takes one working
+    array of n_mc: its per-draw costs, then, in place, their differences from
+    the oracle action's, which are recomputed block by block."""
+    best_action, best_cost = oracle
+    if action == best_action:
+        return best_cost, 0.0
     work = cost_draws(model, float(action), u)
     cost = float(work.mean())
-    regret, se = _mean_and_se(np.subtract(work, best_costs, out=work))
+    for rows in _blocks(len(work)):
+        work[rows] -= cost_draws(model, best_action, u[rows])
+    regret, se = _mean_and_se(work)
     return cost, (0.0 if abs(regret) <= 3.0 * se else regret)
 
 
@@ -161,9 +170,10 @@ def _fit_row(fit, problem, train, val, test, arch, cfg) -> tuple[float, float, i
 
 def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     """One seed's worth of work: generate, split, fit both methods, keeping
-    only each fit's row values, then score both decisions and the oracle row
-    from one set of world draws, one oracle profile scan and the oracle
-    action's per-draw costs. No fit result is alive while the draws are."""
+    only each fit's row values, then score each distinct decision once, and
+    the oracle row, from one set of world draws and one oracle profile scan.
+    No fit result is alive while the draws are, and at most two arrays of
+    n_mc (the draws and one working array) plus one block are held at once."""
     model, grid = config.model_spec, config.grid
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
     rows = [
@@ -172,20 +182,19 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     ]
 
     u = world_draws(model, config.n_mc, mc_seed)
-    best_action, best_costs = _oracle_cost_draws(model, grid, u)
+    oracle = _oracle(model, grid, u)
 
     nan = float("nan")
+    scores = {}
     reports = []
     for method, action, pred_mse, iters in rows:
-        cost, regret = (nan, nan) if np.isnan(action) else _score(model, action, best_costs, u)
+        if not np.isnan(action) and action not in scores:
+            scores[action] = _score(model, action, oracle, u)
+        cost, regret = scores.get(action, (nan, nan))
         reports.append(
             DecisionReport(method, run_seed, problem.name, action, cost, regret, pred_mse, iters)
         )
-    reports.append(
-        DecisionReport(
-            "oracle", run_seed, problem.name, best_action, float(best_costs.mean()), 0.0, nan, 0
-        )
-    )
+    reports.append(DecisionReport("oracle", run_seed, problem.name, *oracle, 0.0, nan, 0))
     return reports
 
 

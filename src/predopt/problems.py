@@ -25,12 +25,13 @@ problem's kernel scans every action at once. The scan only picks the oracle
 action; every reported oracle value is the mean of one dense cost_draws
 pass, exact under a shared (seed, n_mc).
 
-Every pass over the n_mc draws works in place: world_draws reduces the
-features to u before it draws eps and adds eps into u, the kernel sorts and
-sums in one (m + 1) array, and cost_draws writes the outcomes and then the
-kind's cost (_cost) into one array. So beside u, the oracle scan holds one
-array of n_mc (the kernel's) and a cost pass one, plus one temporary for a
-newsvendor cost.
+Every pass over the n_mc draws works in place, a block of _BLOCK rows at a
+time where it can: world_draws reduces each block of features to X . w
+before it draws eps and adds eps into u, the kernel sorts and sums in one
+(m + 1) array, and cost_draws writes the outcomes and then the kind's cost
+(_cost) into one array, block by block. So beside u, the oracle scan holds
+one array of n_mc (the kernel's) and a cost pass one, plus one block, for
+every kind and feature count.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ __all__ = [
     "oracle_profile",
     "oracle_action",
 ]
+
+_BLOCK = 65_536  # rows per block of a pass over the Monte Carlo draws
+
 
 @dataclass(frozen=True)
 class TrueModel:
@@ -371,24 +375,40 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
     return Dataset(X=X, z_obs=z, y=y)
 
 
+def _blocks(n: int):
+    """Row slices that cover range(n) in order, each of _BLOCK rows but the last.
+    The last is never one row of several: numpy takes a one-row product through
+    dot, not through the gemv of the other rows, and its sum can round apart."""
+    edges = [*range(0, max(n - 1, 1), _BLOCK), n]
+    return (slice(start, stop) for start, stop in zip(edges, edges[1:]))
+
+
 def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
     n_mc = _require_int("n_mc", n_mc, 1)
     rng = np.random.default_rng(seed)
-    # reduced to u before the noise is drawn: features and noise are never held at once
-    u = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
-    u = u @ np.asarray(model.base_weights)
+    u = np.empty(n_mc)
+    weights = np.asarray(model.base_weights)
+    # every feature block, then every noise block: the stream's order of one draw of each
+    for rows in _blocks(n_mc):
+        shape = (rows.stop - rows.start, model.feature_dim)
+        np.matmul(rng.normal(0.0, model.feature_sd, size=shape), weights, out=u[rows])
     u += model.intercept
-    u += rng.normal(0.0, model.noise_sd, size=n_mc)
+    for rows in _blocks(n_mc):
+        u[rows] += rng.normal(0.0, model.noise_sd, size=rows.stop - rows.start)
     return u
 
 
 def cost_draws(model: TrueModel, z: float, u: np.ndarray) -> np.ndarray:
     """Per-draw cost of action z under the shared world draws u (one value per
-    draw), computed in the one array that holds the outcomes u + m(z)."""
-    y = u + mean_outcome(model, 0.0, z)
-    return _cost(_KINDS[model.kind].pieces, z, y, y, **model.cost_params)
+    draw), computed block by block in the one array that holds the outcomes u + m(z)."""
+    shift = mean_outcome(model, 0.0, z)
+    out = np.empty_like(u, dtype=float)
+    for rows in _blocks(len(out)):
+        y = np.add(u[rows], shift, out=out[rows])
+        _cost(_KINDS[model.kind].pieces, z, y, y, **model.cost_params)
+    return out
 
 
 def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> float:
@@ -413,12 +433,12 @@ def oracle_profile(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> np.ndar
     return kernel(u, mean_outcome(model, 0.0, grid.points))[0]
 
 
-def _oracle_cost_draws(model: TrueModel, grid: ActionGrid, u: np.ndarray):
+def _oracle(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> tuple[float, float]:
     """The grid action with the smallest oracle_profile value under the world
-    draws u, and its per-draw costs, from which every reported oracle value
-    is taken."""
+    draws u, and the mean of its per-draw costs, from which every reported
+    oracle value is taken; those costs die here."""
     action = grid.best(oracle_profile(model, grid, u))[0]
-    return action, cost_draws(model, action, u)
+    return action, float(cost_draws(model, action, u).mean())
 
 
 def oracle_action(
@@ -430,5 +450,4 @@ def oracle_action(
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    action, costs = _oracle_cost_draws(model, grid, world_draws(model, n_mc, seed))
-    return action, float(costs.mean())
+    return _oracle(model, grid, world_draws(model, n_mc, seed))

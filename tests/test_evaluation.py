@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from predopt import evaluation
+from predopt import evaluation, problems
 from predopt.cli import load_config
 from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
@@ -25,8 +25,9 @@ from predopt.evaluation import (
 from predopt.objective import empirical_profile
 from predopt.predictor import Architecture
 from predopt.problems import (
+    _BLOCK,
     TrueModel,
-    _oracle_cost_draws,
+    _oracle,
     cost_draws,
     gen_dataset,
     newsvendor_problem,
@@ -126,6 +127,19 @@ def test_constant_world_regret_arithmetic():
 def test_evaluate_decision_rejects_off_grid_action():
     with pytest.raises(ValidationError):
         evaluate_decision(_world(), 3.14159, GRID, n_mc=100, seed=0)
+
+
+def test_evaluate_decision_scores_the_grid_point_an_action_matched():
+    # within 1e-9 * width of a grid point, an action is scored as that point, bit
+    # for bit: the oracle's, and one far from it
+    config = load_config(ROOT / "configs" / "compare_default.json")
+    model, grid, mc_seed = config.model_spec, config.grid, derive_seeds(0)[3]
+    best, _ = oracle_action(model, grid, 20_000, mc_seed)
+    for point in (best, float(grid.points[0])):
+        want = evaluate_decision(model, point, grid, 20_000, mc_seed)
+        for nudged in (point + 1e-9, point - 1e-9):
+            got = evaluate_decision(model, nudged, grid, 20_000, mc_seed)
+            assert [x.hex() for x in got] == [x.hex() for x in want], nudged
 
 
 def test_experiment_rejects_a_model_of_another_feature_dim():
@@ -381,19 +395,21 @@ def _reference_score(model, action, best_costs, u):
     return float(costs_at_action.mean()), regret
 
 
-@pytest.mark.parametrize("n_mc", [1, 2, 10**5])
+# the last two cross block edges in the blocked subtraction of the oracle's costs
+@pytest.mark.parametrize("n_mc", [1, 2, 10**5, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_score_gives_the_reference_bits(n_mc):
     model = _world(nonlinearity=-0.02)
     u = world_draws(model, n_mc, seed=4)
-    _, best_costs = _oracle_cost_draws(model, GRID, u)
-    saved = best_costs.tobytes(), u.tobytes()
+    oracle = _oracle(model, GRID, u)
+    best_costs = cost_draws(model, oracle[0], u)
+    saved = u.tobytes()
     clamped = set()
     for action in GRID.points:
-        got = _score(model, action, best_costs, u)
+        got = _score(model, action, oracle, u)
         want = _reference_score(model, action, best_costs, u)
         assert [x.hex() for x in got] == [x.hex() for x in want], action
         clamped.add(got[1] == 0.0)
-    assert (best_costs.tobytes(), u.tobytes()) == saved
+    assert u.tobytes() == saved
     assert clamped == {True, False}  # actions inside and outside the 3-SE clamp
 
 
@@ -434,6 +450,63 @@ def test_one_seed_holds_at_most_three_arrays_of_n_mc(name, arrays):
     config = replace(load_config(ROOT / "configs" / f"{name}.json"), n_mc=n_mc)
     _run_seed(replace(config, n_mc=1), 0)  # first calls allocate numpy's own caches
     assert _traced_peak(_run_seed, config, 0) <= arrays * 8 * n_mc
+
+
+@pytest.mark.parametrize("name", ["pricing_demo", "compare_default"], ids=["pricing", "newsvendor"])
+def test_one_seed_holds_at_most_two_arrays_of_n_mc(name):
+    # the world draws u and one working array, for every kind; the half array on
+    # top is headroom for the blocks (0.07 of an array each at n_mc = 1e6) and
+    # what does not grow with n_mc
+    n_mc = 1_000_000
+    config = replace(load_config(ROOT / "configs" / f"{name}.json"), n_mc=n_mc)
+    _run_seed(replace(config, n_mc=1), 0)  # first calls allocate numpy's own caches
+    assert _traced_peak(_run_seed, config, 0) <= 2.5 * 8 * n_mc
+    model, grid, mc_seed = config.model_spec, config.grid, derive_seeds(0)[3]
+    action = float(grid.points[0])
+    assert action != oracle_action(model, grid, n_mc, mc_seed)[0]
+    assert _traced_peak(evaluate_decision, model, action, grid, n_mc, mc_seed) <= 2.5 * 8 * n_mc
+
+
+def test_world_draws_holds_u_and_one_block_of_features():
+    # u and one (_BLOCK, 6) block of features, 0.39 of an array at n_mc = 1e6
+    n_mc = 1_000_000
+    model = _world(base_weights=(2.0, -1.0, 0.5, 0.3, -0.2, 1.0))
+    world_draws(model, 2, 0)
+    assert _traced_peak(world_draws, model, n_mc, 0) <= 1.5 * 8 * n_mc
+
+
+def _prescribed(fit, action):
+    """A fit that chooses `action`: fit's result with its z_star replaced."""
+    return lambda *args: replace(fit(*args), z_star=action)
+
+
+def test_each_distinct_decision_is_costed_once_per_seed(monkeypatch):
+    # a seed costs n_mc draws for the oracle and 2 * n_mc for each distinct
+    # decision that is not the oracle's; the subtraction's blocks count too
+    n_mc = _BLOCK + 1
+    config = _experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=n_mc, seed=0)
+    oracle = _run_seed(config, 0)[-1]
+    other = float(GRID.points[0])
+    assert other != oracle.chosen_action
+    fit, costed = evaluation._FITS["two_stage"], []
+
+    def counted(model, z, u):
+        costed.append(len(u))
+        return cost_draws(model, z, u)
+
+    monkeypatch.setattr(problems, "cost_draws", counted)
+    monkeypatch.setattr(evaluation, "cost_draws", counted)
+    for action, passes in ((oracle.chosen_action, 1), (other, 3)):
+        costed.clear()
+        for method in list(evaluation._FITS):
+            monkeypatch.setitem(evaluation._FITS, method, _prescribed(fit, action))
+        reports = _run_seed(config, 0)
+        assert sum(costed) == passes * n_mc
+        first, second, got_oracle = reports
+        assert repr(got_oracle) == repr(oracle)
+        assert repr(replace(first, method="")) == repr(replace(second, method=""))
+        assert first.chosen_action == action
+        assert (first.regret == 0.0) is (action == oracle.chosen_action)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from predopt.core import ValidationError, make_grid, save_dataset_csv
 from predopt.objective import empirical_profile, model_profile
 from predopt.predictor import Architecture, PredictorParams, _grid_pass, task_grad
 from predopt.problems import (
+    _BLOCK,
     _KINDS,
     TrueModel,
     _bind_pieces,
@@ -863,20 +864,38 @@ IN_PLACE_WORLDS = {
 }  # fmt: skip
 
 
+# less than a block, a block edge on each side, and several blocks: the one-row
+# remainder of 2 * _BLOCK + 1 joins the block before it, 3 * _BLOCK + 7 ends in 7 rows
+BLOCK_EDGES = (5000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7)
+
+
 @pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
 def test_world_draws_and_cost_draws_give_the_reference_bits(world):
     model = _newsvendor_world(**world)
-    u = world_draws(model, 5000, seed=11)
-    base, eps = _reference_world_draws(model, 5000, seed=11)
-    assert _same_bits(u, base + eps)
-    saved = u.tobytes()
-    for z in make_grid(0.0, 6.0, 25).points:
-        got = cost_draws(model, float(z), u)
-        assert _same_bits(got, _reference_cost_draws(model, float(z), u))
-    assert u.tobytes() == saved
+    for n_mc in BLOCK_EDGES:
+        u = world_draws(model, n_mc, seed=11)
+        base, eps = _reference_world_draws(model, n_mc, seed=11)
+        assert _same_bits(u, base + eps), n_mc
+        saved = u.tobytes()
+        for z in make_grid(0.0, 6.0, 25).points:
+            got = cost_draws(model, float(z), u)
+            assert _same_bits(got, _reference_cost_draws(model, float(z), u)), (n_mc, z)
+        assert u.tobytes() == saved
     if model.kind == "pricing":  # some draws sell the capacity at z = 1, and none at z = 6
         assert np.any(cost_draws(model, 1.0, u) == -8.0)
         assert np.any(cost_draws(model, 6.0, u) == 0.0)
+
+
+# Blocked and one-shot feature products agree to the bit for every d up to 16
+# with one BLAS thread. With two OpenBLAS threads they part from d = 8, where the
+# one-shot product already depends on the thread count, so no such d is pinned.
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_world_draws_in_blocks_give_the_one_shot_bits(d):
+    weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
+    model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
+    for n_mc in BLOCK_EDGES:
+        base, eps = _reference_world_draws(model, n_mc, seed=5)
+        assert _same_bits(world_draws(model, n_mc, seed=5), base + eps), n_mc
 
 
 @pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
