@@ -174,7 +174,7 @@ def cmd_evaluate(config: ExperimentConfig, checkpoint: str, out: str) -> int:
             f"but the config describes a {_describe(config.arch)} model"
         )
     problem, (_train, val, _test), _cfg, mc_seed = _seed_setup(config, config.seed)
-    profile = model_profile(params, val.X, config.grid, problem)
+    profile = model_profile(params, val.X, problem)
     action = argmin_profile(profile)
     cost, regret = evaluate_decision(config.model_spec, action, config.grid, config.n_mc, mc_seed)
     report = {"chosen_action": action, "expected_cost": cost, "regret": regret}

@@ -83,7 +83,7 @@ class ActionGrid:
     z_min: float
     z_max: float
     n_points: int
-    points: np.ndarray = field(init=False)
+    points: np.ndarray = field(init=False, compare=False)  # a grid is its other three fields
 
     def __post_init__(self):
         z_min, z_max = _require_finite("z_min", self.z_min), _require_finite("z_max", self.z_max)

@@ -65,15 +65,13 @@ def empirical_profile(train_labels, problem: Problem) -> CostProfile:
     return CostProfile(problem.grid, values, "empirical")
 
 
-def model_profile(
-    params: PredictorParams, inputs, grid: ActionGrid, problem: Problem
-) -> CostProfile:
-    """Average task cost of each grid action over the model's predictions."""
+def model_profile(params: PredictorParams, inputs, problem: Problem) -> CostProfile:
+    """Average task cost of each action of the problem's grid over the model's predictions."""
     X = _inputs(params.architecture, inputs)
     if X.shape[0] == 0:
         raise ValidationError("inputs must be non-empty")
-    values, _ = _profile(params.architecture, params.weights, X, grid.points, problem)
-    return CostProfile(grid, values, "model")
+    values, _ = _profile(params.architecture, params.weights, X, problem)
+    return CostProfile(problem.grid, values, "model")
 
 
 def argmin_profile(profile: CostProfile) -> float:

@@ -22,7 +22,7 @@ derivatives (m, K) or the predictive loss's squared-error derivatives (n, 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -114,11 +114,11 @@ def _unpack_mlp1(arch: Architecture, w: np.ndarray):
     return W1, b1, w2, b2
 
 
-def _inputs(arch: Architecture, X) -> np.ndarray:
-    """X as a float array, checked to be (n, d) for the architecture's d."""
+def _inputs(arch: Architecture, X, what: str = "inputs") -> np.ndarray:
+    """X as a float array, checked to be (n, d) for the architecture's d; `what` names X."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != arch.feature_dim:
-        raise ValidationError(f"inputs must be (n, {arch.feature_dim}), got shape {X.shape}")
+        raise ValidationError(f"{what} must be (n, {arch.feature_dim}), got shape {X.shape}")
     return X
 
 
@@ -249,21 +249,24 @@ def task_grad(
 ) -> tuple[float, np.ndarray]:
     """Expected model-implied task cost under `action_probs`, and its gradient.
 
-    task_loss = sum_k p_k * gbar(z_k) with gbar(z) = (1/m) sum_j g(z, h(x_j, z)).
+    task_loss = sum_k p_k * gbar(z_k) with gbar(z) = (1/m) sum_j g(z, h(x_j, z)),
+    over the actions z_k of the problem's grid; `grid` must be that grid.
     The probabilities are treated as constants; the gradient flows only through
     the predictions, using the problem's outcome-derivative of g (0 at kinks).
     """
     X = _inputs(params.architecture, X)
+    if grid != problem.grid:
+        raise ValidationError("grid must be the problem's grid")
     probs = _require_probs("action_probs", action_probs, grid)
     if X.shape[0] == 0:
         raise ValidationError("inputs must be non-empty")
 
-    values, grad_at = _profile(params.architecture, params.weights, X, grid.points, problem)
+    values, grad_at = _profile(params.architecture, params.weights, X, problem)
     return float(probs @ values), grad_at(probs)
 
 
-def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buffer=None):
-    """The model cost profile at weights w, and its task gradient.
+def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem, buffer=None):
+    """The model cost profile at weights w over the problem's grid, and its task gradient.
 
     Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
     and grad_at(probs) is the flat gradient of probs @ values with probs held
@@ -273,6 +276,7 @@ def _profile(arch: Architecture, w: np.ndarray, X, points, problem: Problem, buf
     Call grad_at at most once per _profile call: for mlp1 it overwrites the
     activations it backpropagates through.
     """
+    points = problem.grid.points
     if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(X @ w_x + b, w_z * points)
@@ -329,10 +333,9 @@ def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C):
 
 
 def save_checkpoint(params: PredictorParams, path) -> None:
+    """Write the weights and the architecture's fields that load_checkpoint cannot default."""
     arch = params.architecture
-    blob: dict = {"kind": arch.kind, "feature_dim": arch.feature_dim}
-    if arch.kind == "mlp1":
-        blob["hidden_units"] = arch.hidden_units
+    blob = {f.name: v for f in fields(arch) if (v := getattr(arch, f.name)) != f.default}
     text = json.dumps({"architecture": blob, "weights": list(params.weights)})
     _write_atomic(path, text + "\n")
 

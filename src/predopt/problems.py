@@ -54,7 +54,6 @@ __all__ = [
     "pricing_cost",
     "pricing_cost_grad_y",
     "newsvendor_problem",
-    "pricing_problem",
     "problem_from_model",
     "gen_dataset",
     "world_draws",
@@ -334,10 +333,6 @@ def _problem(kind: str, grid: ActionGrid, cost_params: dict) -> Problem:
 
 def newsvendor_problem(grid: ActionGrid, c_h: float, c_s: float) -> Problem:
     return _problem("newsvendor", grid, {"c_h": c_h, "c_s": c_s})
-
-
-def pricing_problem(grid: ActionGrid, capacity: float) -> Problem:
-    return _problem("pricing", grid, {"capacity": capacity})
 
 
 def problem_from_model(model: TrueModel, grid: ActionGrid) -> Problem:

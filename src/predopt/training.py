@@ -38,6 +38,7 @@ from .predictor import (
     _batch_loss_and_grad,
     _fit_buffers,
     _full_batch,
+    _inputs,
     _profile,
     init_params,
 )
@@ -118,6 +119,8 @@ def _abort(what: str, it: int, detail: str = ""):
 def _fit(
     problem: Problem, train: Dataset, val: Dataset, arch: Architecture, config: TrainConfig
 ) -> TrainResult:
+    for name, split in (("train", train), ("val", val)):
+        _inputs(arch, split.X, f"{name}.X")
     wc: WeightConfig = config.weight_config
     grid = problem.grid
     points, width = grid.points, grid.width
@@ -145,7 +148,7 @@ def _fit(
             batch = tuple(column[idx] for column in rows)
 
         if joint:
-            values, grad_at = _profile(arch, w, val.X, points, problem, buffer)
+            values, grad_at = _profile(arch, w, val.X, problem, buffer)
             if not np.isfinite(values).all():
                 _abort("model cost profile", it)
             probs = _soft_min(values, wc.tau)
@@ -179,7 +182,7 @@ def _fit(
             break
         prev = total
 
-    values = _profile(arch, w, val.X, points, problem, buffer)[0]
+    values = _profile(arch, w, val.X, problem, buffer)[0]
     if not np.isfinite(values).all():
         _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)

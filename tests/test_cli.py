@@ -180,6 +180,13 @@ def test_load_result_is_pinned(tmp_path, name, sha256):
     assert hashlib.sha256(text.encode()).hexdigest() == sha256, text
 
 
+@pytest.mark.parametrize("name", ["compare_default", "newsvendor_wellspec", "pricing_demo"])
+def test_a_config_loaded_twice_is_equal(name):
+    # the grid compares by its fields, not by its points array
+    path = ROOT / "configs" / f"{name}.json"
+    assert load_config(path) == load_config(path)
+
+
 def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
     blob = copy.deepcopy(SMALL_CONFIG)
     blob["train"]["weights"]["alpah"] = 2.0

@@ -12,7 +12,7 @@ from predopt.core import (
     split_dataset,
 )
 from predopt.predictor import Architecture, PredictorParams, loss_and_grad, predict_batch
-from predopt.problems import TrueModel, newsvendor_problem, pricing_problem
+from predopt.problems import TrueModel, _problem, newsvendor_problem
 from predopt.training import TrainConfig
 
 
@@ -39,6 +39,14 @@ def test_make_grid_negative_range():
 def test_make_grid_rejects_bad_inputs(bad):
     with pytest.raises(ValidationError, match="z_min|n_points"):
         make_grid(*bad)
+
+
+def test_equal_grids_compare_and_hash_equal():
+    # the points are derived from (z_min, z_max, n_points), so they take no
+    # part in == or hash, where an array's == has no single truth value
+    a, b = make_grid(0, 20, 201), make_grid(0.0, 20.0, 201)
+    assert a == b and hash(a) == hash(b)
+    assert a != make_grid(0, 20, 101) and a != make_grid(0, 10, 201)
 
 
 # The 1e-12*range spacing bound is only attainable while the grid's absolute
@@ -152,7 +160,7 @@ def test_dataset_is_readonly():
     "problem",
     [
         newsvendor_problem(make_grid(0, 10, 11), c_h=1.0, c_s=3.0),
-        pricing_problem(make_grid(0, 10, 11), capacity=5.0),
+        _problem("pricing", make_grid(0, 10, 11), {"capacity": 5.0}),
     ],
     ids=["newsvendor", "pricing"],
 )
@@ -252,12 +260,6 @@ NON_FINITE = [
         {"grid": make_grid(0, 10, 11), "c_h": 1.0, "c_s": INF},
         "cost_params['c_s']",
         id="newsvendor_problem.c_s",
-    ),
-    pytest.param(
-        pricing_problem,
-        {"grid": make_grid(0, 10, 11), "capacity": NAN},
-        "cost_params['capacity']",
-        id="pricing_problem.capacity",
     ),
     pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
     pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),

@@ -28,12 +28,12 @@ from predopt.problems import (
     _BLOCK,
     TrueModel,
     _oracle,
+    _problem,
     cost_draws,
     gen_dataset,
     newsvendor_problem,
     oracle_action,
     oracle_profile,
-    pricing_problem,
     problem_from_model,
     world_draws,
 )
@@ -436,22 +436,6 @@ def _traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize(
-    "name, arrays",
-    # the world draws u, the oracle action's per-draw costs and one working
-    # array, and for newsvendor its cost's one temporary; the half array on top
-    # is headroom for what does not grow with n_mc (the fits' results, up to
-    # 2.3 MB with their histories, are freed before the draws are made)
-    [("pricing_demo", 3.5), ("compare_default", 4.5)],
-    ids=["pricing", "newsvendor"],
-)
-def test_one_seed_holds_at_most_three_arrays_of_n_mc(name, arrays):
-    n_mc = 1_000_000
-    config = replace(load_config(ROOT / "configs" / f"{name}.json"), n_mc=n_mc)
-    _run_seed(replace(config, n_mc=1), 0)  # first calls allocate numpy's own caches
-    assert _traced_peak(_run_seed, config, 0) <= arrays * 8 * n_mc
-
-
 @pytest.mark.parametrize("name", ["pricing_demo", "compare_default"], ids=["pricing", "newsvendor"])
 def test_one_seed_holds_at_most_two_arrays_of_n_mc(name):
     # the world draws u and one working array, for every kind; the half array on
@@ -511,7 +495,10 @@ def test_each_distinct_decision_is_costed_once_per_seed(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    [partial(newsvendor_problem, c_h=1.0, c_s=3.0), partial(pricing_problem, capacity=12.0)],
+    [
+        partial(newsvendor_problem, c_h=1.0, c_s=3.0),
+        partial(_problem, "pricing", cost_params={"capacity": 12.0}),
+    ],
     ids=["newsvendor", "pricing"],
 )
 def test_empirical_profile_forms_no_cost_matrix(build):

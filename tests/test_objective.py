@@ -71,7 +71,7 @@ def test_empirical_profile_rejects_empty():
 def test_model_profile_zero_params():
     problem = newsvendor_problem(GRID, c_h=1.0, c_s=3.0)
     params = init_params(Architecture("linear", 2), 0)
-    prof = model_profile(params, np.random.default_rng(0).normal(size=(7, 2)), GRID, problem)
+    prof = model_profile(params, np.random.default_rng(0).normal(size=(7, 2)), problem)
     np.testing.assert_allclose(prof.values, problem.task_cost(GRID.points, 0.0))
     assert prof.source == "model"
 
@@ -84,7 +84,7 @@ def test_model_profile_perfect_tracking():
     problem = Problem(grid, lambda z: ((z,), (-1.0, 1.0), 0.0), "abs")
     # w_x = 0, w_z = 1, b = 0: prediction equals the action everywhere
     params = PredictorParams(Architecture("linear", 1), np.array([0.0, 1.0, 0.0]))
-    prof = model_profile(params, np.array([[4.2]]), grid, problem)
+    prof = model_profile(params, np.array([[4.2]]), problem)
     np.testing.assert_allclose(prof.values, 0.0)
 
 
@@ -94,7 +94,7 @@ def test_model_profile_matches_double_loop():
     arch = Architecture("mlp1", feature_dim=3, hidden_units=5)
     params = PredictorParams(arch, rng.normal(scale=0.5, size=arch.n_weights))
     X = rng.normal(size=(50, 3))
-    prof = model_profile(params, X, GRID, problem)
+    prof = model_profile(params, X, problem)
     # brute-force reimplementation, one scalar prediction at a time
     expected = np.zeros(GRID.n_points)
     for k, z in enumerate(GRID.points):

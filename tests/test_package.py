@@ -4,8 +4,8 @@ a module's __all__ and every name the benchmark traces resolves, only core's
 one reader and one writer open files, only core's CSV writer joins cells and
 lines, only problems names a problem kind, a logging policy or one of their
 keys, only training names a fit method, only predictor names an architecture
-kind, and the package has one exception type for bad input and one for a
-training abort."""
+kind, no function takes a grid beside the problem that carries one, and the
+package has one exception type for bad input and one for a training abort."""
 
 import ast
 import builtins
@@ -189,6 +189,21 @@ def test_only_predictor_names_an_architecture_kind():
     # predictor.Architecture checks each kind's hidden_units, so the command
     # line describes a model by its fields, not by its kind
     assert _named_outside("predictor", {"linear", "mlp1"}) == []
+
+
+def test_no_function_takes_a_problem_and_a_grid():
+    # a Problem carries its action grid, so no function takes a grid or its
+    # points beside it; task_grad keeps the signature that tests/test_acceptance.py
+    # calls, and refuses a grid that is not its problem's
+    found = {
+        (module, node.name)
+        for module in MODULES
+        for node in ast.walk(_parse(module))
+        if isinstance(node, ast.FunctionDef)
+        and "problem" in (names := {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)})
+        and names & {"grid", "points"}
+    }
+    assert found == {("predictor", "task_grad")}
 
 
 def _is_exception(base):

@@ -23,12 +23,12 @@ from predopt.predictor import (
     save_checkpoint,
     task_grad,
 )
-from predopt.problems import newsvendor_problem, pricing_problem
+from predopt.problems import _problem, newsvendor_problem
 
 GRID = make_grid(0.0, 10.0, 21)
 NEWSVENDOR = newsvendor_problem(GRID, c_h=1.0, c_s=3.0)
 CAPACITY = 3.0
-PRICING = pricing_problem(GRID, capacity=CAPACITY)
+PRICING = _problem("pricing", GRID, {"capacity": CAPACITY})
 
 LINEAR3 = Architecture("linear", feature_dim=3)
 MLP24 = Architecture("mlp1", feature_dim=2, hidden_units=4)
@@ -144,7 +144,7 @@ INPUT_CALLS = {
         p, X, np.zeros(4), np.zeros(4), np.ones(4), NEWSVENDOR
     ),
     "task_grad": lambda p, X: task_grad(p, X, GRID, UNIFORM, NEWSVENDOR),
-    "model_profile": lambda p, X: model_profile(p, X, GRID, NEWSVENDOR),
+    "model_profile": lambda p, X: model_profile(p, X, NEWSVENDOR),
 }
 
 
@@ -304,7 +304,7 @@ def test_task_loss_zero_params_newsvendor():
     # predictions identically 0 -> task_loss = sum_k p_k g(z_k, 0)
     p = init_params(LINEAR3, 0)
     X = np.zeros((1, 3))
-    probs = action_distribution(model_profile(p, X, GRID, NEWSVENDOR), tau=1.0)
+    probs = action_distribution(model_profile(p, X, NEWSVENDOR), tau=1.0)
     loss, _ = task_grad(p, X, GRID, probs, NEWSVENDOR)
     expected = probs @ NEWSVENDOR.task_cost(GRID.points, 0.0)
     assert loss == pytest.approx(expected, rel=1e-12)
@@ -324,6 +324,20 @@ def test_task_grad_rejects_bad_probs():
     for n in (k - 1, k + 1):
         with pytest.raises(ValidationError, match=f"action_probs length must match .*, got {n}"):
             task_grad(p, X, GRID, np.full(n, 1.0 / n), NEWSVENDOR)
+
+
+@pytest.mark.parametrize("arch", [LINEAR3, Architecture("mlp1", 3, 4)], ids=["linear", "mlp1"])
+def test_task_grad_rejects_a_grid_that_is_not_the_problems(arch):
+    # the profile reads the problem's grid; another grid, of its size or not, would
+    # pair the problem's knots with other actions, so it is refused by name
+    p = init_params(arch, 0)
+    X = np.random.default_rng(0).normal(size=(5, 3))
+    for grid in (make_grid(0.0, 20.0, 21), make_grid(0.0, 10.0, 11)):
+        probs = np.full(grid.n_points, 1.0 / grid.n_points)
+        with pytest.raises(ValidationError, match="^grid must be the problem's grid$"):
+            task_grad(p, X, grid, probs, NEWSVENDOR)
+    same = task_grad(p, X, make_grid(0, 10, 21), UNIFORM, NEWSVENDOR)
+    assert same[0] == task_grad(p, X, GRID, UNIFORM, NEWSVENDOR)[0]
 
 
 def _newsvendor_kink_gap(z, P):
@@ -420,7 +434,7 @@ def test_mlp1_task_grad_body_matches_einsum_reference(problem, hidden_scale):
         if hidden_scale > 1:
             assert np.mean(np.abs(T) > 0.995) > 0.9
         want = _einsum_task_grad_body(arch, w, X, points, P, T, probs, problem)
-        got = _profile(arch, w, X, points, problem)[1](probs)
+        got = _profile(arch, w, X, problem)[1](probs)
         assert np.any(want != 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
 
@@ -496,10 +510,10 @@ def test_mlp1_task_grad_repeats_and_matches_model_profile(problem):
     loss, grad = task_grad(p, X, GRID, probs, problem)
     loss2, grad2 = task_grad(p, X, GRID, probs, problem)
     assert loss2 == loss and np.array_equal(grad2, grad)
-    assert loss == probs @ model_profile(p, X, GRID, problem).values
+    assert loss == probs @ model_profile(p, X, problem).values
     buffer = _fit_buffers(MLP38, len(X), GRID.n_points)
     for _ in range(2):
-        values, grad_at = _profile(MLP38, p.weights, X, GRID.points, problem, buffer)
+        values, grad_at = _profile(MLP38, p.weights, X, problem, buffer)
         assert probs @ values == loss
         assert np.array_equal(grad_at(probs), grad)
 

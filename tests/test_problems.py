@@ -27,7 +27,6 @@ from predopt.problems import (
     oracle_profile,
     pricing_cost,
     pricing_cost_grad_y,
-    pricing_problem,
     problem_from_model,
     world_draws,
 )
@@ -124,11 +123,10 @@ NEWSVENDOR_NEEDS = "newsvendor needs cost_params {c_h >= 0, c_s >= 0, c_h + c_s 
     ids=["negative-c_h", "negative-both", "zero-both", "capacity-0", "negative-capacity"],
 )
 def test_builders_reject_bad_costs_as_true_model_does(kind, cost_params, message):
-    build = {"newsvendor": newsvendor_problem, "pricing": pricing_problem}[kind]
     with pytest.raises(ValidationError) as from_model:
         _newsvendor_world(kind=kind, cost_params=cost_params)
     with pytest.raises(ValidationError) as from_builder:
-        build(make_grid(0, 10, 11), **cost_params)
+        _problem(kind, make_grid(0, 10, 11), cost_params)
     assert str(from_model.value) == str(from_builder.value) == message
 
 
@@ -344,7 +342,7 @@ def _dense_reference(params, X, problem, probs):
 
 def _through_the_kernel(params, X, problem, probs):
     """The public profile and task gradient, which take the kernel for a linear model."""
-    values = model_profile(params, X, problem.grid, problem).values
+    values = model_profile(params, X, problem).values
     task_loss, grad = task_grad(params, X, problem.grid, probs, problem)
     return values, task_loss, grad
 
@@ -363,7 +361,7 @@ def _problems(draw, grid, costs, capacities):
     """A newsvendor problem with costs drawn from `costs`, or a pricing
     problem with a capacity drawn from `capacities`."""
     if draw(st.booleans()):
-        return pricing_problem(grid, draw(capacities))
+        return _problem("pricing", grid, {"capacity": draw(capacities)})
     c_h, c_s = draw(costs), draw(costs)
     assume(c_h + c_s > 0)
     return newsvendor_problem(grid, c_h, c_s)
@@ -476,7 +474,7 @@ def test_separable_kernel_gradient_is_zero_on_kinks_bit_for_bit(
         probs = rng.random(k) if w_z == 1.0 else np.eye(k)[0]
     else:
         capacity = float(rng.integers(1, k))
-        problem = pricing_problem(grid, capacity)
+        problem = _problem("pricing", grid, {"capacity": capacity})
         b = capacity if on_capacity and w_z == 0.0 else 0.0
         kinks = [0, int(capacity)] if w_z == 1.0 else slice(None)
         probs = np.zeros(k)
@@ -750,13 +748,11 @@ def _reference_pricing_cost(z, y, capacity):
     return -z * np.clip(y, 0.0, capacity)
 
 
-# kind: (cost, its reference, cost params, problem builder)
+# kind: (cost, its reference, cost params)
 _COSTS = {
-    "newsvendor": (
-        newsvendor_cost, _reference_newsvendor_cost, {"c_h": 1.5, "c_s": 3.0}, newsvendor_problem
-    ),
-    "pricing": (pricing_cost, _reference_pricing_cost, {"capacity": 4.0}, pricing_problem),
-}  # fmt: skip
+    "newsvendor": (newsvendor_cost, _reference_newsvendor_cost, {"c_h": 1.5, "c_s": 3.0}),
+    "pricing": (pricing_cost, _reference_pricing_cost, {"capacity": 4.0}),
+}
 
 
 def _reference_world_draws(model, n_mc, seed):
@@ -919,8 +915,8 @@ COST_CASES = {kind: (kind, _COSTS[kind][2]) for kind in _COSTS} | {
 
 @pytest.mark.parametrize("kind, params", COST_CASES.values(), ids=COST_CASES)
 def test_costs_give_the_reference_bits_and_leave_their_inputs(kind, params):
-    cost, reference, _, build = _COSTS[kind]
-    problem = build(make_grid(0.0, 8.0, 9), **params)
+    cost, reference, _ = _COSTS[kind]
+    problem = _problem(kind, make_grid(0.0, 8.0, 9), params)
     rng = np.random.default_rng(5)
     z = rng.uniform(0.0, 8.0, size=(7, 1))
     y = rng.uniform(-2.0, 10.0, size=(1, 50))
@@ -964,7 +960,7 @@ def test_cost_grad_y_gives_the_reference_bits_and_leaves_its_inputs(kind, params
     # the sign of every zero too: 0.0 on and beyond a kink, -0.0 inside pricing's
     # (0, capacity) at z = 0; a scalar for scalars, as the cost gives
     grad_y, reference = _GRADS_Y[kind]
-    problem = _COSTS[kind][3](make_grid(0.0, 8.0, 9), **params)
+    problem = _problem(kind, make_grid(0.0, 8.0, 9), params)
     rng = np.random.default_rng(6)
     z = rng.uniform(0.0, 8.0, size=(7, 1))
     z[0] = 0.0
@@ -992,7 +988,7 @@ def test_cost_grad_y_gives_the_reference_bits_and_leaves_its_inputs(kind, params
 @pytest.mark.parametrize("kind", _COSTS)
 @pytest.mark.parametrize("m", [1, 2, 7, 400])
 def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
-    _, _, params, build = _COSTS[kind]
+    params = _COSTS[kind][2]
     grid = make_grid(-2.0, 6.0, 33)
     rng = np.random.default_rng(m)
     # a strided view with repeats and values on the hinges
@@ -1000,7 +996,7 @@ def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
     X[: m // 2, 0] = rng.choice(grid.points, size=m // 2)
     a, c = X[:, 0], rng.choice([0.0, 1.0, -0.5]) * grid.points
     saved = a.tobytes()
-    values, gradient_sums = build(grid, **params).separable_kernel(a, c)
+    values, gradient_sums = _problem(kind, grid, params).separable_kernel(a, c)
     want = _reference_separable_values(kind, grid.points, a, c, **params)
     assert _same_bits(values, want)
     probs = rng.random(33) ** 3

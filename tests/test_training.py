@@ -239,7 +239,7 @@ def test_g_star_matches_final_profile():
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=3)
     res = simpo_fit(problem, train, val, Architecture("linear", 2), _config(max_iters=30))
-    prof = model_profile(res.params_star, val.X, GRID, problem)
+    prof = model_profile(res.params_star, val.X, problem)
     k = GRID.index_of(res.z_star)
     assert res.z_star == argmin_profile(prof)
     assert res.g_star == pytest.approx(prof.values[k], rel=1e-12)
@@ -277,6 +277,23 @@ def test_fit_on_a_nan_label_is_a_validation_error(fit):
     y[3] = np.nan
     with pytest.raises(ValidationError, match="^dataset column y must be finite$"):
         fit(problem_from_model(model, GRID), replace(train, y=y), val, LINEAR, _config())
+
+
+@pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit])
+@pytest.mark.parametrize("kind, hidden", [("linear", 0), ("mlp1", 4)], ids=["linear", "mlp1"])
+@pytest.mark.parametrize("split", ["train", "val"])
+def test_fit_on_data_with_another_feature_count_is_a_validation_error(fit, kind, hidden, split):
+    # three features in one split for a model of two: a ValidationError that
+    # names the split, not numpy's matmul error from inside the first step
+    model = _world(base_weights=(2.0, -1.0, 0.5))
+    train, val, _ = _splits(model, 200, seed=0)
+    if split == "train":
+        val = replace(val, X=val.X[:, :2])
+    else:
+        train = replace(train, X=train.X[:, :2])
+    pattern = rf"^{split}\.X must be \(n, 2\), got shape \(\d+, 3\)$"
+    with pytest.raises(ValidationError, match=pattern):
+        fit(problem_from_model(model, GRID), train, val, Architecture(kind, 2, hidden), _config())
 
 
 def test_two_stage_recovers_zero_noise_linear_world():
@@ -346,7 +363,7 @@ def test_frozen_coefficient_descent_envelope():
         z_star_train = argmin_profile(empirical_profile(train.y, problem))
         ones = np.ones(len(train))
         for _ in range(100):
-            prof = model_profile(params, val.X, GRID, problem)
+            prof = model_profile(params, val.X, problem)
             probs = action_distribution(prof, wc.tau)
             omega = omega_weight(probs, GRID, z_star_train, wc.alpha)
             gamma = gamma_weight(z_star_train, argmin_profile(prof), wc.beta, GRID)
@@ -411,7 +428,7 @@ def _reference_simpo(
             idx = np.arange(len(train))
         else:
             idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-        current = profile(params, val.X, grid, problem)
+        current = profile(params, val.X, problem)
         probs = action_distribution(current, wc.tau)
         z_star_test = argmin_profile(current)
         omega = omega_weight(probs, grid, z_star_train, wc.alpha)
@@ -434,7 +451,7 @@ def _reference_simpo(
         )
         if len(history) >= config.max_iters or stalled:
             break
-    final = profile(params, val.X, grid, problem)
+    final = profile(params, val.X, problem)
     z_star = argmin_profile(final)
     return params, tuple(history), z_star, float(final.values[grid.index_of(z_star)])
 
@@ -586,8 +603,8 @@ def test_moment_form_matches_the_row_form(world, grid, scale):
         np.testing.assert_allclose(grad, fd, rtol=1e-12, atol=0)
 
 
-def _dense_model_profile(params, X, grid, problem):
-    return CostProfile(grid, _dense_profile(params, X, problem)[0], "model")
+def _dense_model_profile(params, X, problem):
+    return CostProfile(problem.grid, _dense_profile(params, X, problem)[0], "model")
 
 
 def _dense_task_grad(params, X, grid, probs, problem):
@@ -693,8 +710,8 @@ def test_two_stage_decision_matches_least_squares_on_default_world():
     design = np.column_stack([train.X, train.z_obs, np.ones(len(train))])
     coef, *_ = np.linalg.lstsq(design, train.y, rcond=None)
     lstsq_params = PredictorParams(config.arch, coef)
-    z_lstsq = argmin_profile(model_profile(lstsq_params, val.X, config.grid, problem))
-    dense = _dense_model_profile(lstsq_params, val.X, config.grid, problem)
+    z_lstsq = argmin_profile(model_profile(lstsq_params, val.X, problem))
+    dense = _dense_model_profile(lstsq_params, val.X, problem)
     assert res.z_star == z_lstsq == argmin_profile(dense)
 
 
