@@ -112,7 +112,7 @@ def evaluate_decision(
     if not abs(point - action) <= 1e-9 * max(1.0, grid.width):
         raise ValidationError(f"action {action} is not a grid point")
     u = world_draws(model, n_mc, seed)
-    return _score(model, point, _oracle(model, grid, u), u)
+    return _score(model, point, _oracle(model, problem_from_model(model, grid), u), u)
 
 
 def _score(model, action, oracle, u) -> tuple[float, float]:
@@ -174,7 +174,7 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     the oracle row, from one set of world draws and one oracle profile scan.
     No fit result is alive while the draws are, and at most two arrays of
     n_mc (the draws and one working array) plus one block are held at once."""
-    model, grid = config.model_spec, config.grid
+    model = config.model_spec
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
     rows = [
         (method, *_fit_row(fit, problem, train, val, test, config.arch, cfg))
@@ -182,7 +182,7 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     ]
 
     u = world_draws(model, config.n_mc, mc_seed)
-    oracle = _oracle(model, grid, u)
+    oracle = _oracle(model, problem, u)
 
     nan = float("nan")
     scores = {}

@@ -11,10 +11,10 @@ For mlp1 the input is u = [x; z] and the forward pass is
 w2 . tanh(W1 u + b1) + b2. _grid_pass is the one forward pass: its actions Z
 broadcast against the m inputs, a (1, K) grid row for the model profile or an
 (n, 1) column for the predictive loss's paired rows. For mlp1 the tanh
-activations form an (m, K, h) tensor T; an mlp1 fit allocates the grid's once
-and every grid pass writes into it. _mlp1_grad is the one backprop, of
-sum_jk C[j, k] * h(x_j, Z[j, k]) through T: one matmul C @ T for the w2 term,
-then, with T overwritten in place by 1 - T*T, one batched matmul
+activations form an (m, K, h) tensor T, which each grid pass allocates for
+itself. _mlp1_grad is the one backprop, of sum_jk C[j, k] * h(x_j, Z[j, k])
+through T: one matmul C @ T for the w2 term, then, with T overwritten in
+place by 1 - T*T, one batched matmul
 [C, C*Z] @ (1 - T*T) for every W1 and b1 term. C holds the task term's cost
 derivatives (m, K) or the predictive loss's squared-error derivatives (n, 1).
 """
@@ -137,14 +137,14 @@ def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.n
     return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
 
 
-def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, out=None):
+def _grid_pass(arch: Architecture, w: np.ndarray, X, Z):
     """One forward pass over the inputs X (m, d) and the actions Z, which
     broadcast against the rows of X: a (1, K) row crosses every input with
     every action, an (m, 1) column gives each input its own action.
 
     Returns (P, T): the (m, K) predictions and, for mlp1, the (m, K, h)
     hidden activations (None for linear), which _mlp1_grad backpropagates
-    through. For mlp1, `out` is an optional (m, K, h) array that T is written into.
+    through.
     """
     if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
@@ -154,7 +154,7 @@ def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, out=None):
         W1, b1, w2, b2 = _unpack_mlp1(arch, w)
         d = arch.feature_dim
         # A[j, k, i] = (x_j . W1[i, :d] + b1[i]) + Z[j, k] * W1[i, d], then T = tanh(A)
-        A = np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d], out=out)
+        A = np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d])
         T = np.tanh(A, out=A)
         P = T @ w2 + b2
     return P, T
@@ -265,14 +265,14 @@ def task_grad(
     return float(probs @ values), grad_at(probs)
 
 
-def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem, buffer=None):
+def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem):
     """The model cost profile at weights w over the problem's grid, and its task gradient.
 
     Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
     and grad_at(probs) is the flat gradient of probs @ values with probs held
     fixed. A linear model takes the problem's separable kernel, P[j, k] =
     a[j] + c[k], and never forms the (m, K) matrices; mlp1 takes one grid
-    pass. `buffer` comes from _fit_buffers.
+    pass, whose activations live as long as grad_at does.
     Call grad_at at most once per _profile call: for mlp1 it overwrites the
     activations it backpropagates through.
     """
@@ -281,22 +281,13 @@ def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem, buffer=None
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
-    P, T = _grid_pass(arch, w, X, points[None, :], out=buffer)
+    P, T = _grid_pass(arch, w, X, points[None, :])
 
     def grad_at(probs):  # backprop C = dg/dy * p_k / m, (m, K), through T
         C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / X.shape[0]
         return _mlp1_grad(arch, w, X, points[None, :], T, C)
 
     return problem.task_cost(points[None, :], P).mean(axis=0), grad_at
-
-
-def _fit_buffers(arch: Architecture, m: int, n_points: int):
-    """The one (m, K, h) array an mlp1 fit reuses in every _profile call: each
-    grid pass writes the activations into it, and each task gradient then
-    overwrites them with 1 - T*T. None for a linear model."""
-    if arch.kind != "mlp1":
-        return None
-    return np.empty((m, n_points, arch.hidden_units))
 
 
 def _linear_task_grad(w: np.ndarray, X, points, row, col, total):

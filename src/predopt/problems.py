@@ -415,8 +415,9 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     return float(cost_draws(model, z, world_draws(model, n_mc, seed)).mean())
 
 
-def oracle_profile(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> np.ndarray:
-    """Mean cost of every grid action under the shared world draws u.
+def oracle_profile(model: TrueModel, problem: Problem, u: np.ndarray) -> np.ndarray:
+    """Mean cost of every action of the problem's grid under the shared world
+    draws u; `problem` is the model's, as problem_from_model builds it.
 
     The outcome of draw i at action z is u[i] + mean_outcome(model, 0, z),
     separable like a linear model's prediction, so the problem's separable
@@ -424,15 +425,14 @@ def oracle_profile(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> np.ndar
     cost_draws(...).mean(), so values agree with oracle_expected_cost up to
     rounding; they do not depend on the order of the draws.
     """
-    kernel = problem_from_model(model, grid).separable_kernel
-    return kernel(u, mean_outcome(model, 0.0, grid.points))[0]
+    return problem.separable_kernel(u, mean_outcome(model, 0.0, problem.grid.points))[0]
 
 
-def _oracle(model: TrueModel, grid: ActionGrid, u: np.ndarray) -> tuple[float, float]:
+def _oracle(model: TrueModel, problem: Problem, u: np.ndarray) -> tuple[float, float]:
     """The grid action with the smallest oracle_profile value under the world
     draws u, and the mean of its per-draw costs, from which every reported
     oracle value is taken; those costs die here."""
-    action = grid.best(oracle_profile(model, grid, u))[0]
+    action = problem.grid.best(oracle_profile(model, problem, u))[0]
     return action, float(cost_draws(model, action, u).mean())
 
 
@@ -445,4 +445,4 @@ def oracle_action(
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest
     action.
     """
-    return _oracle(model, grid, world_draws(model, n_mc, seed))
+    return _oracle(model, problem_from_model(model, grid), world_draws(model, n_mc, seed))

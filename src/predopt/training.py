@@ -36,7 +36,6 @@ from .predictor import (
     Architecture,
     PredictorParams,
     _batch_loss_and_grad,
-    _fit_buffers,
     _full_batch,
     _inputs,
     _profile,
@@ -139,7 +138,6 @@ def _fit(
     minibatch = 0 < config.batch_size < len(train)
     if not minibatch:
         batch = _full_batch(arch, *rows)
-    buffer = _fit_buffers(arch, len(val), grid.n_points)
 
     stalled = 0  # consecutive iterations whose relative improvement of F was below tol
     for it in range(1, config.max_iters + 1):
@@ -148,7 +146,7 @@ def _fit(
             batch = tuple(column[idx] for column in rows)
 
         if joint:
-            values, grad_at = _profile(arch, w, val.X, problem, buffer)
+            values, grad_at = _profile(arch, w, val.X, problem)
             if not np.isfinite(values).all():
                 _abort("model cost profile", it)
             probs = _soft_min(values, wc.tau)
@@ -166,6 +164,7 @@ def _fit(
             # Recorded as 0 so every row composes as pred*omega + task*gamma
             task_loss = 0.0
             total_grad = omega * pred_grad
+        grad_at = None  # it holds an mlp1 pass's activations: free them before the next pass
 
         if not (
             math.isfinite(pred_loss) and math.isfinite(task_loss) and np.isfinite(total_grad).all()
@@ -182,7 +181,7 @@ def _fit(
             break
         prev = total
 
-    values = _profile(arch, w, val.X, problem, buffer)[0]
+    values = _profile(arch, w, val.X, problem)[0]
     if not np.isfinite(values).all():
         _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)

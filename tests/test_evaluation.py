@@ -400,7 +400,7 @@ def _reference_score(model, action, best_costs, u):
 def test_score_gives_the_reference_bits(n_mc):
     model = _world(nonlinearity=-0.02)
     u = world_draws(model, n_mc, seed=4)
-    oracle = _oracle(model, GRID, u)
+    oracle = _oracle(model, problem_from_model(model, GRID), u)
     best_costs = cost_draws(model, oracle[0], u)
     saved = u.tobytes()
     clamped = set()
@@ -594,7 +594,7 @@ def test_monte_carlo_oracle_matches_the_closed_form(name):
     exact = _exact_expected_cost(model, grid.points)
     draws_at = [cost_draws(model, float(z), u) for z in grid.points]
     se = np.array([d.std(ddof=1) for d in draws_at]) / math.sqrt(n_mc)
-    profile = oracle_profile(model, grid, u)
+    profile = oracle_profile(model, problem_from_model(model, grid), u)
     # Where every draw sells the full capacity, the draws' cost is -z * capacity
     # with a zero se, and the closed form differs from it by the tail below
     # the capacity that no draw reached: fewer than one draw is expected there.

@@ -34,11 +34,21 @@ instead of from the rows: only pred_mse moved in the compare CSVs (by at most
 2.0e-14 relative), and in the train files the weights (4.2e-16), g_star
 (1.6e-15) and the log's F, pred_term, task_term and omega (at most 5.2e-15);
 every decision, z_star_test, gamma and iteration count stayed the same.
+
+WORKLOADS pins the compare CSV of each benchmark workload, read in place from
+perfbench/workloads/, so that a change which must keep the benchmark's
+results byte-identical is checked here and not by hand. Those hashes were
+added, not re-pinned: the commit that added them changed no output, and each
+CSV is the same with --jobs 1 and 2. The numpy and BLAS caveat above holds for
+them as well. Every workload has at most two features, so its draws, and its
+hash, do not depend on the BLAS thread count (that holds only below eight
+features; see README, Reproducibility).
 """
 
 import copy
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +144,21 @@ GOLDEN = [
 def test_compare_csv_matches_golden_hash(tmp_path, config, sha256):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
+    out = tmp_path / "results.csv"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+WORKLOADS = {
+    "newsvendor_linear": "3675172df68916b98fa6530ab040c39e1bf1e6d10c83d56cc565388ac711ccf6",
+    "newsvendor_mlp1": "90e6eafe7f5eb16760da89300884c671167f9b36685db006aa082032b1ea88e4",
+    "pricing_oracle": "0b7f0be1ca7f7a18b1190b27b45a764c1b35008a049731e710271335c12e1bda",
+}
+
+
+@pytest.mark.parametrize("name, sha256", WORKLOADS.items(), ids=list(WORKLOADS))
+def test_benchmark_workload_csv_matches_golden_hash(tmp_path, name, sha256):
+    cfg = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{name}.json"
     out = tmp_path / "results.csv"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

@@ -8,7 +8,6 @@ from predopt.objective import action_distribution, model_profile
 from predopt.predictor import (
     Architecture,
     PredictorParams,
-    _fit_buffers,
     _grid_pass,
     _linear_task_grad,
     _profile,
@@ -502,7 +501,7 @@ def test_mlp1_loss_and_grad_matches_paired_reference(hidden_scale):
 @pytest.mark.parametrize("problem", [NEWSVENDOR, PRICING], ids=["newsvendor", "pricing"])
 def test_mlp1_task_grad_repeats_and_matches_model_profile(problem):
     # the task gradient overwrites the activations it reads, so each call must
-    # start from a fresh grid pass; a fit's reused buffer gives the same bits
+    # start from a fresh grid pass, as each fit iteration's _profile call does
     rng = np.random.default_rng(12)
     p = _random_params(MLP38, rng)
     X = rng.normal(size=(25, MLP38.feature_dim))
@@ -511,11 +510,12 @@ def test_mlp1_task_grad_repeats_and_matches_model_profile(problem):
     loss2, grad2 = task_grad(p, X, GRID, probs, problem)
     assert loss2 == loss and np.array_equal(grad2, grad)
     assert loss == probs @ model_profile(p, X, problem).values
-    buffer = _fit_buffers(MLP38, len(X), GRID.n_points)
-    for _ in range(2):
-        values, grad_at = _profile(MLP38, p.weights, X, problem, buffer)
-        assert probs @ values == loss
-        assert np.array_equal(grad_at(probs), grad)
+    # two consecutive calls on the same weights, each gradient taken once
+    values, grad_at = _profile(MLP38, p.weights, X, problem)
+    got = grad_at(probs)
+    values2, grad_at2 = _profile(MLP38, p.weights, X, problem)
+    assert np.array_equal(values2, values) and probs @ values == loss
+    assert np.array_equal(grad_at2(probs), got) and np.array_equal(got, grad)
 
 
 # --- checkpoints -----------------------------------------------------------------

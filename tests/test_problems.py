@@ -699,12 +699,13 @@ def _oracle_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_oracle_profile_matches_a_dense_loop_over_actions(case, perm_seed):
     model, grid, u = case
-    values = oracle_profile(model, grid, u)
+    problem = problem_from_model(model, grid)
+    values = oracle_profile(model, problem, u)
     dense = np.array([cost_draws(model, float(z), u).mean() for z in grid.points])
     _assert_close(values, dense)
     assert grid.best(values)[0] == grid.best(dense)[0]
     perm = np.random.default_rng(perm_seed).permutation(len(u))
-    assert oracle_profile(model, grid, u[perm]).tobytes() == values.tobytes()
+    assert oracle_profile(model, problem, u[perm]).tobytes() == values.tobytes()
 
 
 
@@ -901,9 +902,9 @@ def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
     model = _newsvendor_world(**world)
     grid = make_grid(0.0, 6.0, 25)
     base, eps = _reference_world_draws(model, 5000, seed=11)
-    kernel = problem_from_model(model, grid).separable_kernel
-    want = kernel(base + eps, _reference_action_term(model, grid.points))[0]
-    assert _same_bits(oracle_profile(model, grid, world_draws(model, 5000, seed=11)), want)
+    problem = problem_from_model(model, grid)
+    want = problem.separable_kernel(base + eps, _reference_action_term(model, grid.points))[0]
+    assert _same_bits(oracle_profile(model, problem, world_draws(model, 5000, seed=11)), want)
 
 
 # each kind, and newsvendor with one slope 0, which pins the sign of a zero cost

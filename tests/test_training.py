@@ -37,6 +37,7 @@ from predopt.training import (
     simpo_fit,
     two_stage_fit,
 )
+from test_evaluation import _traced_peak
 from test_problems import _dense_profile
 
 GRID = make_grid(0.0, 20.0, 201)
@@ -893,3 +894,37 @@ def test_full_batch_fit_steps_on_the_split_itself(monkeypatch, fit, arch):
         assert isinstance(batch, _Moments)
     else:
         assert [id(column) for column in batch] == [id(X), id(Z), id(Y)]
+
+
+# --- memory -----------------------------------------------------------------------
+
+MLP16 = Architecture("mlp1", 2, hidden_units=16)
+
+
+@pytest.mark.parametrize(
+    "overrides, stop",
+    [
+        pytest.param({"max_iters": 3}, "cap", id="task-on-cap"),
+        pytest.param({"max_iters": 50, "patience": 1, "tol": 1.0}, "stall", id="task-on-stall"),
+        # a joint fit (alpha > 0) profiles every iteration and never takes the gradient
+        pytest.param(
+            {"max_iters": 3, "weight_config": WeightConfig(2.0, 20.0, 0.5, task_term_enabled=False)},
+            "cap",
+            id="task-off-cap",
+        ),
+    ],
+)
+def test_an_mlp1_fit_holds_one_activation_tensor(overrides, stop):
+    # each grid pass allocates its (m_val, K, h) activations, and the fit frees
+    # them before the next pass, the final decision pass included; the half
+    # tensor on top is headroom for the (m_val, K) cost arrays (1/16 of a
+    # tensor each at h = 16) and what does not grow with the tensor
+    model = _world()
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 2000, seed=0)
+    cfg = _config(**overrides)
+    simpo_fit(problem, train, val, MLP16, replace(cfg, max_iters=1))  # numpy's first-call caches
+    fits = []
+    peak = _traced_peak(lambda: fits.append(simpo_fit(problem, train, val, MLP16, cfg)))
+    assert (fits[0].iters_run == cfg.max_iters) == (stop == "cap")
+    assert peak <= 1.5 * len(val) * GRID.n_points * MLP16.hidden_units * 8
