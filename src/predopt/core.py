@@ -38,15 +38,21 @@ class ValidationError(ValueError):
 TIE_TOLERANCE, _TINY = 1e-12, float(np.finfo(float).tiny)
 
 
-def _require_finite(name: str, value) -> float:
-    """`value` as a float; a ValidationError naming `name` unless it is a finite real number."""
+def _require_finite(name: str, value, above=None, least=None) -> float:
+    """`value` as a float; a ValidationError naming `name` unless it is a finite
+    real number (a bool is not), > `above` and >= `least` where they are given."""
     try:
         finite = not isinstance(value, bool) and math.isfinite(value)
     except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if above is not None and not value > above:
+        raise ValidationError(f"{name} must be > {above}, got {value}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _require_int(name: str, value, least: int) -> int:
@@ -182,25 +188,21 @@ class WeightConfig:
     task_term_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "tau"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be >= 0, got {self.alpha}")
-        if self.beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be > 0, got {self.tau}")
+        object.__setattr__(self, "alpha", _require_finite("alpha", self.alpha, least=0))
+        object.__setattr__(self, "beta", _require_finite("beta", self.beta, least=0))
+        object.__setattr__(self, "tau", _require_finite("tau", self.tau, above=0))
+        if not isinstance(self.task_term_enabled, bool):
+            raise ValidationError(
+                f"task_term_enabled must be a bool, got {self.task_term_enabled!r}"
+            )
 
 
 def _split_sizes(n: int, train_frac: float, val_frac: float) -> tuple[int, int, int]:
     """(train, val, test) sizes for n samples: floor(n * frac) for train and
     val, the remainder to test. Raises unless both fractions are finite and
     > 0 with a sum < 1, and every split is non-empty."""
-    train_frac = _require_finite("train_frac", train_frac)
-    val_frac = _require_finite("val_frac", val_frac)
-    for name, value in (("train_frac", train_frac), ("val_frac", val_frac)):
-        if not value > 0:
-            raise ValidationError(f"{name} must be > 0, got {value}")
+    train_frac = _require_finite("train_frac", train_frac, above=0)
+    val_frac = _require_finite("val_frac", val_frac, above=0)
     if train_frac + val_frac >= 1:
         raise ValidationError(f"train_frac + val_frac must be < 1, got {train_frac + val_frac}")
     n_train = int(np.floor(n * train_frac))
@@ -223,7 +225,7 @@ def split_dataset(
     any split would be empty; see _split_sizes.
     """
     n_train, n_val, _ = _split_sizes(len(data), train_frac, val_frac)
-    perm = np.random.default_rng(seed).permutation(len(data))
+    perm = np.random.default_rng(_require_int("seed", seed, 0)).permutation(len(data))
     return (
         data.take(perm[:n_train]),
         data.take(perm[n_train : n_train + n_val]),

@@ -94,7 +94,7 @@ def derive_seeds(run_seed: int) -> tuple[int, int, int, int]:
     Hashed through SeedSequence so e.g. the MC stream never replays the
     training-data draws.
     """
-    state = np.random.SeedSequence(run_seed).generate_state(4)
+    state = np.random.SeedSequence(_require_int("run_seed", run_seed, 0)).generate_state(4)
     return tuple(int(s) for s in state)
 
 

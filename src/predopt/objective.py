@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _require_probs
+from .core import ActionGrid, ValidationError, _require_finite, _require_probs
 from .predictor import PredictorParams, _inputs, _profile
 from .problems import Problem
 
@@ -85,9 +85,7 @@ def action_distribution(profile: CostProfile, tau: float) -> np.ndarray:
     p_k proportional to exp(-(v_k - min v)/tau); the shift makes the largest
     exponent exactly 0 so the normalizer never overflows.
     """
-    if not tau > 0:
-        raise ValidationError(f"tau must be > 0, got {tau}")
-    return _soft_min(profile.values, tau)
+    return _soft_min(profile.values, _require_finite("tau", tau, above=0))
 
 
 def _soft_min(values: np.ndarray, tau: float) -> np.ndarray:
@@ -102,8 +100,7 @@ def omega_weight(
     """Predictive-loss weight: 1 + alpha * normalized mean distance from the
     historical optimum under the action distribution."""
     probs = _require_probs("probs", probs, grid)
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    alpha = _require_finite("alpha", alpha, least=0)
     return _omega(probs, np.abs(grid.points - z_star_train), grid.width, alpha)
 
 
@@ -117,8 +114,7 @@ def gamma_weight(
 ) -> float:
     """Task-cost weight: exp(-beta * normalized anchor distance), in (0, 1]
     (0.0 only where the exponential underflows at very large beta)."""
-    if beta < 0:
-        raise ValidationError(f"beta must be >= 0, got {beta}")
+    beta = _require_finite("beta", beta, least=0)
     return _gamma(z_star_train, z_star_test, beta, grid.width)
 
 

@@ -92,6 +92,7 @@ def init_params(arch: Architecture, seed: int) -> PredictorParams:
     """Initial parameters: linear starts at zero; mlp1 draws hidden weights
     uniformly from [-s, s] with s = 1/sqrt(d+1) and zeroes the biases and the
     output layer. Deterministic in seed."""
+    seed = _require_int("seed", seed, 0)
     w = np.zeros(arch.n_weights)
     if arch.kind == "mlp1":
         s = 1.0 / np.sqrt(arch.feature_dim + 1)

@@ -83,12 +83,10 @@ class TrueModel:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValidationError(f"unknown problem kind {self.kind!r}")
-        for name in ("intercept", "action_effect", "nonlinearity", "noise_sd", "feature_sd"):
+        for name in ("intercept", "action_effect", "nonlinearity"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if not self.noise_sd > 0:
-            raise ValidationError(f"noise_sd must be > 0, got {self.noise_sd}")
-        if not self.feature_sd > 0:
-            raise ValidationError(f"feature_sd must be > 0, got {self.feature_sd}")
+        for name in ("noise_sd", "feature_sd"):
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name), above=0))
         weights = enumerate(self.base_weights)
         bw = tuple(_require_finite(f"base_weights[{i}]", v) for i, v in weights)
         if len(bw) < 1:
@@ -359,7 +357,7 @@ def _logging_probs(model: TrueModel, grid: ActionGrid) -> np.ndarray:
 def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Dataset:
     """Draw n samples under the logging policy; deterministic in seed."""
     n = _require_int("n", n, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     d = model.feature_dim
     X = rng.normal(0.0, model.feature_sd, size=(n, d))
     idx = rng.choice(grid.n_points, size=n, p=_logging_probs(model, grid))
@@ -382,7 +380,7 @@ def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
     n_mc = _require_int("n_mc", n_mc, 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int("seed", seed, 0))
     u = np.empty(n_mc)
     weights = np.asarray(model.base_weights)
     # every feature block, then every noise block: the stream's order of one draw of each

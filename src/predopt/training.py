@@ -29,8 +29,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, ValidationError, WeightConfig, _require_finite, _require_int
-from .core import _write_csv
+from .core import Dataset, WeightConfig, _require_finite, _require_int, _write_csv
 from .objective import _gamma, _omega, _soft_min, argmin_profile, empirical_profile
 from .predictor import (
     Architecture,
@@ -78,11 +77,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "tol"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if not self.learning_rate > 0:
-            raise ValidationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name), above=0))
         for name, least in (("max_iters", 1), ("patience", 1), ("batch_size", 0), ("seed", 0)):
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 

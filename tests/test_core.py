@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,16 @@ from predopt.core import (
     save_dataset_csv,
     split_dataset,
 )
-from predopt.predictor import Architecture, PredictorParams, loss_and_grad, predict_batch
-from predopt.problems import TrueModel, _problem, newsvendor_problem
+from predopt.evaluation import derive_seeds
+from predopt.objective import CostProfile, action_distribution, gamma_weight, omega_weight
+from predopt.predictor import (
+    Architecture,
+    PredictorParams,
+    init_params,
+    loss_and_grad,
+    predict_batch,
+)
+from predopt.problems import TrueModel, _problem, gen_dataset, newsvendor_problem, world_draws
 from predopt.training import TrainConfig
 
 
@@ -263,6 +273,35 @@ NON_FINITE = [
     ),
     pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
     pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),
+    pytest.param(
+        action_distribution,
+        {"profile": CostProfile(make_grid(0, 10, 11), np.zeros(11), "model"), "tau": INF},
+        "tau",
+        id="action_distribution.tau",
+    ),
+    pytest.param(
+        action_distribution,
+        {"profile": CostProfile(make_grid(0, 10, 11), np.zeros(11), "model"), "tau": True},
+        "tau",
+        id="action_distribution.tau_bool",
+    ),
+    pytest.param(
+        omega_weight,
+        {
+            "probs": np.full(11, 1 / 11),
+            "grid": make_grid(0, 10, 11),
+            "z_star_train": 2.0,
+            "alpha": NAN,
+        },
+        "alpha",
+        id="omega_weight.alpha",
+    ),
+    pytest.param(
+        gamma_weight,
+        {"z_star_train": 2.0, "z_star_test": 2.0, "beta": INF, "grid": make_grid(0, 10, 11)},
+        "beta",
+        id="gamma_weight.beta",
+    ),
 ]
 
 
@@ -271,6 +310,35 @@ def test_non_finite_value_is_rejected_by_name(build, kwargs, field):
     with pytest.raises(ValidationError) as err:
         build(**kwargs)
     assert str(err.value).startswith(f"{field} must be a finite number")
+
+
+# (function, its other keyword arguments, the seed argument it checks)
+SEEDED = [
+    (gen_dataset, {"model": _world(), "n": 5, "grid": make_grid(0, 10, 11)}, "seed"),
+    (world_draws, {"model": _world(), "n_mc": 5}, "seed"),
+    (split_dataset, {"data": _toy_dataset(10), "train_frac": 0.6, "val_frac": 0.2}, "seed"),
+    (init_params, {"arch": Architecture("mlp1", 2, 3)}, "seed"),
+    (derive_seeds, {}, "run_seed"),
+]
+BAD_BY_NAME = [
+    pytest.param(build, {**kwargs, name: bad}, name, id=f"{build.__name__}.{name}={bad!r}")
+    for build, kwargs, name in SEEDED
+    for bad in (-1, 2.5, True)
+] + [
+    pytest.param(
+        WeightConfig,
+        {"alpha": 2.0, "beta": 3.0, "tau": 1.0, "task_term_enabled": "false"},
+        "task_term_enabled",
+        id="WeightConfig.task_term_enabled",
+    )
+]
+
+
+@pytest.mark.parametrize("build, kwargs, name", BAD_BY_NAME)
+def test_a_bad_seed_or_flag_is_rejected_by_name(build, kwargs, name):
+    bad = re.escape(repr(kwargs[name]))
+    with pytest.raises(ValidationError, match=f"^{name} must be .+, got {bad}$"):
+        build(**kwargs)
 
 
 @pytest.mark.parametrize("key", ["max_iters", "patience", "batch_size"])

@@ -2,16 +2,18 @@
 completion, importing the command line loads no process pool, every name in
 a module's __all__ and every name the benchmark traces resolves, only core's
 one reader and one writer open files, only core's CSV writer joins cells and
-lines, only problems names a problem kind, a logging policy or one of their
-keys, only training names a fit method, only predictor names an architecture
-kind, no function takes a grid beside the problem that carries one, and the
-package has one exception type for bad input and one for a training abort."""
+lines, only core writes a numeric bound's message, only problems names a
+problem kind, a logging policy or one of their keys, only training names a
+fit method, only predictor names an architecture kind, no function takes a
+grid beside the problem that carries one, and the package has one exception
+type for bad input and one for a training abort."""
 
 import ast
 import builtins
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -164,6 +166,21 @@ def test_only_core_csv_writer_joins_cells_and_lines():
         and func.value.value in (",", "\n")
     }
     assert found == {("core", "_write_csv")}
+
+
+def test_only_core_writes_a_numeric_bound():
+    # every scalar bound is checked by core._require_finite or _require_int,
+    # which own the "must be > ..." and "must be >= ..." messages
+    found = [
+        (module, node.lineno, node.value)
+        for module in MODULES
+        if module != "core"
+        for node in ast.walk(_parse(module))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.search("must be [<>]", node.value)
+    ]
+    assert found == []
 
 
 def test_only_problems_names_a_kind_a_policy_or_their_keys():
