@@ -18,6 +18,7 @@ from .predictor import Architecture, predict_batch
 from .problems import (
     TrueModel,
     _blocks,
+    _draw_world,
     _logging_probs,
     _oracle,
     cost_draws,
@@ -172,16 +173,23 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     """One seed's worth of work: generate, split, fit both methods, keeping
     only each fit's row values, then score each distinct decision once, and
     the oracle row, from one set of world draws and one oracle profile scan.
-    No fit result is alive while the draws are, and at most two arrays of
-    n_mc (the draws and one working array) plus one block are held at once."""
+    The draws depend on the MC seed alone, so a second thread writes them
+    into u while the fits run on this one; an error in the draws is raised
+    here once the fits are done. No fit result is alive at the scan, and at
+    most two arrays of n_mc (the draws and one working array) plus one block
+    are held at once."""
+    from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
+
     model = config.model_spec
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
-    rows = [
-        (method, *_fit_row(fit, problem, train, val, test, config.arch, cfg))
-        for method, fit in _FITS.items()
-    ]
-
-    u = world_draws(model, config.n_mc, mc_seed)
+    u = np.empty(config.n_mc)  # on this thread: pages freed on another stay in its arena
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        drawn = pool.submit(_draw_world, u, model, mc_seed)
+        rows = [
+            (method, *_fit_row(fit, problem, train, val, test, config.arch, cfg))
+            for method, fit in _FITS.items()
+        ]
+        drawn.result()
     oracle = _oracle(model, problem, u)
 
     nan = float("nan")

@@ -379,16 +379,21 @@ def _blocks(n: int):
 def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
-    n_mc = _require_int("n_mc", n_mc, 1)
-    rng = np.random.default_rng(_require_int("seed", seed, 0))
-    u = np.empty(n_mc)
+    n_mc, seed = _require_int("n_mc", n_mc, 1), _require_int("seed", seed, 0)
+    return _draw_world(np.empty(n_mc), model, seed)
+
+
+def _draw_world(u: np.ndarray, model: TrueModel, seed: int) -> np.ndarray:
+    """world_draws(model, len(u), seed), written into u and returned: its
+    bits, for a seed already checked."""
+    rng = np.random.default_rng(seed)
     weights = np.asarray(model.base_weights)
     # every feature block, then every noise block: the stream's order of one draw of each
-    for rows in _blocks(n_mc):
+    for rows in _blocks(len(u)):
         shape = (rows.stop - rows.start, model.feature_dim)
         np.matmul(rng.normal(0.0, model.feature_sd, size=shape), weights, out=u[rows])
     u += model.intercept
-    for rows in _blocks(n_mc):
+    for rows in _blocks(len(u)):
         u[rows] += rng.normal(0.0, model.noise_sd, size=rows.stop - rows.start)
     return u
 
@@ -410,6 +415,7 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     Counterfactual: outcomes are generated under the queried z, not under any
     logged action. Deterministic in seed.
     """
+    z = _require_finite("z", z)
     return float(cost_draws(model, z, world_draws(model, n_mc, seed)).mean())
 
 

@@ -22,7 +22,14 @@ from predopt.predictor import (
     loss_and_grad,
     predict_batch,
 )
-from predopt.problems import TrueModel, _problem, gen_dataset, newsvendor_problem, world_draws
+from predopt.problems import (
+    TrueModel,
+    _problem,
+    gen_dataset,
+    newsvendor_problem,
+    oracle_expected_cost,
+    world_draws,
+)
 from predopt.training import TrainConfig
 
 
@@ -270,6 +277,18 @@ NON_FINITE = [
         {"grid": make_grid(0, 10, 11), "c_h": 1.0, "c_s": INF},
         "cost_params['c_s']",
         id="newsvendor_problem.c_s",
+    ),
+    pytest.param(
+        oracle_expected_cost,
+        {"model": _world(), "z": NAN, "n_mc": 5, "seed": 0},
+        "z",
+        id="oracle_expected_cost.z_nan",
+    ),
+    pytest.param(
+        oracle_expected_cost,
+        {"model": _world(), "z": INF, "n_mc": 5, "seed": 0},
+        "z",
+        id="oracle_expected_cost.z_inf",
     ),
     pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
     pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),

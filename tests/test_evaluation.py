@@ -1,4 +1,6 @@
+import json
 import math
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from predopt import evaluation, problems
-from predopt.cli import load_config
+from predopt.cli import load_config, main
 from predopt.core import ValidationError, WeightConfig, make_grid
 from predopt.evaluation import (
     METHOD_ORDER,
@@ -27,6 +29,7 @@ from predopt.predictor import Architecture
 from predopt.problems import (
     _BLOCK,
     TrueModel,
+    _draw_world,
     _oracle,
     _problem,
     cost_draws,
@@ -354,10 +357,11 @@ def test_one_aborted_fit_leaves_the_other_rows_as_they_were(monkeypatch):
     assert repr(got[1:]) == repr(want[1:])
 
 
-def test_no_fit_result_is_alive_when_the_world_is_drawn(monkeypatch):
+def test_no_fit_result_is_alive_when_the_world_is_scanned(monkeypatch):
     # weak references to the fits' own results, not a scan of every live
-    # object: other test modules keep TrainResults of their own alive
-    refs, draws = [], []
+    # object: other test modules keep TrainResults of their own alive. The
+    # draws overlap the fits; the scan makes the second array of n_mc.
+    refs, scans = [], []
 
     def keeping_a_ref(fit):
         def run(*args):
@@ -370,13 +374,62 @@ def test_no_fit_result_is_alive_when_the_world_is_drawn(monkeypatch):
     for method, fit in list(evaluation._FITS.items()):
         monkeypatch.setitem(evaluation._FITS, method, keeping_a_ref(fit))
 
-    def checked_world_draws(*args):
-        draws.append([ref() is None for ref in refs])
-        return world_draws(*args)
+    def checked_oracle(*args):
+        scans.append([ref() is None for ref in refs])
+        return _oracle(*args)
 
-    monkeypatch.setattr(evaluation, "world_draws", checked_world_draws)
+    monkeypatch.setattr(evaluation, "_oracle", checked_oracle)
     _run_seed(_experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0), 0)
-    assert draws == [[True] * len(evaluation._FITS)]
+    assert scans == [[True] * len(evaluation._FITS)]
+
+
+def test_the_world_is_drawn_on_another_thread_while_the_first_fit_runs(monkeypatch):
+    started, seen = threading.Event(), {}
+
+    def draw_world(*args):
+        seen["draw_thread"] = threading.get_ident()
+        started.set()
+        return _draw_world(*args)
+
+    method, fit = next(iter(evaluation._FITS.items()))
+
+    def first_fit(*args):
+        result = fit(*args)
+        # a serial draw after the fits would leave this to time out
+        seen["started_before_return"] = started.wait(timeout=10)
+        seen["fit_thread"] = threading.get_ident()
+        return result
+
+    monkeypatch.setattr(evaluation, "_draw_world", draw_world)
+    monkeypatch.setitem(evaluation._FITS, method, first_fit)
+    _run_seed(_experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0), 0)
+    assert seen["started_before_return"]
+    assert seen["draw_thread"] != seen["fit_thread"] == threading.get_ident()
+
+
+def test_an_error_in_the_draws_is_raised_and_leaves_no_thread(monkeypatch, tmp_path, capsys):
+    raised = MemoryError("Unable to allocate 80.0 GiB")
+
+    def no_memory(*args):
+        raise raised
+
+    monkeypatch.setattr(evaluation, "_draw_world", no_memory)
+    before = threading.active_count()
+    config = _experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0)
+    with pytest.raises(MemoryError) as err:
+        _run_seed(config, 0)
+    assert err.value is raised
+    assert threading.active_count() == before
+
+    blob = json.loads((ROOT / "configs" / "pricing_demo.json").read_text())
+    blob["eval"]["n_seeds"], blob["train"]["max_iters"] = 1, 20
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(blob))
+    out = tmp_path / "results.csv"
+    assert main(["compare", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate")
+    assert not out.exists()
+    assert threading.active_count() == before
 
 
 def _reference_score(model, action, best_costs, u):

@@ -39,10 +39,10 @@ WORKLOADS pins the compare CSV of each benchmark workload, read in place from
 perfbench/workloads/, so that a change which must keep the benchmark's
 results byte-identical is checked here and not by hand. Those hashes were
 added, not re-pinned: the commit that added them changed no output, and each
-CSV is the same with --jobs 1 and 2. The numpy and BLAS caveat above holds for
-them as well. Every workload has at most two features, so its draws, and its
-hash, do not depend on the BLAS thread count (that holds only below eight
-features; see README, Reproducibility).
+CSV is the same with --jobs 1 and 2; both are checked. The numpy and BLAS
+caveat above holds for them as well. Every workload has at most two
+features, so its draws, and its hash, do not depend on the BLAS thread count
+(that holds only below eight features; see README, Reproducibility).
 """
 
 import copy
@@ -161,6 +161,15 @@ def test_benchmark_workload_csv_matches_golden_hash(tmp_path, name, sha256):
     cfg = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{name}.json"
     out = tmp_path / "results.csv"
     assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("name, sha256", WORKLOADS.items(), ids=list(WORKLOADS))
+def test_benchmark_workload_csv_matches_golden_hash_with_two_jobs(tmp_path, name, sha256):
+    # each seed in a worker process, which draws its world on a thread of its own
+    cfg = Path(__file__).parents[1] / "perfbench" / "workloads" / f"{name}.json"
+    out = tmp_path / "results.csv"
+    assert main(["compare", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 

@@ -76,16 +76,27 @@ def test_demo_runs(demo, tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_importing_the_command_line_loads_no_process_pool():
-    # compare imports the process pool only when it starts worker processes
-    pool_modules = ("concurrent.futures.process", "multiprocessing")
-    code = f"import sys, predopt.cli; print([m for m in {pool_modules!r} if m in sys.modules])"
+def _loaded_by_importing_the_cli(modules) -> str:
+    """The printed list of `modules` that a fresh `import predopt.cli` loads."""
+    code = f"import sys, predopt.cli; print([m for m in {modules!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\n"
+    return run.stdout
+
+
+def test_importing_the_command_line_loads_no_process_pool():
+    # compare imports the process pool only when it starts worker processes
+    pool_modules = ("concurrent.futures.process", "multiprocessing")
+    assert _loaded_by_importing_the_cli(pool_modules) == "[]\n"
+
+
+def test_importing_the_command_line_loads_no_thread_pool():
+    # a seed imports the thread pool that draws its world when it runs: the
+    # import pulls in logging, and every command would pay for it at startup
+    assert _loaded_by_importing_the_cli(("concurrent.futures.thread",)) == "[]\n"
 
 
 @pytest.mark.parametrize("module", MODULES)
