@@ -17,11 +17,23 @@ through T: one matmul C @ T for the w2 term, then, with T overwritten in
 place by 1 - T*T, one batched matmul
 [C, C*Z] @ (1 - T*T) for every W1 and b1 term. C holds the task term's cost
 derivatives (m, K) or the predictive loss's squared-error derivatives (n, 1).
+
+An mlp1 pass runs its work on T in contiguous blocks of rows (_in_blocks),
+and a fit spreads its model-profile passes, (m, K, h) each, over the usable
+CPUs (_pass_runner). Each block writes only its own rows, and every step
+there is per row, so the bits do not depend on the blocks. The sums across
+rows stay whole, on the calling thread: the w2 term C @ T, the W1 term
+M[:, 0]' @ X, and the sums of M (b1 and the z column) and of C (b2). Each is
+one BLAS call or numpy reduction, and split into per-block partial sums it
+would round differently. The input term X @ W1[:, :d]' is formed whole too,
+before the blocks: it is a BLAS product whose rounding need not be per row.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -138,26 +150,84 @@ def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.n
     return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
 
 
-def _grid_pass(arch: Architecture, w: np.ndarray, X, Z):
+def _row_blocks(m: int, n: int) -> list[slice]:
+    """range(m) as min(n, m) contiguous slices (one if m is 0), their lengths within one."""
+    n = max(1, min(n, m))
+    return [slice(m * i // n, m * (i + 1) // n) for i in range(n)]
+
+
+def _in_blocks(n: int, pool=None):
+    """A pass runner: run(fn, m) calls fn(rows) on each of _row_blocks(m, n)
+    and returns once every call has. This thread takes the first block and
+    the pool the rest (one block needs no pool); an error in any block is
+    raised here."""
+
+    def run(fn, m):
+        first, *rest = _row_blocks(m, n)
+        futures = [pool.submit(fn, rows) for rows in rest]
+        try:
+            fn(first)
+        finally:
+            for future in futures:
+                future.exception()  # waits: no block writes once run returns
+        for future in futures:
+            future.result()
+
+    return run
+
+
+_inline = _in_blocks(1)  # a single call's pass: one block, on this thread
+
+
+@contextmanager
+def _pass_runner(arch: Architecture):
+    """The runner for a fit's model-profile passes: for mlp1, one block per
+    usable CPU, over a thread pool that lives for the with-block only, so no
+    thread outlives the fit or is shared across a fork. A linear fit forms
+    no tensor and runs inline, and so does every predictive-loss pass: its
+    (n, 1, h) tensor is too small for the hand-off to a thread to pay."""
+    cpus = len(os.sched_getaffinity(0))
+    if arch.kind == "linear" or cpus == 1:
+        yield _inline
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
+
+    with ThreadPoolExecutor(max_workers=cpus - 1) as pool:
+        yield _in_blocks(cpus, pool)
+
+
+def _grid_pass(arch: Architecture, w: np.ndarray, X, Z, run=_inline):
     """One forward pass over the inputs X (m, d) and the actions Z, which
     broadcast against the rows of X: a (1, K) row crosses every input with
     every action, an (m, 1) column gives each input its own action.
 
     Returns (P, T): the (m, K) predictions and, for mlp1, the (m, K, h)
     hidden activations (None for linear), which _mlp1_grad backpropagates
-    through.
+    through. `run` runs the mlp1 pass's row blocks.
     """
     if arch.kind == "linear":
         w_x, w_z, b = _unpack_linear(arch, w)
-        P = (X @ w_x)[:, None] + w_z * Z + b
-        T = None
-    else:
-        W1, b1, w2, b2 = _unpack_mlp1(arch, w)
-        d = arch.feature_dim
-        # A[j, k, i] = (x_j . W1[i, :d] + b1[i]) + Z[j, k] * W1[i, d], then T = tanh(A)
-        A = np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d])
-        T = np.tanh(A, out=A)
-        P = T @ w2 + b2
+        return (X @ w_x)[:, None] + w_z * Z + b, None
+    W1, b1, w2, b2 = _unpack_mlp1(arch, w)
+    d = arch.feature_dim
+    # T[j, k, i] = tanh(Z[j, k] * W1[i, d] + (x_j . W1[i, :d] + b1[i]))
+    inputs = (X @ W1[:, :d].T + b1)[:, None, :]  # (m, 1, h)
+    actions = Z[..., None] * W1[:, d]  # (1, K, h) or (m, 1, h)
+    m, K = len(X), Z.shape[1]
+    T = np.empty((m, K, arch.hidden_units))
+    P = np.empty((m, K))
+
+    def block(rows):
+        A = T[rows]
+        # copy, then add in place: the same sums as inputs + actions, and
+        # only the add broadcasts over h-long runs
+        A[:] = actions if len(actions) == 1 else actions[rows]
+        A += inputs[rows]
+        np.tanh(A, out=A)
+        np.matmul(A, w2, out=P[rows])
+        P[rows] += b2
+
+    run(block, m)
     return P, T
 
 
@@ -266,14 +336,14 @@ def task_grad(
     return float(probs @ values), grad_at(probs)
 
 
-def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem):
+def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem, run=_inline):
     """The model cost profile at weights w over the problem's grid, and its task gradient.
 
     Returns (values, grad_at): values[k] = (1/m) sum_j task_cost(z_k, h(x_j, z_k)),
     and grad_at(probs) is the flat gradient of probs @ values with probs held
     fixed. A linear model takes the problem's separable kernel, P[j, k] =
     a[j] + c[k], and never forms the (m, K) matrices; mlp1 takes one grid
-    pass, whose activations live as long as grad_at does.
+    pass, run by `run`, whose activations live as long as grad_at does.
     Call grad_at at most once per _profile call: for mlp1 it overwrites the
     activations it backpropagates through.
     """
@@ -282,11 +352,11 @@ def _profile(arch: Architecture, w: np.ndarray, X, problem: Problem):
         w_x, w_z, b = _unpack_linear(arch, w)
         values, gradient_sums = problem.separable_kernel(X @ w_x + b, w_z * points)
         return values, lambda probs: _linear_task_grad(w, X, points, *gradient_sums(probs))
-    P, T = _grid_pass(arch, w, X, points[None, :])
+    P, T = _grid_pass(arch, w, X, points[None, :], run)
 
     def grad_at(probs):  # backprop C = dg/dy * p_k / m, (m, K), through T
         C = (problem.task_cost_grad_y(points[None, :], P) * probs[None, :]) / X.shape[0]
-        return _mlp1_grad(arch, w, X, points[None, :], T, C)
+        return _mlp1_grad(arch, w, X, points[None, :], T, C, run)
 
     return problem.task_cost(points[None, :], P).mean(axis=0), grad_at
 
@@ -303,21 +373,28 @@ def _linear_task_grad(w: np.ndarray, X, points, row, col, total):
     return grad
 
 
-def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C):
+def _mlp1_grad(arch: Architecture, w: np.ndarray, X, Z, T, C, run=_inline):
     """Flat gradient of sum_jk C[j, k] * h(x_j, Z[j, k]) given the activations T
-    of _grid_pass(arch, w, X, Z), which this overwrites in place with 1 - T*T.
-    The task term passes C = dg/dy * p_k / m, (m, K); the predictive loss
-    passes C = c[:, None], (n, 1)."""
+    of _grid_pass(arch, w, X, Z), which this overwrites in place with 1 - T*T,
+    in the row blocks that `run` runs. The task term passes C = dg/dy * p_k / m,
+    (m, K); the predictive loss passes C = c[:, None], (n, 1)."""
     grad = np.empty_like(w)
     gW1, gb1, gw2, _ = _unpack_mlp1(arch, grad)  # views into grad
     _, _, w2, _ = _unpack_mlp1(arch, w)
-    d = arch.feature_dim
-    gw2[:] = C.ravel() @ T.reshape(-1, arch.hidden_units)
-    # backprop through tanh: D = 1 - T*T, formed explicitly because
-    # sum C - sum C*T*T cancels where |tanh| is near 1
-    D = np.subtract(1.0, np.multiply(T, T, out=T), out=T)
-    # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by Z[j, k]
-    M = np.matmul(np.stack([C, C * Z], axis=1), D)  # (m, 2, h)
+    d, h = arch.feature_dim, arch.hidden_units
+    gw2[:] = C.ravel() @ T.reshape(-1, h)  # before any block overwrites T
+    S = np.stack([C, C * Z], axis=1)  # (m, 2, K)
+    M = np.empty((len(S), 2, h))
+
+    def block(rows):
+        # backprop through tanh: D = 1 - T*T, formed explicitly because
+        # sum C - sum C*T*T cancels where |tanh| is near 1
+        D = T[rows]
+        np.subtract(1.0, np.multiply(D, D, out=D), out=D)
+        # M[j, 0, i] = sum_k C[j, k] D[j, k, i]; M[j, 1, i] weighs the same sum by Z[j, k]
+        np.matmul(S[rows], D, out=M[rows])
+
+    run(block, len(S))
     gW1[:, :d] = w2[:, None] * (M[:, 0].T @ X)
     gb1[:], gW1[:, d] = w2 * M.sum(axis=0)  # b1, z column
     grad[-1] = C.sum()  # b2

@@ -37,6 +37,7 @@ from .predictor import (
     _batch_loss_and_grad,
     _full_batch,
     _inputs,
+    _pass_runner,
     _profile,
     init_params,
 )
@@ -134,51 +135,51 @@ def _fit(
     if not minibatch:
         batch = _full_batch(arch, *rows)
 
-    stalled = 0  # consecutive iterations whose relative improvement of F was below tol
-    for it in range(1, config.max_iters + 1):
-        if minibatch:
-            idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-            batch = tuple(column[idx] for column in rows)
+    with _pass_runner(arch) as run:  # runs each mlp1 profile pass over the usable CPUs
+        stalled = 0  # consecutive iterations whose relative improvement of F was below tol
+        for it in range(1, config.max_iters + 1):
+            if minibatch:
+                idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
+                batch = tuple(column[idx] for column in rows)
 
-        if joint:
-            values, grad_at = _profile(arch, w, val.X, problem)
-            if not np.isfinite(values).all():
-                _abort("model cost profile", it)
-            probs = _soft_min(values, wc.tau)
-            z_star_test = grid.best(values)[0]
-            omega = _omega(probs, distance, width, wc.alpha)
-            gamma = _gamma(z_star_train, z_star_test, wc.beta, width)
-        else:
-            omega, gamma, z_star_test = 1.0, 1.0, float("nan")
+            if joint:
+                values, grad_at = _profile(arch, w, val.X, problem, run)
+                if not np.isfinite(values).all():
+                    _abort("model cost profile", it)
+                probs = _soft_min(values, wc.tau)
+                z_star_test = grid.best(values)[0]
+                omega = _omega(probs, distance, width, wc.alpha)
+                gamma = _gamma(z_star_train, z_star_test, wc.beta, width)
+            else:
+                omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
-        pred_loss, pred_grad = _batch_loss_and_grad(arch, w, batch)
-        if wc.task_term_enabled:
-            task_loss = float(probs @ values)
-            total_grad = omega * pred_grad + gamma * grad_at(probs)
-        else:
-            # Recorded as 0 so every row composes as pred*omega + task*gamma
-            task_loss = 0.0
-            total_grad = omega * pred_grad
-        grad_at = None  # it holds an mlp1 pass's activations: free them before the next pass
+            pred_loss, pred_grad = _batch_loss_and_grad(arch, w, batch)
+            if wc.task_term_enabled:
+                task_loss = float(probs @ values)
+                total_grad = omega * pred_grad + gamma * grad_at(probs)
+            else:
+                # Recorded as 0 so every row composes as pred*omega + task*gamma
+                task_loss = 0.0
+                total_grad = omega * pred_grad
+            grad_at = None  # it holds an mlp1 pass's activations: free them before the next pass
 
-        if not (
-            math.isfinite(pred_loss) and math.isfinite(task_loss) and np.isfinite(total_grad).all()
-        ):
-            _abort("loss or gradient", it, f" (pred={pred_loss!r}, task={task_loss!r})")
-        total = pred_loss * omega + task_loss * gamma
-        history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
-        w = w - config.learning_rate * total_grad
-        if not np.isfinite(w).all():
-            _abort("weights after the step", it)
-        improved = it == 1 or (prev - total) / max(abs(prev), 1e-12) >= config.tol
-        stalled = 0 if improved else stalled + 1
-        if stalled >= config.patience:
-            break
-        prev = total
+            finite = math.isfinite(pred_loss) and math.isfinite(task_loss)
+            if not (finite and np.isfinite(total_grad).all()):
+                _abort("loss or gradient", it, f" (pred={pred_loss!r}, task={task_loss!r})")
+            total = pred_loss * omega + task_loss * gamma
+            history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
+            w = w - config.learning_rate * total_grad
+            if not np.isfinite(w).all():
+                _abort("weights after the step", it)
+            improved = it == 1 or (prev - total) / max(abs(prev), 1e-12) >= config.tol
+            stalled = 0 if improved else stalled + 1
+            if stalled >= config.patience:
+                break
+            prev = total
 
-    values = _profile(arch, w, val.X, problem)[0]
-    if not np.isfinite(values).all():
-        _abort("model cost profile", len(history))
+        values = _profile(arch, w, val.X, problem, run)[0]
+        if not np.isfinite(values).all():
+            _abort("model cost profile", len(history))
     z_star, g_star = grid.best(values)
     return TrainResult(
         params_star=PredictorParams(arch, w),

@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tempfile
+import threading
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -662,6 +663,20 @@ def test_train_simpo_reduction_matches_two_stage(config_path, tmp_path):
     ca = json.loads((out_a / "checkpoint.json").read_text())
     cb = json.loads((out_b / "checkpoint.json").read_text())
     assert ca["weights"] == cb["weights"]
+
+
+@pytest.mark.parametrize("method", ["simpo", "two-stage"])
+def test_train_mlp1_leaves_no_thread(tmp_path, method):
+    # the fit's thread pool ends with the fit, before train writes its files
+    blob = copy.deepcopy(SMALL_CONFIG)
+    blob["model"] = {"kind": "mlp1", "hidden_units": 8}
+    blob["train"]["max_iters"] = 5
+    path = _write(tmp_path, blob)
+    before = threading.active_count()
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--method", method, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["iters_run"] == 5
+    assert threading.active_count() == before
 
 
 def test_train_abort_exits_3(tmp_path, capsys):

@@ -48,6 +48,10 @@ features, so its draws, and its hash, do not depend on the BLAS thread count
 import copy
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +175,42 @@ def test_benchmark_workload_csv_matches_golden_hash_with_two_jobs(tmp_path, name
     out = tmp_path / "results.csv"
     assert main(["compare", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+
+# An mlp1 fit and then a compare that forks its workers, in one process, as
+# the tests above run in this one. A thread pool alive at the fork would leave
+# each worker a pool without threads, and the compare would hang; in a child
+# process with a timeout, that fails here instead of blocking the suite.
+FORK_AFTER_FIT = """
+import hashlib, sys
+from predopt.cli import main
+cfg, out = sys.argv[1:]
+for jobs in ("1", "2"):
+    assert main(["compare", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+    print("sha256", hashlib.sha256(open(out, "rb").read()).hexdigest())
+"""
+
+
+def test_a_compare_forks_its_workers_after_an_mlp1_fit(tmp_path):
+    root = Path(__file__).parents[1]
+    cfg = root / "perfbench" / "workloads" / "newsvendor_mlp1.json"
+    child = subprocess.Popen(
+        [sys.executable, "-c", FORK_AFTER_FIT, str(cfg), str(tmp_path / "results.csv")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,  # so a hang's workers are killed with it
+    )
+    try:
+        out, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("compare --jobs 2 after an mlp1 fit did not end in 120 s")
+    assert child.returncode == 0, err
+    hashes = [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
+    assert hashes == [WORKLOADS["newsvendor_mlp1"]] * 2
 
 
 @pytest.mark.parametrize("config", [p.values[0] for p in GOLDEN], ids=[p.id for p in GOLDEN])

@@ -1,4 +1,8 @@
 import json
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,8 +13,13 @@ from predopt.predictor import (
     Architecture,
     PredictorParams,
     _grid_pass,
+    _in_blocks,
+    _inline,
     _linear_task_grad,
+    _mlp1_grad,
+    _pass_runner,
     _profile,
+    _row_blocks,
     _unpack_linear,
     _unpack_mlp1,
     init_params,
@@ -516,6 +525,136 @@ def test_mlp1_task_grad_repeats_and_matches_model_profile(problem):
     values2, grad_at2 = _profile(MLP38, p.weights, X, problem)
     assert np.array_equal(values2, values) and probs @ values == loss
     assert np.array_equal(grad_at2(probs), got) and np.array_equal(got, grad)
+
+
+# --- row blocks ------------------------------------------------------------------
+
+
+def _broadcast_grid_pass(arch: Architecture, w: np.ndarray, X, Z):
+    """The mlp1 forward pass as one broadcast add of the input and action terms
+    over the whole tensor, as it ran before the row blocks."""
+    W1, b1, w2, b2 = _unpack_mlp1(arch, w)
+    d = arch.feature_dim
+    T = np.tanh(np.add((X @ W1[:, :d].T + b1)[:, None, :], Z[..., None] * W1[:, d]))
+    return T @ w2 + b2, T
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 7, 8, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_row_blocks_cover_the_rows_in_order(m, n):
+    blocks = _row_blocks(m, n)
+    assert len(blocks) == max(1, min(n, m))
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = [s.stop - s.start for s in blocks]
+    assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.fixture(scope="module")
+def runners():
+    """Block runners to hold against one inline block: three blocks over one
+    worker, five over four (more threads than this machine may have cores),
+    and a fit's own runner."""
+    with ThreadPoolExecutor(1) as one, ThreadPoolExecutor(4) as four, _pass_runner(MLP38) as fit:
+        yield {"pool-3": _in_blocks(3, one), "pool-5": _in_blocks(5, four), "fit": fit}
+
+
+# m = 1, fewer rows than blocks, an odd count, and the benchmark's validation rows
+ROWS = [1, 2, 7, 400]
+
+
+@pytest.mark.parametrize("shape", ["grid-row", "paired-column"])
+@pytest.mark.parametrize("m", ROWS)
+@pytest.mark.parametrize("runner", ["pool-3", "pool-5", "fit"])
+def test_blocked_mlp1_pass_and_backprop_are_bit_identical(runners, runner, m, shape):
+    rng = np.random.default_rng(m)
+    w = rng.normal(scale=0.7, size=MLP38.n_weights)
+    X = rng.normal(size=(m, MLP38.feature_dim))
+    Z = GRID.points[None, :] if shape == "grid-row" else rng.uniform(0, 10, size=(m, 1))
+    P1, T1 = _grid_pass(MLP38, w, X, Z, _inline)
+    P, T = _grid_pass(MLP38, w, X, Z, runners[runner])
+    P0, T0 = _broadcast_grid_pass(MLP38, w, X, Z)
+    assert np.array_equal(T, T1) and np.array_equal(P, P1)
+    assert np.array_equal(T, T0) and np.array_equal(P, P0)  # copy-then-add is the same sum
+    C = rng.normal(size=P.shape)
+    got = _mlp1_grad(MLP38, w, X, Z, T, C, runners[runner])
+    assert np.array_equal(got, _mlp1_grad(MLP38, w, X, Z, T1, C, _inline))
+    assert np.array_equal(T, T1)  # both overwritten with 1 - T*T
+    if shape == "paired-column":  # the single-call paths run one inline block
+        assert np.array_equal(P[:, 0], predict_batch(PredictorParams(MLP38, w), X, Z[:, 0]))
+        Y, W = rng.normal(size=m), rng.uniform(0.1, 2.0, size=m)
+        c = W * (2.0 * (P[:, 0] - Y)) / m
+        _, want = loss_and_grad(PredictorParams(MLP38, w), X, Z[:, 0], Y, W, NEWSVENDOR)
+        T = _grid_pass(MLP38, w, X, Z, runners[runner])[1]
+        assert np.array_equal(_mlp1_grad(MLP38, w, X, Z, T, c[:, None], runners[runner]), want)
+
+
+@pytest.mark.parametrize("problem", [NEWSVENDOR, PRICING], ids=["newsvendor", "pricing"])
+@pytest.mark.parametrize("m", ROWS)
+@pytest.mark.parametrize("runner", ["pool-3", "pool-5", "fit"])
+def test_blocked_profile_and_task_gradient_are_bit_identical(runners, runner, m, problem):
+    rng = np.random.default_rng(m + 1)
+    w = rng.normal(scale=0.7, size=MLP38.n_weights)
+    X = rng.normal(size=(m, MLP38.feature_dim))
+    probs = rng.dirichlet(np.ones(GRID.n_points))
+    values, grad_at = _profile(MLP38, w, X, problem, runners[runner])
+    values1, grad_at1 = _profile(MLP38, w, X, problem)
+    assert np.array_equal(values, values1)
+    assert np.array_equal(grad_at(probs), grad_at1(probs))
+
+
+def test_blocks_on_more_threads_than_cores_switching_often_stay_bit_identical():
+    # a block that wrote another's rows, or a run that returned before every
+    # block had ended, would show as a changed value or gradient
+    rng = np.random.default_rng(5)
+    w = rng.normal(scale=0.7, size=MLP38.n_weights)
+    X = rng.normal(size=(400, MLP38.feature_dim))
+    probs = rng.dirichlet(np.ones(GRID.n_points))
+    want, grad_at = _profile(MLP38, w, X, NEWSVENDOR)
+    want_grad = grad_at(probs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            run = _in_blocks(8, pool)
+            for _ in range(10):
+                values, grad_at = _profile(MLP38, w, X, NEWSVENDOR, run)
+                assert np.array_equal(values, want)
+                assert np.array_equal(grad_at(probs), want_grad)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_fit_runs_its_blocks_on_a_pool_that_ends_with_it():
+    before = threading.active_count()
+    cpus = len(os.sched_getaffinity(0))
+    seen = []
+    with _pass_runner(MLP38) as run:
+        run(lambda rows: seen.append((rows, threading.get_ident())), 400)
+    assert sorted((s.start, s.stop) for s, _ in seen) == [
+        (s.start, s.stop) for s in _row_blocks(400, cpus)
+    ]
+    assert len({thread for _, thread in seen}) == min(cpus, 2)
+    with _pass_runner(LINEAR3) as run:  # a linear fit forms no tensor
+        assert run is _inline
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("failing", [0, 4], ids=["this-thread", "pool"])
+def test_an_error_in_a_block_is_raised_once_every_block_has_ended(failing):
+    raised = MemoryError("block")
+    ended = []
+
+    def block(rows):  # rows 0-1 on this thread, 2-3 and 4-5 on the pool
+        if rows.start == failing:
+            raise raised
+        ended.append(rows.start)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(MemoryError) as err:
+            _in_blocks(3, pool)(block, 6)
+        assert err.value is raised
+        assert sorted(ended) == [s for s in (0, 2, 4) if s != failing]
 
 
 # --- checkpoints -----------------------------------------------------------------

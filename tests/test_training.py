@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -928,3 +929,19 @@ def test_an_mlp1_fit_holds_one_activation_tensor(overrides, stop):
     peak = _traced_peak(lambda: fits.append(simpo_fit(problem, train, val, MLP16, cfg)))
     assert (fits[0].iters_run == cfg.max_iters) == (stop == "cap")
     assert peak <= 1.5 * len(val) * GRID.n_points * MLP16.hidden_units * 8
+
+
+@pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit], ids=["simpo", "two_stage"])
+def test_an_mlp1_fit_leaves_no_thread(fit):
+    # its profile passes run on a thread pool that lives for the fit alone,
+    # an aborted fit's included
+    model = _world()
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 200, seed=0)
+    before = threading.active_count()
+    result = fit(problem, train, val, MLP16, _config(max_iters=3))
+    assert result.iters_run == 3 and threading.active_count() == before
+    with pytest.raises(TrainingError), np.errstate(over="ignore", invalid="ignore"):
+        fit(problem, train, val, MLP16, _config(learning_rate=1e300, max_iters=3))
+    assert threading.active_count() == before
+
