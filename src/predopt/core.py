@@ -118,7 +118,10 @@ class ActionGrid:
         (or the smallest normal float) of the minimum, and its value: ties break
         toward the smallest action, however the sums behind `values` were rounded."""
         values = np.asarray(values)
-        lo, hi = float(values.min()), float(values.max())
+        return self._best(values, float(values.min()), float(values.max()))
+
+    def _best(self, values: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
+        """best(values), given the smallest value lo and the largest hi."""
         k = int((values <= lo + max(TIE_TOLERANCE * max(hi, -lo), _TINY)).argmax())
         return float(self.points[k]), float(values[k])
 

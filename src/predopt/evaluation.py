@@ -21,6 +21,7 @@ from .problems import (
     _draw_world,
     _logging_probs,
     _oracle,
+    _scratch_size,
     cost_draws,
     gen_dataset,
     problem_from_model,
@@ -169,28 +170,38 @@ def _fit_row(fit, problem, train, val, test, arch, cfg) -> tuple[float, float, i
     return result.z_star, _pred_mse(result.params_star, test), result.iters_run
 
 
+def _world_and_oracle(u, work, model, problem, mc_seed) -> tuple[float, float]:
+    """Draw the world into u through work, then scan and cost its oracle in work."""
+    _draw_world(u, work, model, mc_seed)
+    return _oracle(model, problem, u, work[: len(u) + 1])
+
+
 def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     """One seed's worth of work: generate, split, fit both methods, keeping
     only each fit's row values, then score each distinct decision once, and
     the oracle row, from one set of world draws and one oracle profile scan.
-    The draws depend on the MC seed alone, so a second thread writes them
-    into u while the fits run on this one; an error in the draws is raised
-    here once the fits are done. No fit result is alive at the scan, and at
-    most two arrays of n_mc (the draws and one working array) plus one block
-    are held at once."""
+    The draws and the oracle depend on the MC seed alone, so a second thread
+    draws u, through the working array as scratch, then scans and costs the
+    oracle in that array, while the fits run here; an error there is raised
+    here after the fits. Both arrays are allocated on this thread: blocks
+    another thread allocated would stay in its arena once freed. At most two
+    arrays of n_mc (or, for a small n_mc, a working array of one block of
+    features) plus one block are held at once: the working array dies with
+    that thread's task, before a decision is scored in a new one."""
     from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
 
     model = config.model_spec
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
-    u = np.empty(config.n_mc)  # on this thread: pages freed on another stay in its arena
+    u = np.empty(config.n_mc)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        drawn = pool.submit(_draw_world, u, model, mc_seed)
+        work = np.empty(max(config.n_mc + 1, _scratch_size(config.n_mc, model)))
+        scanned = pool.submit(_world_and_oracle, u, work, model, problem, mc_seed)
+        del work  # the task holds the one reference, and drops it when it ends
         rows = [
             (method, *_fit_row(fit, problem, train, val, test, config.arch, cfg))
             for method, fit in _FITS.items()
         ]
-        drawn.result()
-    oracle = _oracle(model, problem, u)
+        oracle = scanned.result()
 
     nan = float("nan")
     scores = {}

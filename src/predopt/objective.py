@@ -85,12 +85,14 @@ def action_distribution(profile: CostProfile, tau: float) -> np.ndarray:
     p_k proportional to exp(-(v_k - min v)/tau); the shift makes the largest
     exponent exactly 0 so the normalizer never overflows.
     """
-    return _soft_min(profile.values, _require_finite("tau", tau, above=0))
+    tau = _require_finite("tau", tau, above=0)
+    return _soft_min(profile.values, tau, profile.values.min())
 
 
-def _soft_min(values: np.ndarray, tau: float) -> np.ndarray:
-    shifted = values - values.min()
-    w = np.exp(-shifted / tau)
+def _soft_min(values: np.ndarray, tau: float, lo: float) -> np.ndarray:
+    """action_distribution's probabilities, given the smallest value lo. Dividing
+    by -tau gives the bits of negating first: IEEE division is sign-symmetric."""
+    w = np.exp((values - lo) / -tau)
     return w / w.sum()
 
 

@@ -27,11 +27,15 @@ pass, exact under a shared (seed, n_mc).
 
 Every pass over the n_mc draws works in place, a block of _BLOCK rows at a
 time where it can: world_draws reduces each block of features to X . w
-before it draws eps and adds eps into u, the kernel sorts and sums in one
+in one scratch block before it draws eps there and adds it into u (given a
+scratch of n_mc floats, _draw_world takes larger blocks, with the same
+bits), the kernel sorts and sums in one
 (m + 1) array, and cost_draws writes the outcomes and then the kind's cost
-(_cost) into one array, block by block. So beside u, the oracle scan holds
+(_cost) into one array, block by block where the cost needs a temporary
+(newsvendor's), else in one pass. So beside u, the oracle scan holds
 one array of n_mc (the kernel's) and a cost pass one, plus one block, for
-every kind and feature count.
+every kind and feature count. The oracle (_oracle) can take one array of
+n_mc + 1 from its caller for both, as `out` of each.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ class TrueModel:
     nonlinearity: float
     noise_sd: float
     feature_sd: float
-    cost_params: dict
-    logging: dict
+    cost_params: dict = field(hash=False)  # dicts: compared, but left out of the hash
+    logging: dict = field(hash=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
@@ -140,10 +144,10 @@ class Problem:
     only the dense cost. The broadcast task_cost(z, y), its outcome derivative
     task_cost_grad_y(z, y), 0 at a knot, and separable_kernel, bound to the
     grid, all read them. For outcomes P[j, k] = a[j] + c[k] (a linear model's, a
-    TrueModel's) separable_kernel(a, c) gives, without (m, K) matrices,
+    TrueModel's) separable_kernel(a, c[, out]) gives, without (m, K) matrices,
     values[k], the mean of task_cost(z[k], P[:, k]), and gradient_sums(probs),
     the row sums, column sums and total of task_cost_grad_y(z[k], P[j, k]) *
-    probs[k] / m.
+    probs[k] / m. An `out` of m + 1 floats takes its sort and sums.
     """
 
     grid: ActionGrid
@@ -218,9 +222,10 @@ def _bind_pieces(knots, slopes, value):
     strictly inside piece p costs the cost at knot max(p - 1, 0), its anchor,
     plus slopes[p] * (a[j] - T[anchor]); one on a knot costs that knot's cost and
     adds exactly 0 to the gradient. One sort of a, one argsort of the actions,
-    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array, no (m, K)
-    array, `a` left as it was. Pieces of slope 0 and knots of cost 0 are skipped,
-    and the probabilities are summed once when no slope depends on the action.
+    searchsorted and prefix sums: O((m + K) log m), one (m + 1) array (`out`, if
+    given), no (m, K) array, `a` left as it was. Pieces of slope 0, knots of cost
+    0 and searches no sum reads are skipped, and the probabilities are summed
+    once when no slope depends on the action.
     """
     top = len(knots)  # the last piece
     shared = all(np.ndim(b) == 0 for b in knots)  # then every T[r] sorts like -c
@@ -232,18 +237,23 @@ def _bind_pieces(knots, slopes, value):
     # knot r's cost goes to the inputs in [T[r], T[r + 1]), knot 0's to those below T[1]
     flat = [(r, cost) for r, cost in enumerate(accumulate(rises, initial=value)) if np.any(cost)]
     one_mass = all(np.ndim(s) == 0 for s in slopes)
+    # the searches the sums read, no others: below[top] is m, upto[-1] is 0, and a flat
+    # cost reads below[r] and below[r + 1], with below[0] as 0
+    read_below = {p for p in live if p < top}
+    read_below |= {q for r, _ in flat for q in (r, r + 1) if 0 < q < top}
+    read_upto = {p - 1 for p in live if p}
 
-    def kernel(a, c):
+    def kernel(a, c, out=None):
         m = a.shape[0]
-        prefix = np.empty(m + 1)
+        prefix = np.empty(m + 1) if out is None else out
         prefix[0] = 0.0
         a_sorted = prefix[1:]
         a_sorted[...] = a
         a_sorted.sort()
         T = [b - c for b in knots]
         # the inputs with a[j] < T[r], m at r = top, and with a[j] <= T[r], 0 at r = -1
-        below = [a_sorted.searchsorted(t, "left") for t in T] + [m]
-        upto = [a_sorted.searchsorted(t, "right") for t in T] + [0]
+        below = {r: a_sorted.searchsorted(T[r], "left") for r in read_below} | {top: m}
+        upto = {r: a_sorted.searchsorted(T[r], "right") for r in read_upto} | {-1: 0}
         a_sorted.cumsum(out=a_sorted)  # now prefix[i] is the sum of the i smallest
         terms, inside = [], []  # inside: the inputs strictly inside each live piece
         for p in live:
@@ -368,11 +378,11 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
     return Dataset(X=X, z_obs=z, y=y)
 
 
-def _blocks(n: int):
-    """Row slices that cover range(n) in order, each of _BLOCK rows but the last.
+def _blocks(n: int, size: int = _BLOCK):
+    """Row slices that cover range(n) in order, each of `size` rows but the last.
     The last is never one row of several: numpy takes a one-row product through
     dot, not through the gemv of the other rows, and its sum can round apart."""
-    edges = [*range(0, max(n - 1, 1), _BLOCK), n]
+    edges = [*range(0, max(n - 1, 1), size), n]
     return (slice(start, stop) for start, stop in zip(edges, edges[1:]))
 
 
@@ -380,32 +390,59 @@ def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
     n_mc, seed = _require_int("n_mc", n_mc, 1), _require_int("seed", seed, 0)
-    return _draw_world(np.empty(n_mc), model, seed)
+    return _draw_world(np.empty(n_mc), np.empty(_scratch_size(n_mc, model)), model, seed)
 
 
-def _draw_world(u: np.ndarray, model: TrueModel, seed: int) -> np.ndarray:
-    """world_draws(model, len(u), seed), written into u and returned: its
-    bits, for a seed already checked."""
+def _scratch_size(n_mc: int, model: TrueModel) -> int:
+    """The fewest floats _draw_world's scratch may hold: one block of features."""
+    return (min(n_mc, _BLOCK) + 1) * model.feature_dim
+
+
+def _normal(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
+    """rng.normal(0.0, sd, out.shape), written into out: the same draws of the
+    stream, and the bits of its 0.0 + sd * z."""
+    rng.standard_normal(out=out)
+    out *= sd
+    out += 0.0
+    return out
+
+
+def _draw_world(u: np.ndarray, scratch: np.ndarray, model: TrueModel, seed: int) -> np.ndarray:
+    """world_draws(model, len(u), seed), written into u and returned: its bits,
+    for a seed already checked. The draws are made in `scratch`, of at least
+    _scratch_size floats, as many at a time as it holds: the noise in blocks as
+    large as scratch, and the features in whole blocks of _BLOCK rows, whose
+    products have the bits of products of one block each (and of one product
+    of all the rows with one BLAS thread). So a scratch of n_mc floats takes a
+    handful of numpy calls where one block takes four per block, and each
+    call can wait for the GIL when the draws run on a thread."""
     rng = np.random.default_rng(seed)
-    weights = np.asarray(model.base_weights)
-    # every feature block, then every noise block: the stream's order of one draw of each
-    for rows in _blocks(len(u)):
-        shape = (rows.stop - rows.start, model.feature_dim)
-        np.matmul(rng.normal(0.0, model.feature_sd, size=shape), weights, out=u[rows])
+    d, weights = model.feature_dim, np.asarray(model.base_weights)
+    # every feature block, then every noise block: the stream's order of one draw of each;
+    # a block may be one row longer than its size (_blocks)
+    size = _BLOCK * max(1, (len(scratch) // d - 1) // _BLOCK)
+    for rows in _blocks(len(u), size):
+        x = scratch[: (rows.stop - rows.start) * d].reshape(-1, d)
+        np.matmul(_normal(rng, model.feature_sd, x), weights, out=u[rows])
     u += model.intercept
-    for rows in _blocks(len(u)):
-        u[rows] += rng.normal(0.0, model.noise_sd, size=rows.stop - rows.start)
+    for rows in _blocks(len(u), len(scratch) - 1):
+        u[rows] += _normal(rng, model.noise_sd, scratch[: rows.stop - rows.start])
     return u
 
 
-def cost_draws(model: TrueModel, z: float, u: np.ndarray) -> np.ndarray:
+def cost_draws(model: TrueModel, z: float, u: np.ndarray, out=None) -> np.ndarray:
     """Per-draw cost of action z under the shared world draws u (one value per
-    draw), computed block by block in the one array that holds the outcomes u + m(z)."""
+    draw), computed in the one array that holds the outcomes u + m(z): `out`,
+    of len(u) floats, if given, else a new one. A cost with temporaries (of
+    several live pieces) is computed block by block, each temporary one block;
+    one without takes one pass, so fewer numpy calls wait for the GIL."""
+    pieces, params = _KINDS[model.kind].pieces, model.cost_params
     shift = mean_outcome(model, 0.0, z)
-    out = np.empty_like(u, dtype=float)
-    for rows in _blocks(len(out)):
+    out = np.empty_like(u, dtype=float) if out is None else out
+    single = len(_live(pieces(z, **params)[1], signed=True)) == 1  # then _cost has no temporary
+    for rows in [...] if single else _blocks(len(out)):  # [...]: every row at once
         y = np.add(u[rows], shift, out=out[rows])
-        _cost(_KINDS[model.kind].pieces, z, y, y, **model.cost_params)
+        _cost(pieces, z, y, y, **params)
     return out
 
 
@@ -419,9 +456,10 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     return float(cost_draws(model, z, world_draws(model, n_mc, seed)).mean())
 
 
-def oracle_profile(model: TrueModel, problem: Problem, u: np.ndarray) -> np.ndarray:
+def oracle_profile(model: TrueModel, problem: Problem, u: np.ndarray, out=None) -> np.ndarray:
     """Mean cost of every action of the problem's grid under the shared world
-    draws u; `problem` is the model's, as problem_from_model builds it.
+    draws u; `problem` is the model's, as problem_from_model builds it. The
+    scan sorts and sums in `out`, of len(u) + 1 floats, if given.
 
     The outcome of draw i at action z is u[i] + mean_outcome(model, 0, z),
     separable like a linear model's prediction, so the problem's separable
@@ -429,15 +467,17 @@ def oracle_profile(model: TrueModel, problem: Problem, u: np.ndarray) -> np.ndar
     cost_draws(...).mean(), so values agree with oracle_expected_cost up to
     rounding; they do not depend on the order of the draws.
     """
-    return problem.separable_kernel(u, mean_outcome(model, 0.0, problem.grid.points))[0]
+    return problem.separable_kernel(u, mean_outcome(model, 0.0, problem.grid.points), out)[0]
 
 
-def _oracle(model: TrueModel, problem: Problem, u: np.ndarray) -> tuple[float, float]:
+def _oracle(model: TrueModel, problem: Problem, u: np.ndarray, work=None) -> tuple[float, float]:
     """The grid action with the smallest oracle_profile value under the world
     draws u, and the mean of its per-draw costs, from which every reported
-    oracle value is taken; those costs die here."""
-    action = problem.grid.best(oracle_profile(model, problem, u))[0]
-    return action, float(cost_draws(model, action, u).mean())
+    oracle value is taken. The scan, then the costs, are written into one
+    working array of len(u) + 1 floats: `work`, if given, else a new one."""
+    work = np.empty(len(u) + 1) if work is None else work
+    action = problem.grid.best(oracle_profile(model, problem, u, work))[0]
+    return action, float(cost_draws(model, action, u, work[:-1]).mean())
 
 
 def oracle_action(

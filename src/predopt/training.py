@@ -25,7 +25,8 @@ term off, whatever the config's weights say.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,9 @@ class TrainConfig:
             object.__setattr__(self, name, _require_int(name, getattr(self, name), least))
 
 
-@dataclass(frozen=True)
-class HistoryRow:
+class HistoryRow(NamedTuple):
+    """One iteration of a fit: a tuple, so the loop builds it at a tuple's cost."""
+
     iter: int
     total: float
     pred_term: float
@@ -109,6 +111,12 @@ def _abort(what: str, it: int, detail: str = ""):
     raise TrainingError(
         f"non-finite {what} at iteration {it}{detail}; reduce the learning rate", iteration=it
     )
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), as Python floats: for the few weights of a linear fit,
+    a fifth of the cost of the two numpy calls."""
+    return all(map(math.isfinite, x.tolist()))
 
 
 def _fit(
@@ -144,10 +152,12 @@ def _fit(
 
             if joint:
                 values, grad_at = _profile(arch, w, val.X, problem, run)
-                if not np.isfinite(values).all():
+                # min and max propagate nan, so both are finite iff every value is
+                lo, hi = float(values.min()), float(values.max())
+                if not (math.isfinite(lo) and math.isfinite(hi)):
                     _abort("model cost profile", it)
-                probs = _soft_min(values, wc.tau)
-                z_star_test = grid.best(values)[0]
+                probs = _soft_min(values, wc.tau, lo)
+                z_star_test = grid._best(values, lo, hi)[0]
                 omega = _omega(probs, distance, width, wc.alpha)
                 gamma = _gamma(z_star_train, z_star_test, wc.beta, width)
             else:
@@ -160,16 +170,16 @@ def _fit(
             else:
                 # Recorded as 0 so every row composes as pred*omega + task*gamma
                 task_loss = 0.0
-                total_grad = omega * pred_grad
+                total_grad = omega * pred_grad if joint else pred_grad  # else omega is 1.0
             grad_at = None  # it holds an mlp1 pass's activations: free them before the next pass
 
             finite = math.isfinite(pred_loss) and math.isfinite(task_loss)
-            if not (finite and np.isfinite(total_grad).all()):
+            if not (finite and _all_finite(total_grad)):
                 _abort("loss or gradient", it, f" (pred={pred_loss!r}, task={task_loss!r})")
             total = pred_loss * omega + task_loss * gamma
             history.append(HistoryRow(it, total, pred_loss, task_loss, omega, gamma, z_star_test))
             w = w - config.learning_rate * total_grad
-            if not np.isfinite(w).all():
+            if not _all_finite(w):
                 _abort("weights after the step", it)
             improved = it == 1 or (prev - total) / max(abs(prev), 1e-12) >= config.tol
             stalled = 0 if improved else stalled + 1
@@ -223,5 +233,5 @@ _FITS = {"simpo": simpo_fit, "two_stage": two_stage_fit}
 
 def save_history_csv(history, path) -> None:
     """Training log: HISTORY_COLUMNS, then one line per HistoryRow, floats by repr."""
-    rows = ([str(it), *map(repr, values)] for it, *values in map(astuple, history))
+    rows = ([str(it), *map(repr, values)] for it, *values in history)
     _write_csv(path, HISTORY_COLUMNS, rows)

@@ -188,6 +188,16 @@ def test_a_config_loaded_twice_is_equal(name):
     assert load_config(path) == load_config(path)
 
 
+@pytest.mark.parametrize("name", ["compare_default", "newsvendor_wellspec", "pricing_demo"])
+def test_a_config_loaded_twice_hashes_equal(name):
+    # the world's cost_params and logging dicts compare, but stay out of the hash
+    path = ROOT / "configs" / f"{name}.json"
+    first, second = load_config(path), load_config(path)
+    assert hash(first) == hash(second)
+    assert hash(first.model_spec) == hash(second.model_spec)
+    assert {first: name}[second] == name
+
+
 def test_unknown_key_rejected_with_name_and_line(tmp_path, capsys):
     blob = copy.deepcopy(SMALL_CONFIG)
     blob["train"]["weights"]["alpah"] = 2.0

@@ -357,10 +357,11 @@ def test_one_aborted_fit_leaves_the_other_rows_as_they_were(monkeypatch):
     assert repr(got[1:]) == repr(want[1:])
 
 
-def test_no_fit_result_is_alive_when_the_world_is_scanned(monkeypatch):
+def test_no_fit_result_is_alive_when_a_decision_is_scored(monkeypatch):
     # weak references to the fits' own results, not a scan of every live
     # object: other test modules keep TrainResults of their own alive. The
-    # draws overlap the fits; the scan makes the second array of n_mc.
+    # draws and the oracle overlap the fits; scoring a decision that is not
+    # the oracle's makes the second array of n_mc after them.
     refs, scans = [], []
 
     def keeping_a_ref(fit):
@@ -374,13 +375,14 @@ def test_no_fit_result_is_alive_when_the_world_is_scanned(monkeypatch):
     for method, fit in list(evaluation._FITS.items()):
         monkeypatch.setitem(evaluation._FITS, method, keeping_a_ref(fit))
 
-    def checked_oracle(*args):
+    def checked_score(*args):
         scans.append([ref() is None for ref in refs])
-        return _oracle(*args)
+        return _score(*args)
 
-    monkeypatch.setattr(evaluation, "_oracle", checked_oracle)
-    _run_seed(_experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0), 0)
-    assert scans == [[True] * len(evaluation._FITS)]
+    monkeypatch.setattr(evaluation, "_score", checked_score)
+    config = _experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0)
+    decisions = {r.chosen_action for r in _run_seed(config, 0)[:-1]}  # each scored once
+    assert scans == [[True] * len(evaluation._FITS)] * len(decisions)
 
 
 def test_the_world_is_drawn_on_another_thread_while_the_first_fit_runs(monkeypatch):
@@ -407,18 +409,80 @@ def test_the_world_is_drawn_on_another_thread_while_the_first_fit_runs(monkeypat
     assert seen["draw_thread"] != seen["fit_thread"] == threading.get_ident()
 
 
-def test_an_error_in_the_draws_is_raised_and_leaves_no_thread(monkeypatch, tmp_path, capsys):
+def test_the_oracle_is_scanned_on_the_draw_thread_while_the_first_fit_runs(monkeypatch):
+    drawn, scanned, seen = threading.Event(), threading.Event(), {}
+
+    def draw_world(*args):
+        seen["draw_thread"] = threading.get_ident()
+        drawn.set()
+        return _draw_world(*args)
+
+    def oracle(*args):
+        seen["scan_thread"] = threading.get_ident()
+        seen["drawn_before_scan"] = drawn.is_set()
+        scanned.set()
+        return _oracle(*args)
+
+    method, fit = next(iter(evaluation._FITS.items()))
+
+    def first_fit(*args):
+        result = fit(*args)
+        # a serial scan after the fits would leave this to time out
+        seen["scanned_before_return"] = scanned.wait(timeout=10)
+        seen["fit_thread"] = threading.get_ident()
+        return result
+
+    monkeypatch.setattr(evaluation, "_draw_world", draw_world)
+    monkeypatch.setattr(evaluation, "_oracle", oracle)
+    monkeypatch.setitem(evaluation._FITS, method, first_fit)
+    _run_seed(_experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0), 0)
+    assert seen["scanned_before_return"] and seen["drawn_before_scan"]
+    assert seen["scan_thread"] == seen["draw_thread"] != seen["fit_thread"]
+    assert seen["fit_thread"] == threading.get_ident()
+
+
+@pytest.mark.parametrize("kind", ["newsvendor", "pricing"])
+def test_the_oracle_row_is_a_serial_oracle_to_the_bit(kind):
+    # across block edges, from the buffer allocated beside u on the seed's thread
+    n_mc = 2 * _BLOCK + 3
+    params = {"c_h": 1.0, "c_s": 3.0} if kind == "newsvendor" else {"capacity": 15.0}
+    model = _world(kind=kind, cost_params=params)
+    config = _experiment(model, _config(), n_seeds=1, n_samples=120, n_mc=n_mc, seed=0)
+    row = _run_seed(config, 4)[-1]
+    u = world_draws(model, n_mc, derive_seeds(4)[3])
+    want = _oracle(model, problem_from_model(model, GRID), u)
+    assert row.method == "oracle"
+    assert [row.chosen_action.hex(), row.expected_cost.hex()] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("failing", ["_draw_world", "_oracle"], ids=["draws", "scan"])
+def test_an_error_in_the_draws_is_raised_and_leaves_no_thread(
+    monkeypatch, tmp_path, capsys, failing
+):
+    # raised on the draw thread, by the draws or by the oracle scan after them,
+    # and raised again by _run_seed once both fits have run
     raised = MemoryError("Unable to allocate 80.0 GiB")
+    fits_run = []
 
     def no_memory(*args):
         raise raised
 
-    monkeypatch.setattr(evaluation, "_draw_world", no_memory)
+    def counted(fit):
+        def run(*args):
+            fits_run.append(True)
+            return fit(*args)
+
+        return run
+
+    monkeypatch.setattr(evaluation, failing, no_memory)
+    for method, fit in list(evaluation._FITS.items()):
+        monkeypatch.setitem(evaluation._FITS, method, counted(fit))
     before = threading.active_count()
     config = _experiment(_world(), _config(), n_seeds=1, n_samples=120, n_mc=1000, seed=0)
     with pytest.raises(MemoryError) as err:
         _run_seed(config, 0)
     assert err.value is raised
+    assert len(fits_run) == len(evaluation._FITS)
     assert threading.active_count() == before
 
     blob = json.loads((ROOT / "configs" / "pricing_demo.json").read_text())
@@ -527,9 +591,9 @@ def test_each_distinct_decision_is_costed_once_per_seed(monkeypatch):
     assert other != oracle.chosen_action
     fit, costed = evaluation._FITS["two_stage"], []
 
-    def counted(model, z, u):
+    def counted(model, z, u, out=None):
         costed.append(len(u))
-        return cost_draws(model, z, u)
+        return cost_draws(model, z, u, out)
 
     monkeypatch.setattr(problems, "cost_draws", counted)
     monkeypatch.setattr(evaluation, "cost_draws", counted)

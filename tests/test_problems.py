@@ -15,7 +15,9 @@ from predopt.problems import (
     _KINDS,
     TrueModel,
     _bind_pieces,
+    _draw_world,
     _problem,
+    _scratch_size,
     cost_draws,
     gen_dataset,
     mean_outcome,
@@ -895,6 +897,35 @@ def test_world_draws_in_blocks_give_the_one_shot_bits(d):
         assert _same_bits(world_draws(model, n_mc, seed=5), base + eps), n_mc
 
 
+# through any scratch of at least _scratch_size floats: the feature products in
+# whole blocks of _BLOCK rows or all rows at once, the noise in blocks as large as
+# the scratch; a scratch of NaN shows that every draw is written before it is read
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_world_draws_through_a_larger_scratch_give_the_same_bits(d):
+    weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
+    model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
+    for n_mc in (1, 2, *BLOCK_EDGES, 4 * _BLOCK + 1):
+        base, eps = _reference_world_draws(model, n_mc, seed=5)
+        least = _scratch_size(n_mc, model)
+        for size in {least, max(n_mc + 1, least), least + _BLOCK * d, n_mc * d + 2}:
+            u = _draw_world(np.empty(n_mc), np.full(size, np.nan), model, 5)
+            assert _same_bits(u, base + eps), (n_mc, size)
+
+
+@pytest.mark.parametrize("d", [8, 16])
+def test_wide_world_draws_through_a_larger_scratch_give_the_blocked_bits(d):
+    # from 8 features a product that OpenBLAS splits among two threads can round
+    # apart from the one-shot reference (at 2 * _BLOCK + 2 rows, say); products of
+    # several whole blocks at once still give world_draws' bits, with one or two
+    # BLAS threads
+    weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
+    model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
+    for n_mc in (2 * _BLOCK + 2, 2 * _BLOCK + 5, 3 * _BLOCK + 7):
+        want = world_draws(model, n_mc, seed=5)
+        u = _draw_world(np.empty(n_mc), np.full(n_mc * d + 2, np.nan), model, 5)
+        assert _same_bits(u, want), n_mc
+
+
 @pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
 def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
     # the scan of u is the scan of the two-array draws' sum base + eps, so the
@@ -1006,4 +1037,34 @@ def test_separable_kernels_give_the_reference_bits_and_leave_a(kind, m):
     got = gradient_sums(probs)
     want = _reference_separable_sums(kind, grid.points, a, c, probs, **params)
     assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert a.tobytes() == saved
+
+
+@pytest.mark.parametrize(
+    "kind, params, capacity_binds",
+    [
+        ("newsvendor", {"c_h": 1.5, "c_s": 3.0}, False),
+        ("pricing", {"capacity": 50.0}, False),
+        ("pricing", {"capacity": 2.0}, True),
+    ],
+    ids=["newsvendor", "pricing", "pricing-capacity-binds"],
+)
+def test_separable_kernel_into_a_buffer_matches_the_kernel_without_one(
+    kind, params, capacity_binds
+):
+    grid = make_grid(-2.0, 6.0, 33)
+    rng = np.random.default_rng(5)
+    a, c = rng.normal(2.0, 3.0, size=500), -0.5 * grid.points
+    # whether some outcomes a[j] + c[k] sell the whole capacity
+    assert (a + c[:, None] > params.get("capacity", np.inf)).any() == capacity_binds
+    probs = rng.random(33)
+    probs /= probs.sum()
+    saved = a.tobytes()
+    kernel = _problem(kind, grid, params).separable_kernel
+    values, gradient_sums = kernel(a, c)
+    out = np.full(len(a) + 1, np.nan)
+    got_values, got_sums = kernel(a, c, out)
+    assert np.array_equal(got_values, values)
+    assert all(np.array_equal(g, w) for g, w in zip(got_sums(probs), gradient_sums(probs)))
+    assert not np.isnan(out).any()  # the sort and the sums were written into out
     assert a.tobytes() == saved

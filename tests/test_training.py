@@ -34,6 +34,7 @@ from predopt.training import (
     HistoryRow,
     TrainConfig,
     TrainingError,
+    _all_finite,
     save_history_csv,
     simpo_fit,
     two_stage_fit,
@@ -945,3 +946,15 @@ def test_an_mlp1_fit_leaves_no_thread(fit):
         fit(problem, train, val, MLP16, _config(learning_rate=1e300, max_iters=3))
     assert threading.active_count() == before
 
+
+@pytest.mark.parametrize("size", [1, 4, 129])
+def test_all_finite_is_numpys_isfinite_all(size):
+    # the loop's check on the gradient and the weights, for every kind of non-finite value
+    rng = np.random.default_rng(size)
+    for bad in (None, np.nan, np.inf, -np.inf):
+        for at in {0, size - 1}:
+            x = rng.normal(0.0, 1e300, size)
+            if bad is not None:
+                x[at] = bad
+            assert _all_finite(x) is bool(np.isfinite(x).all())
+    assert _all_finite(np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324]))
