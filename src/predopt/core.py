@@ -55,6 +55,18 @@ def _require_finite(name: str, value, above=None, least=None) -> float:
     return value
 
 
+def _require_finite_array(name: str, values) -> np.ndarray:
+    """`values` as a float array; a ValidationError naming `name` unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(
+            f"{name} must be a finite number in every entry, got {values.flat[bad[0]]} "
+            f"at flat index {bad[0]}"
+        )
+    return values
+
+
 def _require_int(name: str, value, least: int) -> int:
     """`value` as an int; a ValidationError naming `name` unless it is an
     integer >= `least` (a numpy integer passes, a bool does not)."""

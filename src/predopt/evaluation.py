@@ -21,7 +21,6 @@ from .problems import (
     _draw_world,
     _logging_probs,
     _oracle,
-    _scratch_size,
     cost_draws,
     gen_dataset,
     problem_from_model,
@@ -185,16 +184,16 @@ def _run_seed(config: ExperimentConfig, run_seed: int) -> list[DecisionReport]:
     oracle in that array, while the fits run here; an error there is raised
     here after the fits. Both arrays are allocated on this thread: blocks
     another thread allocated would stay in its arena once freed. At most two
-    arrays of n_mc (or, for a small n_mc, a working array of one block of
-    features) plus one block are held at once: the working array dies with
-    that thread's task, before a decision is scored in a new one."""
+    arrays of n_mc (the working array of n_mc + d) plus one block are held at
+    once: the working array dies with that thread's task, before a decision
+    is scored in a new one."""
     from concurrent.futures import ThreadPoolExecutor  # only here: it pulls in logging
 
     model = config.model_spec
     problem, (train, val, test), cfg, mc_seed = _seed_setup(config, run_seed)
     u = np.empty(config.n_mc)
     with ThreadPoolExecutor(max_workers=1) as pool:
-        work = np.empty(max(config.n_mc + 1, _scratch_size(config.n_mc, model)))
+        work = np.empty(config.n_mc + model.feature_dim)
         scanned = pool.submit(_world_and_oracle, u, work, model, problem, mc_seed)
         del work  # the task holds the one reference, and drops it when it ends
         rows = [

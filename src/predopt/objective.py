@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ActionGrid, ValidationError, _require_finite, _require_probs
+from .core import _require_finite_array
 from .predictor import PredictorParams, _inputs, _profile
 from .problems import Problem
 
@@ -58,7 +59,7 @@ class CostProfile:
 def empirical_profile(train_labels, problem: Problem) -> CostProfile:
     """Average task cost of each grid action over the historical labels: the
     problem's separable kernel of the outcomes y[j] + 0, no (K, n) cost matrix."""
-    y = np.asarray(train_labels, dtype=float).ravel()
+    y = _require_finite_array("train_labels", train_labels).ravel()
     if y.size == 0:
         raise ValidationError("train_labels must be non-empty")
     values = problem.separable_kernel(y, np.zeros_like(problem.grid.points))[0]

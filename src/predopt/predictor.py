@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ActionGrid, ValidationError, _require_int, _require_probs
+from .core import ActionGrid, ValidationError, _require_finite_array, _require_int, _require_probs
 from .core import _JSON_TYPES, _json_keys, _read_json, _write_atomic
 from .problems import Problem
 
@@ -128,8 +128,8 @@ def _unpack_mlp1(arch: Architecture, w: np.ndarray):
 
 
 def _inputs(arch: Architecture, X, what: str = "inputs") -> np.ndarray:
-    """X as a float array, checked to be (n, d) for the architecture's d; `what` names X."""
-    X = np.asarray(X, dtype=float)
+    """X as a finite float array, checked to be (n, d) for the architecture's d; `what` names X."""
+    X = _require_finite_array(what, X)
     if X.ndim != 2 or X.shape[1] != arch.feature_dim:
         raise ValidationError(f"{what} must be (n, {arch.feature_dim}), got shape {X.shape}")
     return X
@@ -144,7 +144,7 @@ def predict(params: PredictorParams, x, z: float) -> float:
 def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Predictions for paired rows: X (n, d) with actions Z (n,) -> (n,)."""
     X = _inputs(params.architecture, X)
-    Z = np.asarray(Z, dtype=float)
+    Z = _require_finite_array("Z", Z)
     if Z.shape != X.shape[:1]:
         raise ValidationError("Z must be (n,): one action per row of X")
     return _grid_pass(params.architecture, params.weights, X, Z[:, None])[0][:, 0]
@@ -236,7 +236,7 @@ def predict_on_grid(
 ) -> np.ndarray:
     """Predictions for every input crossed with every action: (m, K)."""
     X = _inputs(params.architecture, X)
-    points = np.asarray(points, dtype=float)
+    points = _require_finite_array("points", points)
     return _grid_pass(params.architecture, params.weights, X, points[None, :])[0]
 
 
@@ -255,8 +255,8 @@ def loss_and_grad(
     every problem; `problem` is accepted so this call mirrors task_grad.
     """
     X = _inputs(params.architecture, X)
-    Z = np.asarray(Z, dtype=float).ravel()
-    Y = np.asarray(Y, dtype=float).ravel()
+    Z = _require_finite_array("Z", Z).ravel()
+    Y = _require_finite_array("Y", Y).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     n = Z.shape[0]
     if n == 0:

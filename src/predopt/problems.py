@@ -28,10 +28,9 @@ pass, exact under a shared (seed, n_mc).
 Every pass over the n_mc draws works in place, a block of _BLOCK rows at a
 time where it can: world_draws reduces each block of features to X . w
 in one scratch block before it draws eps there and adds it into u (given a
-scratch of n_mc floats, _draw_world takes larger blocks, with the same
-bits), the kernel sorts and sums in one
-(m + 1) array, and cost_draws writes the outcomes and then the kind's cost
-(_cost) into one array, block by block where the cost needs a temporary
+larger scratch, _draw_world takes larger blocks), the kernel sorts and sums
+in one (m + 1) array, and cost_draws writes the outcomes and then the kind's
+cost (_cost) into one array, block by block where the cost needs a temporary
 (newsvendor's), else in one pass. So beside u, the oracle scan holds
 one array of n_mc (the kernel's) and a cost pass one, plus one block, for
 every kind and feature count. The oracle (_oracle) can take one array of
@@ -63,7 +62,6 @@ __all__ = [
     "world_draws",
     "cost_draws",
     "oracle_expected_cost",
-    "oracle_profile",
     "oracle_action",
 ]
 
@@ -373,29 +371,33 @@ def gen_dataset(model: TrueModel, n: int, grid: ActionGrid, seed: int) -> Datase
     idx = rng.choice(grid.n_points, size=n, p=_logging_probs(model, grid))
     z = grid.points[idx]
     eps = rng.normal(0.0, model.noise_sd, size=n)
-    base = X @ np.asarray(model.base_weights) + model.intercept
+    base = _dot(X.copy(), model.base_weights, np.empty(n))
+    base += model.intercept
     y = mean_outcome(model, base, z) + eps
     return Dataset(X=X, z_obs=z, y=y)
 
 
+def _dot(X: np.ndarray, weights, out: np.ndarray) -> np.ndarray:
+    """X . weights into out, summed column by column in order, so a world or a
+    dataset depends on the model and the seed alone: a BLAS product rounds by
+    row and thread counts. X's later columns are scaled in place."""
+    np.multiply(X[:, 0], weights[0], out=out)
+    for j in range(1, len(weights)):
+        out += np.multiply(X[:, j], weights[j], out=X[:, j])
+    return out
+
+
 def _blocks(n: int, size: int = _BLOCK):
-    """Row slices that cover range(n) in order, each of `size` rows but the last.
-    The last is never one row of several: numpy takes a one-row product through
-    dot, not through the gemv of the other rows, and its sum can round apart."""
-    edges = [*range(0, max(n - 1, 1), size), n]
-    return (slice(start, stop) for start, stop in zip(edges, edges[1:]))
+    """Row slices that cover range(n) in order, each of `size` rows but the last."""
+    return (slice(start, min(start + size, n)) for start in range(0, n, size))
 
 
 def world_draws(model: TrueModel, n_mc: int, seed: int) -> np.ndarray:
     """Fresh world draws for counterfactual evaluation: the action-free part of
     the outcome, u = X . w + intercept + eps, one value per draw."""
     n_mc, seed = _require_int("n_mc", n_mc, 1), _require_int("seed", seed, 0)
-    return _draw_world(np.empty(n_mc), np.empty(_scratch_size(n_mc, model)), model, seed)
-
-
-def _scratch_size(n_mc: int, model: TrueModel) -> int:
-    """The fewest floats _draw_world's scratch may hold: one block of features."""
-    return (min(n_mc, _BLOCK) + 1) * model.feature_dim
+    scratch = np.empty(min(n_mc, _BLOCK) * model.feature_dim)
+    return _draw_world(np.empty(n_mc), scratch, model, seed)
 
 
 def _normal(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
@@ -410,22 +412,19 @@ def _normal(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
 def _draw_world(u: np.ndarray, scratch: np.ndarray, model: TrueModel, seed: int) -> np.ndarray:
     """world_draws(model, len(u), seed), written into u and returned: its bits,
     for a seed already checked. The draws are made in `scratch`, of at least
-    _scratch_size floats, as many at a time as it holds: the noise in blocks as
-    large as scratch, and the features in whole blocks of _BLOCK rows, whose
-    products have the bits of products of one block each (and of one product
-    of all the rows with one BLAS thread). So a scratch of n_mc floats takes a
-    handful of numpy calls where one block takes four per block, and each
-    call can wait for the GIL when the draws run on a thread."""
+    feature_dim floats, as many at a time as it holds: the features in blocks
+    of len(scratch) // feature_dim rows, the noise in blocks of len(scratch).
+    So a scratch of n_mc floats takes a handful of numpy calls where one block
+    takes several per block, and each call can wait for the GIL when the draws
+    run on a thread."""
     rng = np.random.default_rng(seed)
-    d, weights = model.feature_dim, np.asarray(model.base_weights)
-    # every feature block, then every noise block: the stream's order of one draw of each;
-    # a block may be one row longer than its size (_blocks)
-    size = _BLOCK * max(1, (len(scratch) // d - 1) // _BLOCK)
-    for rows in _blocks(len(u), size):
+    d = model.feature_dim
+    # every feature block, then every noise block: the stream's order of one draw of each
+    for rows in _blocks(len(u), len(scratch) // d):
         x = scratch[: (rows.stop - rows.start) * d].reshape(-1, d)
-        np.matmul(_normal(rng, model.feature_sd, x), weights, out=u[rows])
+        _dot(_normal(rng, model.feature_sd, x), model.base_weights, u[rows])
     u += model.intercept
-    for rows in _blocks(len(u), len(scratch) - 1):
+    for rows in _blocks(len(u), len(scratch)):
         u[rows] += _normal(rng, model.noise_sd, scratch[: rows.stop - rows.start])
     return u
 
@@ -456,34 +455,25 @@ def oracle_expected_cost(model: TrueModel, z: float, n_mc: int, seed: int) -> fl
     return float(cost_draws(model, z, world_draws(model, n_mc, seed)).mean())
 
 
-def oracle_profile(model: TrueModel, problem: Problem, u: np.ndarray, out=None) -> np.ndarray:
-    """Mean cost of every action of the problem's grid under the shared world
-    draws u; `problem` is the model's, as problem_from_model builds it. The
-    scan sorts and sums in `out`, of len(u) + 1 floats, if given.
-
-    The outcome of draw i at action z is u[i] + mean_outcome(model, 0, z),
-    separable like a linear model's prediction, so the problem's separable
-    kernel scans every action at once. Its sums run in another order than
-    cost_draws(...).mean(), so values agree with oracle_expected_cost up to
-    rounding; they do not depend on the order of the draws.
-    """
-    return problem.separable_kernel(u, mean_outcome(model, 0.0, problem.grid.points), out)[0]
-
-
 def _oracle(model: TrueModel, problem: Problem, u: np.ndarray, work=None) -> tuple[float, float]:
-    """The grid action with the smallest oracle_profile value under the world
-    draws u, and the mean of its per-draw costs, from which every reported
-    oracle value is taken. The scan, then the costs, are written into one
-    working array of len(u) + 1 floats: `work`, if given, else a new one."""
+    """The grid action of the smallest mean cost under the world draws u, and
+    the mean of its per-draw costs, from which every reported oracle value is
+    taken; `problem` is the model's. The outcome of draw i at action z is
+    u[i] + mean_outcome(model, 0, z), separable like a linear model's
+    prediction, so the problem's kernel scans every action at once (its sums,
+    in another order than cost_draws(...).mean(), do not depend on the order
+    of the draws). The scan, then the costs, are written into one working
+    array of len(u) + 1 floats: `work`, if given, else a new one."""
     work = np.empty(len(u) + 1) if work is None else work
-    action = problem.grid.best(oracle_profile(model, problem, u, work))[0]
+    shifts = mean_outcome(model, 0.0, problem.grid.points)
+    action = problem.grid.best(problem.separable_kernel(u, shifts, work)[0])[0]
     return action, float(cost_draws(model, action, u, work[:-1]).mean())
 
 
 def oracle_action(
     model: TrueModel, grid: ActionGrid, n_mc: int, seed: int
 ) -> tuple[float, float]:
-    """Grid action with the smallest oracle_profile value, and its
+    """Grid action with the smallest Monte Carlo mean cost, and its
     oracle_expected_cost at the same (n_mc, seed).
 
     Exactly reproducible in (seed, n_mc). Ties break toward the smallest

@@ -14,13 +14,22 @@ from predopt.core import (
     split_dataset,
 )
 from predopt.evaluation import derive_seeds
-from predopt.objective import CostProfile, action_distribution, gamma_weight, omega_weight
+from predopt.objective import (
+    CostProfile,
+    action_distribution,
+    empirical_profile,
+    gamma_weight,
+    model_profile,
+    omega_weight,
+)
 from predopt.predictor import (
     Architecture,
     PredictorParams,
     init_params,
     loss_and_grad,
     predict_batch,
+    predict_on_grid,
+    task_grad,
 )
 from predopt.problems import (
     TrueModel,
@@ -233,6 +242,19 @@ def _split(**kw):
     return split_dataset(_toy_dataset(10), **{"train_frac": 0.6, "val_frac": 0.2, "seed": 0, **kw})
 
 
+# a model, its problem and two rows for the predictor and objective entry points
+_PARAMS = init_params(Architecture("mlp1", 2, 3), 0)
+_PROBLEM = newsvendor_problem(make_grid(0, 10, 11), 1.0, 3.0)
+_ROWS = np.ones((2, 2))
+_ROW_NAN = np.array([[1.0, 1.0], [0.5, NAN]])
+_LOSS = dict(
+    params=_PARAMS, X=_ROWS, Z=[1.0, 2.0], Y=[3.0, 4.0], weights=[1.0, 1.0], problem=_PROBLEM
+)
+_TASK = dict(
+    params=_PARAMS, X=_ROW_NAN, grid=_PROBLEM.grid, action_probs=np.full(11, 1 / 11),
+    problem=_PROBLEM,
+)
+
 # (constructor, bad keyword arguments, the field the error must name)
 NON_FINITE = [
     pytest.param(
@@ -320,6 +342,29 @@ NON_FINITE = [
         {"z_star_train": 2.0, "z_star_test": 2.0, "beta": INF, "grid": make_grid(0, 10, 11)},
         "beta",
         id="gamma_weight.beta",
+    ),
+    pytest.param(
+        predict_batch, {"params": _PARAMS, "X": _ROW_NAN, "Z": [1.0, 2.0]}, "inputs",
+        id="predict_batch.X",
+    ),
+    pytest.param(
+        predict_batch, {"params": _PARAMS, "X": _ROWS, "Z": [1.0, INF]}, "Z", id="predict_batch.Z"
+    ),
+    pytest.param(
+        predict_on_grid, {"params": _PARAMS, "X": _ROWS, "points": [0.0, NAN]}, "points",
+        id="predict_on_grid.points",
+    ),
+    pytest.param(loss_and_grad, _LOSS | {"X": _ROW_NAN}, "inputs", id="loss_and_grad.X"),
+    pytest.param(loss_and_grad, _LOSS | {"Z": [NAN, 2.0]}, "Z", id="loss_and_grad.Z"),
+    pytest.param(loss_and_grad, _LOSS | {"Y": [3.0, NAN]}, "Y", id="loss_and_grad.Y"),
+    pytest.param(task_grad, _TASK, "inputs", id="task_grad.X"),
+    pytest.param(
+        model_profile, {"params": _PARAMS, "inputs": _ROW_NAN, "problem": _PROBLEM}, "inputs",
+        id="model_profile.inputs",
+    ),
+    pytest.param(
+        empirical_profile, {"train_labels": [3.0, INF], "problem": _PROBLEM}, "train_labels",
+        id="empirical_profile.train_labels",
     ),
 ]
 

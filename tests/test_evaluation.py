@@ -34,9 +34,9 @@ from predopt.problems import (
     _problem,
     cost_draws,
     gen_dataset,
+    mean_outcome,
     newsvendor_problem,
     oracle_action,
-    oracle_profile,
     problem_from_model,
     world_draws,
 )
@@ -711,7 +711,9 @@ def test_monte_carlo_oracle_matches_the_closed_form(name):
     exact = _exact_expected_cost(model, grid.points)
     draws_at = [cost_draws(model, float(z), u) for z in grid.points]
     se = np.array([d.std(ddof=1) for d in draws_at]) / math.sqrt(n_mc)
-    profile = oracle_profile(model, problem_from_model(model, grid), u)
+    # the oracle's scan: the one kernel call that problems._oracle makes
+    shifts = mean_outcome(model, 0.0, grid.points)
+    profile = problem_from_model(model, grid).separable_kernel(u, shifts)[0]
     # Where every draw sells the full capacity, the draws' cost is -z * capacity
     # with a zero se, and the closed form differs from it by the tail below
     # the capacity that no draw reached: fewer than one draw is expected there.

@@ -1,12 +1,13 @@
 """The package namespace carries what the demos import, every demo runs to
 completion, importing the command line loads no process pool, every name in
-a module's __all__ and every name the benchmark traces resolves, only core's
-one reader and one writer open files, only core's CSV writer joins cells and
-lines, only core writes a numeric bound's message, only problems names a
-problem kind, a logging policy or one of their keys, only training names a
-fit method, only predictor names an architecture kind, no function takes a
-grid beside the problem that carries one, and the package has one exception
-type for bad input and one for a training abort."""
+a module's __all__ and every name the benchmark traces resolves, every public
+function has a reader besides the unit tests, only core's one reader and one
+writer open files, only core's CSV writer joins cells and lines, only core
+writes a numeric bound's message, only problems names a problem kind, a
+logging policy or one of their keys, only training names a fit method, only
+predictor names an architecture kind, no function takes a grid beside the
+problem that carries one, and the package has one exception type for bad
+input and one for a training abort."""
 
 import ast
 import builtins
@@ -104,6 +105,44 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"predopt.{module}")
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
+
+
+def _reads(path, strings=False):
+    """The names a file reads: each loaded name, attribute and imported name,
+    and each string constant too if `strings` (the benchmark names its trace
+    targets in strings)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+# Public on purpose with no reader outside the tests: the one-row form of predict_batch.
+READ_ONLY_BY_TESTS = {"predictor.predict"}
+
+
+def test_every_public_function_has_a_reader_besides_the_tests():
+    # a function or constant in a module's __all__ is read by another module of
+    # the package (not __init__, which only re-exports), a demo, the benchmark or
+    # the acceptance suite; one read only in its own module and by unit tests is
+    # not public API. A class is public wherever a public function returns one.
+    outside = [*DEMOS, *(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    readers = set().union(*(_reads(path, strings=True) for path in outside))
+    unread = set()
+    for module in MODULES:
+        others = [ROOT / "src" / "predopt" / f"{m}.py" for m in MODULES if m != module]
+        read = readers.union(*map(_reads, others))
+        mod = importlib.import_module(f"predopt.{module}")
+        public = (name for name in mod.__all__ if not isinstance(getattr(mod, name), type))
+        unread |= {f"{module}.{name}" for name in public if name not in read}
+    assert unread == READ_ONLY_BY_TESTS
 
 
 def _trace_targets():

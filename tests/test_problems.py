@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +21,8 @@ from predopt.problems import (
     TrueModel,
     _bind_pieces,
     _draw_world,
+    _oracle,
     _problem,
-    _scratch_size,
     cost_draws,
     gen_dataset,
     mean_outcome,
@@ -26,12 +31,13 @@ from predopt.problems import (
     newsvendor_problem,
     oracle_action,
     oracle_expected_cost,
-    oracle_profile,
     pricing_cost,
     pricing_cost_grad_y,
     problem_from_model,
     world_draws,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _newsvendor_world(**overrides):
@@ -660,9 +666,16 @@ def test_one_kernel_call_holds_less_than_one_m_by_k_array(pieces):
 
 # --- the oracle scan against a dense loop over actions ---------------------------
 #
-# oracle_profile scans every action at once with the problem's separable
-# kernel. The reference is one cost_draws pass per action, the mean of each
-# in the order the draws came, within the kernel tolerance above.
+# The oracle (_oracle) scans every action at once with the problem's separable
+# kernel, as _oracle_profile does. The reference is one cost_draws pass per
+# action, the mean of each in the order the draws came, within the kernel
+# tolerance above.
+
+
+def _oracle_profile(model, problem, u):
+    """The mean cost of every grid action under the world draws u: the one
+    kernel call that problems._oracle makes."""
+    return problem.separable_kernel(u, mean_outcome(model, 0.0, problem.grid.points))[0]
 
 
 @st.composite
@@ -702,12 +715,12 @@ def _oracle_cases(draw):
 def test_oracle_profile_matches_a_dense_loop_over_actions(case, perm_seed):
     model, grid, u = case
     problem = problem_from_model(model, grid)
-    values = oracle_profile(model, problem, u)
+    values = _oracle_profile(model, problem, u)
     dense = np.array([cost_draws(model, float(z), u).mean() for z in grid.points])
     _assert_close(values, dense)
-    assert grid.best(values)[0] == grid.best(dense)[0]
+    assert grid.best(values)[0] == grid.best(dense)[0] == _oracle(model, problem, u)[0]
     perm = np.random.default_rng(perm_seed).permutation(len(u))
-    assert oracle_profile(model, problem, u[perm]).tobytes() == values.tobytes()
+    assert _oracle_profile(model, problem, u[perm]).tobytes() == values.tobytes()
 
 
 
@@ -759,10 +772,11 @@ _COSTS = {
 
 
 def _reference_world_draws(model, n_mc, seed):
-    """world_draws as it was: two arrays (base, eps), whose sum is u."""
+    """world_draws as it was: two arrays (base, eps), whose sum is u, with the
+    features' products summed column by column in order, as new arrays."""
     rng = np.random.default_rng(seed)
-    base = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
-    base = base @ np.asarray(model.base_weights)
+    X = rng.normal(0.0, model.feature_sd, size=(n_mc, model.feature_dim))
+    base = reduce(np.add, [X[:, j] * w for j, w in enumerate(model.base_weights)])
     base += model.intercept
     return base, rng.normal(0.0, model.noise_sd, size=n_mc)
 
@@ -863,8 +877,8 @@ IN_PLACE_WORLDS = {
 }  # fmt: skip
 
 
-# less than a block, a block edge on each side, and several blocks: the one-row
-# remainder of 2 * _BLOCK + 1 joins the block before it, 3 * _BLOCK + 7 ends in 7 rows
+# less than a block, a block edge on each side, and several blocks: 2 * _BLOCK + 1
+# ends in one row, 3 * _BLOCK + 7 in 7 rows
 BLOCK_EDGES = (5000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 3 * _BLOCK + 7)
 
 
@@ -885,10 +899,9 @@ def test_world_draws_and_cost_draws_give_the_reference_bits(world):
         assert np.any(cost_draws(model, 6.0, u) == 0.0)
 
 
-# Blocked and one-shot feature products agree to the bit for every d up to 16
-# with one BLAS thread. With two OpenBLAS threads they part from d = 8, where the
-# one-shot product already depends on the thread count, so no such d is pinned.
-@pytest.mark.parametrize("d", [1, 2, 3, 6])
+# the blocked draws give the bits of one column-order sum over all the rows,
+# whatever the feature count, with any number of BLAS threads
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 16])
 def test_world_draws_in_blocks_give_the_one_shot_bits(d):
     weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
     model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
@@ -897,33 +910,55 @@ def test_world_draws_in_blocks_give_the_one_shot_bits(d):
         assert _same_bits(world_draws(model, n_mc, seed=5), base + eps), n_mc
 
 
-# through any scratch of at least _scratch_size floats: the feature products in
-# whole blocks of _BLOCK rows or all rows at once, the noise in blocks as large as
-# the scratch; a scratch of NaN shows that every draw is written before it is read
-@pytest.mark.parametrize("d", [1, 2, 3, 6])
+# through any scratch of at least d floats: the features in blocks of
+# len(scratch) // d rows, the noise in blocks as large as the scratch; a scratch
+# of NaN shows that every draw is written before it is read
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 8, 16])
 def test_world_draws_through_a_larger_scratch_give_the_same_bits(d):
     weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
     model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
-    for n_mc in (1, 2, *BLOCK_EDGES, 4 * _BLOCK + 1):
+    for n_mc in (1, 2, *BLOCK_EDGES, 2 * _BLOCK + 2, 2 * _BLOCK + 5, 4 * _BLOCK + 1):
         base, eps = _reference_world_draws(model, n_mc, seed=5)
-        least = _scratch_size(n_mc, model)
-        for size in {least, max(n_mc + 1, least), least + _BLOCK * d, n_mc * d + 2}:
+        least = min(n_mc, _BLOCK) * d  # world_draws' scratch
+        small = {d, 3 * d - 1} if n_mc <= 5000 else set()  # one and two rows a block
+        for size in small | {least, n_mc + d, least + _BLOCK * d, n_mc * d + 2}:
             u = _draw_world(np.empty(n_mc), np.full(size, np.nan), model, 5)
             assert _same_bits(u, base + eps), (n_mc, size)
 
 
-@pytest.mark.parametrize("d", [8, 16])
-def test_wide_world_draws_through_a_larger_scratch_give_the_blocked_bits(d):
-    # from 8 features a product that OpenBLAS splits among two threads can round
-    # apart from the one-shot reference (at 2 * _BLOCK + 2 rows, say); products of
-    # several whole blocks at once still give world_draws' bits, with one or two
-    # BLAS threads
-    weights = tuple(np.random.default_rng(d).normal(0.0, 1.0, d))
-    model = _newsvendor_world(base_weights=weights, intercept=3.0, feature_sd=1.5)
-    for n_mc in (2 * _BLOCK + 2, 2 * _BLOCK + 5, 3 * _BLOCK + 7):
-        want = world_draws(model, n_mc, seed=5)
-        u = _draw_world(np.empty(n_mc), np.full(n_mc * d + 2, np.nan), model, 5)
-        assert _same_bits(u, want), n_mc
+# 16 features with weights whose products round, over more rows than a block:
+# the SHA-256 of world_draws' u, then of gen_dataset's labels
+_HASH_WIDE_WORLD = """
+import hashlib
+import numpy as np
+from predopt.core import make_grid
+from predopt.problems import TrueModel, gen_dataset, world_draws
+model = TrueModel(
+    kind="newsvendor", base_weights=tuple(np.random.default_rng(16).normal(0.0, 1.0, 16)),
+    intercept=3.0, action_effect=0.9, nonlinearity=-0.04, noise_sd=2.0, feature_sd=1.5,
+    cost_params={"c_h": 1.0, "c_s": 3.0}, logging={"policy": "uniform"},
+)
+print(hashlib.sha256(world_draws(model, 65_537, 5).tobytes()).hexdigest())
+data = gen_dataset(model, 65_537, make_grid(0.0, 20.0, 101), 5)
+print(hashlib.sha256(data.y.tobytes()).hexdigest())
+"""
+
+
+def test_world_draws_and_datasets_do_not_depend_on_the_blas_thread_count():
+    # a BLAS product splits its rows among its threads, and each split can
+    # round apart; the column-order sum has no such split
+    hashes = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_WIDE_WORLD],
+            env=env, capture_output=True, text=True, timeout=120,
+        )  # fmt: skip
+        assert run.returncode == 0, run.stderr
+        hashes[threads] = run.stdout.split()
+    assert len(hashes["1"]) == 2
+    assert hashes["1"][0] == hashes["2"][0], "world_draws"
+    assert hashes["1"][1] == hashes["2"][1], "gen_dataset"
 
 
 @pytest.mark.parametrize("world", IN_PLACE_WORLDS.values(), ids=IN_PLACE_WORLDS)
@@ -935,7 +970,7 @@ def test_oracle_profile_scans_base_plus_eps_to_the_bit(world):
     base, eps = _reference_world_draws(model, 5000, seed=11)
     problem = problem_from_model(model, grid)
     want = problem.separable_kernel(base + eps, _reference_action_term(model, grid.points))[0]
-    assert _same_bits(oracle_profile(model, problem, world_draws(model, 5000, seed=11)), want)
+    assert _same_bits(_oracle_profile(model, problem, world_draws(model, 5000, seed=11)), want)
 
 
 # each kind, and newsvendor with one slope 0, which pins the sign of a zero cost

@@ -11,8 +11,17 @@ Each `--run WORKLOAD:SEED` is run as `--pairs` pairs of
 process for the parent and one for the change per pair, one after the other.
 The side that goes first alternates from pair to pair, so a drift in the
 machine's load falls on both sides alike. For each end-to-end metric the file
-holds every pair's value, each side's median and quartiles, and the number of
-pairs the change won (strictly better, in the metric's declared direction).
+holds every pair's value, each side's median and quartiles, the number of
+pairs the change won (strictly better, in the metric's declared direction),
+and a verdict against the metric's bound in BENCHMARK.json, a share of the
+parent's median, taken in this order:
+
+- `better`: the change won at least nine tenths of the pairs, and its median
+  is better than the parent's by more than the parent's interquartile spread;
+- `worse`: the change's median is worse than the parent's by more than the bound;
+- `unresolved`: the parent's interquartile spread is wider than the bound;
+- `within bound`: otherwise.
+
 It records the machine line of the first run, and the load average of each.
 """
 
@@ -48,17 +57,29 @@ def quartiles(xs: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change won."""
+def summarise(pairs: list[dict], metrics: dict) -> dict:
+    """Per metric of `metrics` (name: (better, bound)): each side's median and
+    quartiles, the pairs the change won, and the verdict (module docstring)."""
     summary = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         sides = {side: [p[side]["values"][name] for p in pairs] for side in SIDES}
         if any(v is None for vs in sides.values() for v in vs):
             continue
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
-        summary[name] = {side: quartiles(vs) for side, vs in sides.items()}
-        summary[name]["change_wins"] = wins
+        stats = {side: quartiles(vs) for side, vs in sides.items()}
+        parent = stats["parent"]
+        gain = sign * (parent["median"] - stats["change"]["median"])  # > 0: the change is better
+        spread, allowed = parent["q3"] - parent["q1"], bound * abs(parent["median"])
+        if 10 * wins >= 9 * len(pairs) and gain > spread:
+            verdict = "better"
+        elif -gain > allowed:
+            verdict = "worse"
+        elif spread > allowed:
+            verdict = "unresolved"
+        else:
+            verdict = "within bound"
+        summary[name] = stats | {"change_wins": wins, "bound": bound, "verdict": verdict}
     return summary
 
 
@@ -72,7 +93,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     runs, machine = [], None
@@ -90,7 +111,7 @@ def main(argv=None) -> int:
         for pair in pairs:
             for run in pair.values():
                 run["loadavg"] = run.pop("machine")["loadavg"]
-        summary = summarise(pairs, better)
+        summary = summarise(pairs, metrics)
         runs.append({"workload": workload, "seed": int(seed), "summary": summary, "pairs": pairs})
     del machine["loadavg"]
     blob = {"command": "perfbench/run.py --trace 0", "seconds": args.seconds, "machine": machine}
