@@ -17,6 +17,9 @@ through T: one matmul C @ T for the w2 term, then, with T overwritten in
 place by 1 - T*T, one batched matmul
 [C, C*Z] @ (1 - T*T) for every W1 and b1 term. C holds the task term's cost
 derivatives (m, K) or the predictive loss's squared-error derivatives (n, 1).
+A full-batch fit binds its predictive loss once, as the function
+w -> (loss, grad) from _full_batch_loss: for linear, a quadratic in w from
+the moments of the rows; for mlp1, _loss_and_grad on the rows.
 
 An mlp1 pass runs its work on T in contiguous blocks of rows (_in_blocks),
 and a fit spreads its model-profile passes, (m, K, h) each, over the usable
@@ -35,7 +38,6 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +49,6 @@ __all__ = [
     "Architecture",
     "PredictorParams",
     "init_params",
-    "predict",
     "predict_batch",
     "predict_on_grid",
     "loss_and_grad",
@@ -135,12 +136,6 @@ def _inputs(arch: Architecture, X, what: str = "inputs") -> np.ndarray:
     return X
 
 
-def predict(params: PredictorParams, x, z: float) -> float:
-    """Forward pass for a single (x, z)."""
-    x = np.asarray(x, dtype=float).ravel()
-    return float(predict_batch(params, x[None, :], np.array([z]))[0])
-
-
 def predict_batch(params: PredictorParams, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Predictions for paired rows: X (n, d) with actions Z (n,) -> (n,)."""
     X = _inputs(params.architecture, X)
@@ -182,11 +177,12 @@ _inline = _in_blocks(1)  # a single call's pass: one block, on this thread
 @contextmanager
 def _pass_runner(arch: Architecture):
     """The runner for a fit's model-profile passes: for mlp1, one block per
-    usable CPU, over a thread pool that lives for the with-block only, so no
-    thread outlives the fit or is shared across a fork. A linear fit forms
-    no tensor and runs inline, and so does every predictive-loss pass: its
-    (n, 1, h) tensor is too small for the hand-off to a thread to pay."""
-    cpus = len(os.sched_getaffinity(0))
+    usable CPU (os.sched_getaffinity where the platform has it, else
+    os.cpu_count()), over a thread pool that lives for the with-block only,
+    so no thread outlives the fit or is shared across a fork. A linear fit
+    forms no tensor and runs inline, and so does every predictive-loss pass:
+    its (n, 1, h) tensor is too small for the hand-off to a thread to pay."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if arch.kind == "linear" or cpus == 1:
         yield _inline
         return
@@ -281,34 +277,24 @@ def _loss_and_grad(arch: Architecture, w: np.ndarray, X, Z, Y, weights):
     return loss, _mlp1_grad(arch, w, X, Z[:, None], T, c[:, None])
 
 
-class _Moments(NamedTuple):
-    """A linear model's full-batch predictive loss as a quadratic in its
-    weights w: with A = [X, Z, 1] over n rows, G = A'A/n, h = A'Y/n and
-    s = Y'Y/n, so loss = w'Gw - 2h'w + s and grad = 2(Gw - h)."""
-
-    G: np.ndarray
-    h: np.ndarray
-    s: float
-
-
-def _full_batch(arch: Architecture, X, Z, Y):
-    """What a full-batch fit's predictive loss reads at every step: the
-    _Moments of the rows for a linear model, formed here once, so no step
-    reads the rows; the rows (X, Z, Y) themselves for any other model."""
+def _full_batch_loss(arch: Architecture, X, Z, Y):
+    """A full-batch fit's predictive loss at unit sample weights, as the
+    function w -> (loss, grad), bound once per fit. For a linear model the
+    loss is a quadratic in w: with A = [X, Z, 1] over n rows, G = A'A/n,
+    h = A'Y/n and s = Y'Y/n, formed here once so no step reads the rows,
+    loss = w'Gw - 2h'w + s and grad = 2(Gw - h). Any other model takes
+    _loss_and_grad on the rows at every step."""
     if arch.kind != "linear":
-        return X, Z, Y
+        return lambda w: _loss_and_grad(arch, w, X, Z, Y, 1.0)
     A = np.column_stack([X, Z, np.ones_like(Z)])
     n = Z.shape[0]
-    return _Moments(A.T @ A / n, A.T @ Y / n, float(Y @ Y) / n)
+    G, h, s = A.T @ A / n, A.T @ Y / n, float(Y @ Y) / n
 
+    def quadratic(w):
+        Gw = G @ w
+        return float(w @ Gw - 2.0 * (h @ w) + s), 2.0 * (Gw - h)
 
-def _batch_loss_and_grad(arch: Architecture, w: np.ndarray, batch):
-    """The predictive loss at unit sample weights and its gradient, at w, from
-    a batch: _Moments, or rows (X, Z, Y) for _loss_and_grad."""
-    if isinstance(batch, _Moments):
-        Gw = batch.G @ w
-        return float(w @ Gw - 2.0 * (batch.h @ w) + batch.s), 2.0 * (Gw - batch.h)
-    return _loss_and_grad(arch, w, *batch, 1.0)
+    return quadratic
 
 
 def task_grad(

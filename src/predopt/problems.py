@@ -435,6 +435,7 @@ def cost_draws(model: TrueModel, z: float, u: np.ndarray, out=None) -> np.ndarra
     of len(u) floats, if given, else a new one. A cost with temporaries (of
     several live pieces) is computed block by block, each temporary one block;
     one without takes one pass, so fewer numpy calls wait for the GIL."""
+    z = _require_finite("z", z)
     pieces, params = _KINDS[model.kind].pieces, model.cost_params
     shift = mean_outcome(model, 0.0, z)
     out = np.empty_like(u, dtype=float) if out is None else out

@@ -5,10 +5,11 @@ model-implied cost profile over the grid actions, and from it the action
 probabilities, the test-side anchor and (with the task term on) the task
 loss and its gradient; (2) the omega/gamma weights come from the anchors;
 (3) one gradient step on F = pred*omega + task*gamma with the weights and
-action probabilities frozen for the step, where a linear model on the full
-batch takes pred and its gradient from the moments of the training rows,
-formed once per fit (predictor._full_batch), so no step reads those rows,
-and any other fit reads its batch's rows; (4) count the iteration as stalled
+action probabilities frozen for the step. A full-batch fit binds pred once,
+as the function w -> (pred, gradient) from predictor._full_batch_loss, which
+for a linear model reads the moments of the training rows, so no step reads
+those rows; a minibatch fit draws its rows at each step and takes
+predictor._loss_and_grad on them; (4) count the iteration as stalled
 if F improved by less than tol relative to the previous F, and stop once
 `patience` iterations in a row have stalled, or at max_iters. The
 train-side anchor, and each action's distance from it that omega reads,
@@ -35,9 +36,9 @@ from .objective import _gamma, _omega, _soft_min, argmin_profile, empirical_prof
 from .predictor import (
     Architecture,
     PredictorParams,
-    _batch_loss_and_grad,
-    _full_batch,
+    _full_batch_loss,
     _inputs,
+    _loss_and_grad,
     _pass_runner,
     _profile,
     init_params,
@@ -141,15 +142,11 @@ def _fit(
     rows = (train.X, train.z_obs, train.y)
     minibatch = 0 < config.batch_size < len(train)
     if not minibatch:
-        batch = _full_batch(arch, *rows)
+        pred_loss_and_grad = _full_batch_loss(arch, *rows)
 
     with _pass_runner(arch) as run:  # runs each mlp1 profile pass over the usable CPUs
         stalled = 0  # consecutive iterations whose relative improvement of F was below tol
         for it in range(1, config.max_iters + 1):
-            if minibatch:
-                idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
-                batch = tuple(column[idx] for column in rows)
-
             if joint:
                 values, grad_at = _profile(arch, w, val.X, problem, run)
                 # min and max propagate nan, so both are finite iff every value is
@@ -163,7 +160,11 @@ def _fit(
             else:
                 omega, gamma, z_star_test = 1.0, 1.0, float("nan")
 
-            pred_loss, pred_grad = _batch_loss_and_grad(arch, w, batch)
+            if minibatch:
+                idx = batch_rng.choice(len(train), size=config.batch_size, replace=False)
+                pred_loss, pred_grad = _loss_and_grad(arch, w, *(c[idx] for c in rows), 1.0)
+            else:
+                pred_loss, pred_grad = pred_loss_and_grad(w)
             if wc.task_term_enabled:
                 task_loss = float(probs @ values)
                 total_grad = omega * pred_grad + gamma * grad_at(probs)

@@ -1,6 +1,7 @@
 """tools/bench_pairs.py's verdict per metric, on synthetic pairs: no run is made."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,62 @@ def test_summarise_keeps_the_sides_and_the_wins():
 def test_summarise_skips_a_metric_with_a_missing_value():
     pairs = _pairs(PARENT, [None] + PARENT[1:])
     assert bench_pairs.summarise(pairs, {"wall_s": ("lower", 0.25)}) == {}
+
+
+def _run(sha="a", correct=True):
+    return {"values": {"wall_s": 1.0}, "correct": correct, "results_csv_sha256": sha}
+
+
+CHECKS = {
+    "all-equal": ([("a", "a")] * 3, [], {"incorrect_runs": 0, "csv_identical": True}),
+    "one-change-csv-differs": (
+        [("a", "a"), ("a", "b"), ("a", "a")], [], {"incorrect_runs": 0, "csv_identical": False}
+    ),
+    "one-parent-csv-differs": (
+        [("b", "a"), ("a", "a")], [], {"incorrect_runs": 0, "csv_identical": False}
+    ),
+    "incorrect-runs-counted": (
+        [("a", "a")] * 3,
+        [(0, "parent"), (2, "change")],
+        {"incorrect_runs": 2, "csv_identical": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("shas, incorrect, want", CHECKS.values(), ids=CHECKS)
+def test_checks_count_incorrect_runs_and_compare_the_csvs(shas, incorrect, want):
+    pairs = [{"parent": _run(p), "change": _run(c)} for p, c in shas]
+    for i, side in incorrect:
+        pairs[i][side]["correct"] = False
+    assert bench_pairs.checks(pairs) == want
+
+
+def test_each_workload_summary_carries_the_checks(monkeypatch, tmp_path):
+    # main records each run's correctness and CSV hash and summarises them,
+    # here from synthetic runs: no process is started
+    def no_run(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    def fake_run(checkout, workload, seed, seconds):
+        sha = "b" if workload == "newsvendor_mlp1" and checkout.name == "change" else "a"
+        return _run(sha) | {"machine": {"nproc": 2, "loadavg": [0.5, 0.5, 0.5]}}
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_run)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    (tmp_path / "parent").mkdir()
+    change = tmp_path / "change"
+    change.mkdir()
+    metric = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [metric]}))
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(change), "--pairs", "2"]
+    argv += ["--run", "newsvendor_linear:1", "--run", "newsvendor_mlp1:1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    blob = json.loads(out.read_text())
+    got = {run["workload"]: run["summary"] for run in blob["runs"]}
+    assert got["newsvendor_linear"]["csv_identical"] is True
+    assert got["newsvendor_mlp1"]["csv_identical"] is False
+    assert all(summary["incorrect_runs"] == 0 for summary in got.values())
+    run = blob["runs"][0]["pairs"][0]["parent"]
+    assert run["correct"] is True and run["results_csv_sha256"] == "a"
+    assert blob["machine"] == {"nproc": 2}

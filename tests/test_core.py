@@ -34,6 +34,7 @@ from predopt.predictor import (
 from predopt.problems import (
     TrueModel,
     _problem,
+    cost_draws,
     gen_dataset,
     newsvendor_problem,
     oracle_expected_cost,
@@ -229,6 +230,9 @@ _WORLD = dict(
 )
 
 
+_PRICING = {"kind": "pricing", "cost_params": {"capacity": 5.0}}
+
+
 def _train(**kw):
     weights = WeightConfig(alpha=2.0, beta=20.0, tau=0.5)
     return TrainConfig(weight_config=weights, **{"learning_rate": 1e-3, "max_iters": 500, **kw})
@@ -311,6 +315,14 @@ NON_FINITE = [
         {"model": _world(), "z": INF, "n_mc": 5, "seed": 0},
         "z",
         id="oracle_expected_cost.z_inf",
+    ),
+    *(
+        pytest.param(
+            cost_draws, {"model": _world(**world), "z": z, "u": np.zeros(4)}, "z",
+            id=f"cost_draws.{kind}.z_{name}",
+        )
+        for kind, world in [("newsvendor", {}), ("pricing", _PRICING)]
+        for name, z in [("nan", NAN), ("inf", INF), ("-inf", -INF)]
     ),
     pytest.param(_split, {"train_frac": NAN}, "train_frac", id="split_dataset.train_frac"),
     pytest.param(_split, {"val_frac": NAN}, "val_frac", id="split_dataset.val_frac"),

@@ -11,7 +11,7 @@ from predopt.objective import (
     model_profile,
     omega_weight,
 )
-from predopt.predictor import Architecture, PredictorParams, init_params, predict
+from predopt.predictor import Architecture, PredictorParams, init_params, predict_batch
 from predopt.problems import TrueModel, gen_dataset, newsvendor_problem, problem_from_model
 from predopt.training import TrainConfig, simpo_fit, two_stage_fit
 
@@ -99,7 +99,7 @@ def test_model_profile_matches_double_loop():
     expected = np.zeros(GRID.n_points)
     for k, z in enumerate(GRID.points):
         costs = [
-            float(problem.task_cost(z, predict(params, X[j], float(z))))
+            float(problem.task_cost(z, predict_batch(params, X[j : j + 1], [z])[0]))
             for j in range(50)
         ]
         expected[k] = np.mean(costs)

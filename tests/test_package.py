@@ -124,10 +124,6 @@ def _reads(path, strings=False):
     return found
 
 
-# Public on purpose with no reader outside the tests: the one-row form of predict_batch.
-READ_ONLY_BY_TESTS = {"predictor.predict"}
-
-
 def test_every_public_function_has_a_reader_besides_the_tests():
     # a function or constant in a module's __all__ is read by another module of
     # the package (not __init__, which only re-exports), a demo, the benchmark or
@@ -142,7 +138,7 @@ def test_every_public_function_has_a_reader_besides_the_tests():
         mod = importlib.import_module(f"predopt.{module}")
         public = (name for name in mod.__all__ if not isinstance(getattr(mod, name), type))
         unread |= {f"{module}.{name}" for name in public if name not in read}
-    assert unread == READ_ONLY_BY_TESTS
+    assert unread == set()
 
 
 def _trace_targets():

@@ -25,7 +25,6 @@ from predopt.predictor import (
     init_params,
     load_checkpoint,
     loss_and_grad,
-    predict,
     predict_batch,
     predict_on_grid,
     save_checkpoint,
@@ -117,15 +116,20 @@ def test_params_reject_wrong_length_and_nonfinite():
 # --- forward pass ---------------------------------------------------------------
 
 
+def _predict_one(params, x, z):
+    """The prediction at one (x, z): predict_batch on one row."""
+    return float(predict_batch(params, [x], [z])[0])
+
+
 def test_predict_zero_params_is_zero():
     p = init_params(LINEAR3, 0)
-    assert predict(p, [1.0, -2.0, 0.5], 3.0) == 0.0
+    assert _predict_one(p, [1.0, -2.0, 0.5], 3.0) == 0.0
 
 
 def test_predict_linear_hand_value():
     # w_x=(1,1), w_z=2, b=0.5, x=(1,2), z=3 -> 1+2+6+0.5
     p = PredictorParams(Architecture("linear", 2), np.array([1.0, 1.0, 2.0, 0.5]))
-    assert predict(p, [1.0, 2.0], 3.0) == pytest.approx(9.5, abs=0)
+    assert _predict_one(p, [1.0, 2.0], 3.0) == pytest.approx(9.5, abs=0)
 
 
 def test_predict_mlp_constant_when_W1_zero():
@@ -135,13 +139,13 @@ def test_predict_mlp_constant_when_W1_zero():
     w[(d + 1) * h + h : (d + 1) * h + 2 * h] = 1.0  # w2; tanh(0) kills it
     p = PredictorParams(MLP24, w)
     for z in (0.0, 5.0, -3.0):
-        assert predict(p, [1.0, 9.0], z) == pytest.approx(2.5, abs=0)
+        assert _predict_one(p, [1.0, 9.0], z) == pytest.approx(2.5, abs=0)
 
 
 def test_predict_dimension_mismatch():
     p = init_params(LINEAR3, 0)
     with pytest.raises(ValidationError):
-        predict(p, [1.0, 2.0], 0.0)
+        _predict_one(p, [1.0, 2.0], 0.0)
 
 
 UNIFORM = np.full(GRID.n_points, 1.0 / GRID.n_points)
@@ -176,7 +180,7 @@ def test_predict_batch_matches_scalar():
     p = _random_params(MLP24, rng)
     X, Z, _, _ = _random_batch(MLP24, rng)
     batch = predict_batch(p, X, Z)
-    singles = [predict(p, X[i], Z[i]) for i in range(len(Z))]
+    singles = [_predict_one(p, X[i], Z[i]) for i in range(len(Z))]
     # one-row and many-row matmuls may take different BLAS paths
     assert np.allclose(batch, singles, rtol=1e-12, atol=0)
 
@@ -200,7 +204,7 @@ def test_predict_on_grid_matches_scalar():
         for j in (0, 3):
             for k in (0, 7, 20):
                 assert P[j, k] == pytest.approx(
-                    predict(p, X[j], GRID.points[k]), rel=1e-15
+                    _predict_one(p, X[j], GRID.points[k]), rel=1e-15
                 )
 
 
@@ -215,7 +219,7 @@ def test_mlp_lipschitz_in_z():
         bound = np.linalg.norm(w2) * np.linalg.norm(W1[:, d])
         x = rng.normal(size=d)
         z1, z2 = rng.uniform(-5, 5, size=2)
-        gap = abs(predict(p, x, z1) - predict(p, x, z2))
+        gap = abs(_predict_one(p, x, z1) - _predict_one(p, x, z2))
         assert gap <= bound * abs(z1 - z2) + 1e-12
 
 

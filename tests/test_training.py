@@ -1,3 +1,4 @@
+import os
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -22,9 +23,7 @@ from predopt.objective import (
 from predopt.predictor import (
     Architecture,
     PredictorParams,
-    _Moments,
-    _batch_loss_and_grad,
-    _full_batch,
+    _full_batch_loss,
     init_params,
     loss_and_grad,
     task_grad,
@@ -106,11 +105,11 @@ def _scripted_fit(F, max_iters, patience, tol):
 
     values = iter(F)
 
-    def scripted(arch, w, batch):
+    def scripted(w):
         return next(values), np.zeros_like(w)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(predopt.training, "_batch_loss_and_grad", scripted)
+        mp.setattr(predopt.training, "_full_batch_loss", lambda *rows: scripted)
         cfg = _config(max_iters=max_iters, patience=patience, tol=tol)
         res = two_stage_fit(_STOP_PROBLEM, _STOP_TRAIN, _STOP_VAL, LINEAR, cfg)
     assert [row.total for row in res.history] == list(F[: res.iters_run])
@@ -584,13 +583,15 @@ def test_moment_form_matches_the_row_form(world, grid, scale):
     problem = problem_from_model(model, grid)
     train, _, _ = _splits(model, 2000, seed=0, grid=grid)
     arch = Architecture("linear", model.feature_dim)
-    moments = _full_batch(arch, train.X, train.z_obs, train.y)
-    assert isinstance(moments, _Moments)
+    columns = [column.copy() for column in (train.X, train.z_obs, train.y)]
+    moments = _full_batch_loss(arch, *columns)
+    for column in columns:  # the moments are formed once: no call reads the rows
+        column.fill(np.nan)
     ones = np.ones(len(train))
     rng = np.random.default_rng(0)
     for _ in range(3):
         w = rng.normal(scale=scale, size=arch.n_weights)
-        loss, grad = _batch_loss_and_grad(arch, w, moments)
+        loss, grad = moments(w)
         rows = loss_and_grad(PredictorParams(arch, w), train.X, train.z_obs, train.y, ones, problem)
         assert loss == pytest.approx(rows[0], rel=1e-12, abs=0)
         np.testing.assert_allclose(grad, rows[1], rtol=1e-12, atol=0)
@@ -600,8 +601,8 @@ def test_moment_form_matches_the_row_form(world, grid, scale):
         for i, step in enumerate(np.maximum(1.0, np.abs(w))):
             e = np.zeros_like(w)
             e[i] = step
-            up = _batch_loss_and_grad(arch, w + e, moments)[0]
-            down = _batch_loss_and_grad(arch, w - e, moments)[0]
+            up = moments(w + e)[0]
+            down = moments(w - e)[0]
             fd[i] = (up - down) / (2 * step)
         np.testing.assert_allclose(grad, fd, rtol=1e-12, atol=0)
 
@@ -801,12 +802,8 @@ def test_linear_two_stage_fit_matches_closed_form_least_squares():
 # --- aborts and the batch path ----------------------------------------------------
 
 
-def _poison_on_call(monkeypatch, name, call, poison):
-    """Replace predopt.training.<name> with a wrapper whose `call`-th result
-    is poison(result)."""
-    import predopt.training
-
-    real = getattr(predopt.training, name)
+def _poisoned(real, call, poison):
+    """real, with its `call`-th result replaced by poison(result)."""
     calls = []
 
     def wrapper(*args):
@@ -814,7 +811,25 @@ def _poison_on_call(monkeypatch, name, call, poison):
         out = real(*args)
         return poison(out) if len(calls) == call else out
 
-    monkeypatch.setattr(predopt.training, name, wrapper)
+    return wrapper
+
+
+def _poison_profile(monkeypatch, call, poison):
+    """Poison the `call`-th result of the fit's _profile."""
+    import predopt.training
+
+    real = predopt.training._profile
+    monkeypatch.setattr(predopt.training, "_profile", _poisoned(real, call, poison))
+
+
+def _poison_bound_loss(monkeypatch, call, poison):
+    """Poison the `call`-th call of the loss function that the fit binds once."""
+    import predopt.training
+
+    real = predopt.training._full_batch_loss
+    monkeypatch.setattr(
+        predopt.training, "_full_batch_loss", lambda *rows: _poisoned(real(*rows), call, poison)
+    )
 
 
 def _nan_profile(out):
@@ -824,23 +839,23 @@ def _nan_profile(out):
 
 ABORT_SITES = [
     pytest.param(
-        simpo_fit, "_profile", 3, _nan_profile, {},
+        simpo_fit, _poison_profile, 3, _nan_profile, {},
         "non-finite model cost profile at iteration 3; reduce the learning rate", 3,
         id="iteration-profile",
     ),
     pytest.param(
-        two_stage_fit, "_profile", 1, _nan_profile, {},
+        two_stage_fit, _poison_profile, 1, _nan_profile, {},
         "non-finite model cost profile at iteration 7; reduce the learning rate", 7,
         id="final-profile",
     ),
     pytest.param(
-        two_stage_fit, "_batch_loss_and_grad", 2, lambda out: (float("nan"), out[1]), {},
+        two_stage_fit, _poison_bound_loss, 2, lambda out: (float("nan"), out[1]), {},
         "non-finite loss or gradient at iteration 2 (pred=nan, task=0.0); "
         "reduce the learning rate", 2,
         id="loss-or-gradient",
     ),
     pytest.param(
-        two_stage_fit, "_batch_loss_and_grad", 4, lambda out: (out[0], np.full_like(out[1], 1e308)),
+        two_stage_fit, _poison_bound_loss, 4, lambda out: (out[0], np.full_like(out[1], 1e308)),
         {"learning_rate": 10.0},
         "non-finite weights after the step at iteration 4; reduce the learning rate", 4,
         id="weights-after-step",
@@ -848,15 +863,15 @@ ABORT_SITES = [
 ]
 
 
-@pytest.mark.parametrize("fit, name, call, poison, overrides, message, iteration", ABORT_SITES)
+@pytest.mark.parametrize("fit, patch, call, poison, overrides, message, iteration", ABORT_SITES)
 def test_every_abort_site_names_its_iteration(
-    monkeypatch, fit, name, call, poison, overrides, message, iteration
+    monkeypatch, fit, patch, call, poison, overrides, message, iteration
 ):
     model = _world()
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=0)
     cfg = _config(**{"max_iters": 7, "patience": 7, **overrides})
-    _poison_on_call(monkeypatch, name, call, poison)
+    patch(monkeypatch, call, poison)
     with pytest.raises(TrainingError) as err, np.errstate(over="ignore"):
         fit(problem, train, val, LINEAR, cfg)
     assert str(err.value) == message
@@ -866,36 +881,59 @@ def test_every_abort_site_names_its_iteration(
 @pytest.mark.parametrize("fit", [simpo_fit, two_stage_fit])
 @pytest.mark.parametrize("arch", [LINEAR, MLP1], ids=["linear", "mlp1"])
 def test_full_batch_fit_steps_on_the_split_itself(monkeypatch, fit, arch):
-    # a linear model's moments are formed once, from the split's own columns,
-    # and every step reads them; an mlp1 model steps on those columns themselves
+    # the fit binds its predictive loss once, from the split's own columns: a
+    # linear model's moments never read the rows again, and an mlp1 model
+    # takes the row form on those columns at every step
+    import predopt.predictor
     import predopt.training
 
-    real_full_batch = predopt.training._full_batch
-    real_loss = predopt.training._batch_loss_and_grad
-    formed, batches = [], []
+    real_builder = predopt.training._full_batch_loss
+    real_rows = predopt.predictor._loss_and_grad
+    built, row_calls = [], []
 
-    def spy_full_batch(*args):  # (arch, X, Z, Y)
-        formed.append((args[1:], real_full_batch(*args)))
-        return formed[-1][1]
+    def spy_builder(*args):  # (arch, X, Z, Y)
+        built.append(args[1:])
+        return real_builder(*args)
 
-    def spy_loss(arch, w, batch):
-        batches.append(batch)
-        return real_loss(arch, w, batch)
+    def spy_rows(arch, w, X, Z, Y, weights):
+        row_calls.append((X, Z, Y, weights))
+        return real_rows(arch, w, X, Z, Y, weights)
 
-    monkeypatch.setattr(predopt.training, "_full_batch", spy_full_batch)
-    monkeypatch.setattr(predopt.training, "_batch_loss_and_grad", spy_loss)
+    monkeypatch.setattr(predopt.training, "_full_batch_loss", spy_builder)
+    monkeypatch.setattr(predopt.predictor, "_loss_and_grad", spy_rows)
+    monkeypatch.setattr(predopt.training, "_loss_and_grad", spy_rows)
     model = _world()
     problem = problem_from_model(model, GRID)
     train, val, _ = _splits(model, 200, seed=0)
     fit(problem, train, val, arch, _config(max_iters=3, patience=3))
-    assert len(formed) == 1 and len(batches) == 3
-    (X, Z, Y), batch = formed[0]
+    assert len(built) == 1
+    X, Z, Y = built[0]
     assert X is train.X and Z is train.z_obs and Y is train.y
-    assert all(b is batch for b in batches)
     if arch is LINEAR:
-        assert isinstance(batch, _Moments)
+        assert row_calls == []
     else:
-        assert [id(column) for column in batch] == [id(X), id(Z), id(Y)]
+        assert len(row_calls) == 3
+        for rows_X, rows_Z, rows_Y, weights in row_calls:
+            assert rows_X is X and rows_Z is Z and rows_Y is Y and weights == 1.0
+
+
+@pytest.mark.parametrize("cpu_count", [3, None], ids=["three-cpus", "unknown"])
+def test_an_mlp1_fit_counts_cpus_where_the_platform_has_no_affinity(monkeypatch, cpu_count):
+    # os.sched_getaffinity exists on some Unix platforms only; elsewhere a fit
+    # runs os.cpu_count() blocks (one where that is unknown), with the same bits
+    model = _world()
+    problem = problem_from_model(model, GRID)
+    train, val, _ = _splits(model, 200, seed=0)
+    cfg = _config(max_iters=5, patience=5)
+    want = simpo_fit(problem, train, val, MLP1, cfg)
+    counted = []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: counted.append(cpu_count) or cpu_count)
+    got = simpo_fit(problem, train, val, MLP1, cfg)
+    assert counted == [cpu_count]
+    assert np.array_equal(got.params_star.weights, want.params_star.weights)
+    assert got.history == want.history
+    assert (got.z_star, got.g_star) == (want.z_star, want.g_star)
 
 
 # --- memory -----------------------------------------------------------------------

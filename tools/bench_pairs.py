@@ -22,7 +22,10 @@ parent's median, taken in this order:
 - `unresolved`: the parent's interquartile spread is wider than the bound;
 - `within bound`: otherwise.
 
-It records the machine line of the first run, and the load average of each.
+Each workload's summary also gives `incorrect_runs`, the runs whose results
+perfbench/run.py found incorrect, and `csv_identical`, whether every parent
+and change run wrote the same results CSV (by its SHA-256). It records the
+machine line of the first run, and the load average of each.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in `checkout`: its machine line and its metrics' values."""
+    """One perfbench run in `checkout`: its machine line, its metrics' values,
+    whether its results were correct, and the hash of the results CSV it wrote."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload]
     command += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
@@ -48,6 +52,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {
         "values": {name: metric["value"] for name, metric in result["metrics"].items()},
         "correct": result["correct"],
+        "results_csv_sha256": info["results_csv_sha256"],
         "machine": info["machine"],
     }
 
@@ -55,6 +60,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def quartiles(xs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def checks(pairs: list[dict]) -> dict:
+    """How many runs reported incorrect results, and whether every parent and
+    change run wrote the same results CSV."""
+    runs = [pair[side] for pair in pairs for side in SIDES]
+    return {
+        "incorrect_runs": sum(not run["correct"] for run in runs),
+        "csv_identical": len({run["results_csv_sha256"] for run in runs}) == 1,
+    }
 
 
 def summarise(pairs: list[dict], metrics: dict) -> dict:
@@ -111,7 +126,7 @@ def main(argv=None) -> int:
         for pair in pairs:
             for run in pair.values():
                 run["loadavg"] = run.pop("machine")["loadavg"]
-        summary = summarise(pairs, metrics)
+        summary = checks(pairs) | summarise(pairs, metrics)
         runs.append({"workload": workload, "seed": int(seed), "summary": summary, "pairs": pairs})
     del machine["loadavg"]
     blob = {"command": "perfbench/run.py --trace 0", "seconds": args.seconds, "machine": machine}
